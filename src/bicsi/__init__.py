@@ -1,6 +1,14 @@
 """Binary CSI fingerprint encoding and position matching toolkit."""
 
-from .encoding import GeneSequence, encode10, encode_matrix, encode_row, majority5, reencode2
+from .encoding import (
+    GeneMatrix,
+    GeneSequence,
+    encode10,
+    encode_matrix,
+    encode_row,
+    majority5,
+    reencode2,
+)
 from .errors import (
     BicsiError,
     ConfigError,
@@ -49,7 +57,6 @@ from .fingerprint import (
 )
 from .ingest import (
     AmplitudeMatrix,
-    RawCsiRecord,
     SubcarrierFilter,
     amplitude_from_iq,
     build_matrix,

@@ -116,8 +116,7 @@ def _read_manifest(path: Path):
 def _load_labeled_traces(manifest: Path, fmt: str, flt: SubcarrierFilter):
     traces = []
     for label, coord, trace_path in _read_manifest(manifest):
-        records = load_trace(trace_path, fmt)
-        matrix = build_matrix(records, flt, position_label=label)
+        matrix = build_matrix(load_trace(trace_path, fmt), flt, position_label=label)
         traces.append(LabeledTrace(matrix=matrix, true_label=label, true_coord=coord))
     return traces
 
@@ -179,8 +178,7 @@ def train(manifest, out_db, threshold_fraction, filter_file, fmt):
     flt = _filter_from(filter_file)
     positions = []
     for label, coord, trace_path in _read_manifest(manifest):
-        records = load_trace(trace_path, fmt)
-        matrix = build_matrix(records, flt, position_label=label)
+        matrix = build_matrix(load_trace(trace_path, fmt), flt, position_label=label)
         seqs = encode_matrix(matrix)
         positions.append((label, coord, seqs))
         click.echo(f"{label}: {len(seqs)} training packets")
@@ -219,6 +217,11 @@ def match(db_path, trace, metric, out_json, window, filter_file, fmt):
     db = load_db(db_path)
     matrix = build_matrix(load_trace(trace, fmt), _filter_from(filter_file))
     parents = windows(encode_matrix(matrix), window)
+    if not parents:
+        raise EmptyInputError(
+            f"{trace}: {matrix.packet_count} packets, too few for one {window}-packet window "
+            f"(a window needs at least half its size)"
+        )
     results = match_trace(parents, db, MetricKind.parse(metric))
     atomic_write_text(out_json, json.dumps([_result_dict(r) for r in results], indent=2) + "\n")
     click.echo(f"matched {len(results)} windows -> {out_json}")
@@ -321,7 +324,7 @@ def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, filter_f
         for label, coord, trace_path in _read_manifest(d / "train" / "manifest.csv"):
             matrix = build_matrix(load_trace(trace_path, fmt), flt, position_label=label)
             training.append(TrainingSet(label=label, coord=coord,
-                                        sequences=tuple(encode_matrix(matrix))))
+                                        sequences=encode_matrix(matrix)))
         test_traces = _load_labeled_traces(d / "test" / "manifest.csv", fmt, flt)
         sessions.append(Session(training=tuple(training),
                                 test=LabeledWindows.from_traces(test_traces, window)))

@@ -6,6 +6,10 @@ majority vote over the high and low five-bit halves. A packet row of k
 amplitudes becomes a packed bit vector of 2k bits, the packet's gene
 sequence. The two-bit stage is what shrinks fingerprint storage by 80%
 relative to keeping the ten-bit codes.
+
+A whole trace encodes to one :class:`GeneMatrix`, a packed ``uint8`` array
+with a row per packet; a :class:`GeneSequence` object is made only when a
+single row is asked for.
 """
 
 import operator
@@ -13,14 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EmptyInputError, LengthMismatchError
+
 ENCODER_OVERFLOW = 1024  # amplitudes at or above this encode as the all-zero code
 TEN_BITS = 10
 
 TenBitCode = tuple[int, ...]
 TwoBitCode = tuple[int, int]
 
-# popcount lookup for 5-bit values
-_POPCOUNT5 = np.array([bin(v).count("1") for v in range(32)], dtype=np.uint8)
+# two-bit code (H << 1) | L of every amplitude below the cutoff, then one last
+# entry, the all-zero code that every amplitude at or above it collapses to
+_CODE2 = np.array([2 * (bin(v >> 5).count("1") >= 3) + (bin(v & 31).count("1") >= 3)
+                   for v in range(ENCODER_OVERFLOW)] + [0], dtype=np.uint8)
+
+
+def _packed_bytes(subcarrier_count: int) -> int:
+    return (2 * subcarrier_count + 7) // 8
 
 
 @dataclass(frozen=True)
@@ -40,7 +52,7 @@ class GeneSequence:
     def __post_init__(self):
         if self.subcarrier_count < 1:
             raise ValueError("subcarrier_count must be >= 1")
-        expected = (self.bit_length + 7) // 8
+        expected = _packed_bytes(self.subcarrier_count)
         if len(self.packed) != expected:
             raise ValueError(
                 f"packed payload is {len(self.packed)} bytes, "
@@ -74,6 +86,71 @@ class GeneSequence:
         return int.from_bytes(self.packed, "big")
 
 
+@dataclass(frozen=True, eq=False)
+class GeneMatrix:
+    """Gene sequences of many packets packed into one read-only array.
+
+    ``packed`` has shape (packets, ceil(2k / 8)), dtype ``uint8``; each row
+    is laid out exactly like :attr:`GeneSequence.packed`, padding included.
+    Indexing with an integer gives that row's :class:`GeneSequence`; slicing
+    gives a :class:`GeneMatrix` view.
+    """
+
+    packed: np.ndarray
+    subcarrier_count: int
+
+    def __post_init__(self):
+        if self.subcarrier_count < 1:
+            raise ValueError("subcarrier_count must be >= 1")
+        packed = np.asarray(self.packed)
+        if packed.dtype != np.uint8 or packed.ndim != 2:
+            raise ValueError("packed rows must be a 2-D uint8 array")
+        expected = _packed_bytes(self.subcarrier_count)
+        if packed.shape[1] != expected:
+            raise ValueError(
+                f"packed rows are {packed.shape[1]} bytes, {self.bit_length} bits need {expected}"
+            )
+        tail = self.bit_length % 8
+        if tail and len(packed) and (packed[:, -1] & ((1 << (8 - tail)) - 1)).any():
+            raise ValueError("padding bits past the bit length must be zero")
+        packed.setflags(write=False)
+        object.__setattr__(self, "packed", packed)
+
+    @property
+    def bit_length(self) -> int:
+        return 2 * self.subcarrier_count
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return GeneMatrix(self.packed[index], self.subcarrier_count)
+        row = self.packed[operator.index(index)]
+        return GeneSequence(packed=row.tobytes(), subcarrier_count=self.subcarrier_count)
+
+    def bits(self) -> np.ndarray:
+        """Unpacked bit matrix, dtype uint8, shape (packets, ``bit_length``)."""
+        return np.unpackbits(self.packed, axis=1, count=self.bit_length)
+
+    @classmethod
+    def from_sequences(cls, seqs) -> "GeneMatrix":
+        """Pack gene sequences of one length, in order; a GeneMatrix passes through."""
+        if isinstance(seqs, cls):
+            return seqs
+        seqs = list(seqs)
+        if not seqs:
+            raise EmptyInputError("no gene sequences to pack")
+        first = seqs[0]
+        for i, s in enumerate(seqs):
+            if s.bit_length != first.bit_length:
+                raise LengthMismatchError(
+                    f"sequence {i}: {s.bit_length} bits, expected {first.bit_length}"
+                )
+        raw = np.frombuffer(b"".join(s.packed for s in seqs), dtype=np.uint8)
+        return cls(raw.reshape(len(seqs), len(first.packed)), first.subcarrier_count)
+
+
 def encode10(ap) -> TenBitCode:
     """Ten-bit binary code of a non-negative integer amplitude, MSB first.
 
@@ -105,24 +182,17 @@ def reencode2(code) -> TwoBitCode:
     return majority5(code[:5]), majority5(code[5:])
 
 
-def _amplitude_bits(amplitudes: np.ndarray) -> np.ndarray:
-    """Vectorized encoder: integer array (..., k) -> bit array (..., 2k).
+def _two_bit_codes(amplitudes) -> np.ndarray:
+    """Vectorized encoder: integer array -> uint8 array of (H << 1) | L codes.
 
-    Equivalent to ``reencode2(encode10(a))`` per element with the (H, L)
-    pairs interleaved along the last axis.
+    Equivalent to ``reencode2(encode10(a))`` per element.
     """
     a = np.asarray(amplitudes)
     if not np.issubdtype(a.dtype, np.integer):
         raise ValueError("amplitudes must have an integer dtype")
     if a.size and int(a.min()) < 0:
         raise ValueError("amplitudes must be non-negative")
-    a = np.where(a >= ENCODER_OVERFLOW, 0, a)
-    high = (_POPCOUNT5[a >> 5] >= 3).astype(np.uint8)
-    low = (_POPCOUNT5[a & 31] >= 3).astype(np.uint8)
-    out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=np.uint8)
-    out[..., 0::2] = high
-    out[..., 1::2] = low
-    return out
+    return np.take(_CODE2, a, mode="clip")  # clipping sends overflow to the last entry
 
 
 def encode_row(amplitudes) -> GeneSequence:
@@ -132,11 +202,15 @@ def encode_row(amplitudes) -> GeneSequence:
         raise ValueError("expected a single 1-D row of amplitudes")
     if a.size == 0:
         raise ValueError("row must contain at least one amplitude")
-    return GeneSequence.from_bits(_amplitude_bits(a))
+    codes = _two_bit_codes(a)
+    bits = np.empty(2 * a.size, dtype=np.uint8)
+    bits[0::2] = codes >> 1
+    bits[1::2] = codes & 1
+    return GeneSequence.from_bits(bits)
 
 
-def encode_matrix(matrix) -> list[GeneSequence]:
-    """One gene sequence per packet row, in packet order.
+def encode_matrix(matrix) -> GeneMatrix:
+    """Packed gene sequences of every packet row, in packet order.
 
     Accepts an :class:`~bicsi.ingest.AmplitudeMatrix` or a 2-D integer array.
     """
@@ -146,6 +220,12 @@ def encode_matrix(matrix) -> list[GeneSequence]:
         raise ValueError("expected a 2-D amplitude matrix")
     if data.shape[1] == 0:
         raise ValueError("matrix must have at least one subcarrier column")
-    k = int(data.shape[1])
-    packed = np.packbits(_amplitude_bits(data), axis=1)
-    return [GeneSequence(packed=row.tobytes(), subcarrier_count=k) for row in packed]
+    n, k = data.shape
+    # four two-bit codes per byte, MSB first; zero codes fill the last byte
+    quads = np.zeros((n, 4 * _packed_bytes(k)), dtype=np.uint8)
+    quads[:, :k] = _two_bit_codes(data)
+    # the little-endian word c0 | c1 << 8 | c2 << 16 | c3 << 24 of four codes,
+    # times 2^30 + 2^20 + 2^10 + 1, holds c0 << 6 | c1 << 4 | c2 << 2 | c3 in
+    # its top byte: the partial products below bit 24 neither overlap nor carry
+    words = quads.view("<u4")
+    return GeneMatrix(((words * np.uint32(0x40100401)) >> 24).astype(np.uint8), k)

@@ -12,14 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import encode_matrix
+from .encoding import GeneMatrix, encode_matrix
 from .errors import ConfigError, EmptyInputError, LengthMismatchError, UnknownLabelError
 from .fingerprint import (
     DEFAULT_THRESHOLD_FRACTION,
     DEFAULT_WINDOW_SIZE,
     FingerprintDb,
+    PositionEntry,
+    ancestors_from_counts,
     append_ancestor_set,
-    build_db,
+    as_gene_matrix,
     derive_ancestors,
     fraction_to_micro,
     threshold_count,
@@ -227,16 +229,18 @@ def threshold_sweep(training_sets, fractions) -> list[tuple[float, float]]:
     first ancestors and between second ancestors are averaged over all
     unordered position pairs.
     """
-    sets_ = [list(s) for s in training_sets]
-    if len(sets_) < 2:
+    training_sets = list(training_sets)
+    if len(training_sets) < 2:
         raise EmptyInputError("threshold sweep needs at least two positions")
-    for i, s in enumerate(sets_):
-        if not s:
-            raise EmptyInputError(f"training set {i} is empty")
+    # column one-counts do not depend on the threshold: count once per position
+    counts = []
+    for i, s in enumerate(training_sets):
+        gm = as_gene_matrix(s, f"training set {i} is empty")
+        counts.append((len(gm), gm.bits().sum(axis=0, dtype=np.int64)))
     rows = []
     for fraction in fractions:
         micro = fraction_to_micro(fraction)
-        pairs = [derive_ancestors(s, threshold_count(micro, len(s))) for s in sets_]
+        pairs = [ancestors_from_counts(ones, n, threshold_count(micro, n)) for n, ones in counts]
         total = 0.0
         count = 0
         for i in range(len(pairs)):
@@ -251,16 +255,16 @@ def threshold_sweep(training_sets, fractions) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """One position's training sequences within a session."""
+    """One position's training sequences within a session, packed once into
+    a :class:`~bicsi.encoding.GeneMatrix`."""
 
     label: str
     coord: tuple
-    sequences: tuple
+    sequences: GeneMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "sequences", tuple(self.sequences))
-        if not self.sequences:
-            raise EmptyInputError(f"position {self.label!r}: no training sequences")
+        object.__setattr__(self, "sequences", as_gene_matrix(
+            self.sequences, f"position {self.label!r}: no training sequences"))
 
 
 @dataclass(frozen=True)
@@ -300,15 +304,15 @@ def temporal_eval(sessions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTI
         for session in sessions
     ]
 
+    db = FingerprintDb(
+        subcarrier_count=session_pairs[0][0].as1.subcarrier_count,
+        threshold_micro=micro,
+        entries=tuple(PositionEntry(label=label, coord=coord, ancestor_sets=(pair,))
+                      for (label, coord), pair in zip(reference, session_pairs[0])),
+    )
     curve = []
-    db = None
     for m in range(1, len(sessions)):
-        if db is None:
-            db = build_db(
-                [(t.label, t.coord, t.sequences) for t in sessions[0].training],
-                threshold_fraction,
-            )
-        else:
+        if m > 1:
             for (label, _), pair in zip(reference, session_pairs[m - 1]):
                 db = append_ancestor_set(db, label, pair)
         test = LabeledWindows.concat(session.test for session in sessions[m:])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import GeneSequence
+from .encoding import GeneMatrix, GeneSequence
 from .errors import (
     ConfigError,
     DbLengthError,
@@ -165,17 +165,30 @@ class ParentSequence:
     window_index: int
 
 
-def _stack_bits(seqs) -> np.ndarray:
-    """Bit matrix (n, bit_length) for same-length sequences."""
-    first = seqs[0]
-    for i, s in enumerate(seqs):
-        if s.bit_length != first.bit_length:
-            raise LengthMismatchError(
-                f"sequence {i}: {s.bit_length} bits, expected {first.bit_length}"
-            )
-    raw = np.frombuffer(b"".join(s.packed for s in seqs), dtype=np.uint8)
-    raw = raw.reshape(len(seqs), len(first.packed))
-    return np.unpackbits(raw, axis=1)[:, : first.bit_length]
+def as_gene_matrix(seqs, empty_message: str) -> GeneMatrix:
+    """``seqs`` packed once into a GeneMatrix (one passes through as is).
+
+    Raises EmptyInputError(empty_message) when there are no sequences and
+    LengthMismatchError when their lengths differ.
+    """
+    if not isinstance(seqs, GeneMatrix):
+        seqs = list(seqs)
+    if not len(seqs):
+        raise EmptyInputError(empty_message)
+    return GeneMatrix.from_sequences(seqs)
+
+
+def ancestors_from_counts(ones: np.ndarray, n: int, tr: int) -> AncestorPair:
+    """Ancestor pair from the per-bit-column one-counts of ``n`` training
+    sequences at integer threshold ``tr`` (see :func:`derive_ancestors`)."""
+    if tr < 0:
+        raise ConfigError("threshold count must be non-negative")
+    n0 = n - ones
+    majority = (ones >= n0).astype(np.uint8)
+    decided = np.abs(n0 - ones) >= tr
+    as1 = np.where(decided, majority, np.uint8(1))
+    as2 = np.where(decided, majority, np.uint8(0))
+    return AncestorPair(GeneSequence.from_bits(as1), GeneSequence.from_bits(as2))
 
 
 def derive_ancestors(training, tr: int) -> AncestorPair:
@@ -187,31 +200,14 @@ def derive_ancestors(training, tr: int) -> AncestorPair:
     ``tr`` may exceed the training size, in which case every column is
     balanced and the pair degenerates to all-ones / all-zeros.
     """
-    seqs = list(training)
-    if not seqs:
-        raise EmptyInputError("training set is empty")
-    if tr < 0:
-        raise ConfigError("threshold count must be non-negative")
-    bits = _stack_bits(seqs)
-    n = bits.shape[0]
-    n1 = bits.sum(axis=0, dtype=np.int64)
-    n0 = n - n1
-    majority = (n1 >= n0).astype(np.uint8)
-    decided = np.abs(n0 - n1) >= tr
-    as1 = np.where(decided, majority, np.uint8(1))
-    as2 = np.where(decided, majority, np.uint8(0))
-    return AncestorPair(GeneSequence.from_bits(as1), GeneSequence.from_bits(as2))
+    gm = as_gene_matrix(training, "training set is empty")
+    return ancestors_from_counts(gm.bits().sum(axis=0, dtype=np.int64), len(gm), tr)
 
 
 def derive_parent(window, window_index: int = 0) -> ParentSequence:
     """Column-majority summary of a packet window; exact ties produce 1."""
-    seqs = list(window)
-    if not seqs:
-        raise EmptyInputError("window is empty")
-    bits = _stack_bits(seqs)
-    n1 = bits.sum(axis=0, dtype=np.int64)
-    majority = (2 * n1 >= bits.shape[0]).astype(np.uint8)
-    return ParentSequence(GeneSequence.from_bits(majority), window_index)
+    gm = as_gene_matrix(window, "window is empty")
+    return replace(windows(gm, len(gm))[0], window_index=window_index)
 
 
 def window_slices(total: int, size: int) -> list[tuple[int, int]]:
@@ -231,12 +227,26 @@ def window_slices(total: int, size: int) -> list[tuple[int, int]]:
 
 
 def windows(trace, size: int = DEFAULT_WINDOW_SIZE) -> list[ParentSequence]:
-    """Parent sequences for consecutive windows of a gene-sequence trace."""
-    seqs = list(trace)
-    return [
-        derive_parent(seqs[lo:hi], window_index=i)
-        for i, (lo, hi) in enumerate(window_slices(len(seqs), size))
-    ]
+    """Parent sequences for consecutive windows of a gene-sequence trace.
+
+    Each parent is the column majority of its window, exact ties giving 1.
+    """
+    seqs = trace if isinstance(trace, GeneMatrix) else list(trace)
+    slices = window_slices(len(seqs), size)
+    if not slices:
+        return []
+    gm = GeneMatrix.from_sequences(seqs)
+    bits = gm.bits()
+    full = len(gm) // size
+    # int32 sums halve the reduction time; no window holds 2**30 packets
+    ones = bits[: full * size].reshape(full, size, gm.bit_length).sum(axis=1, dtype=np.int32)
+    counts = np.full(full, size)
+    if len(slices) > full:  # the kept short tail window
+        lo, hi = slices[-1]
+        ones = np.vstack([ones, bits[lo:hi].sum(axis=0, dtype=np.int32)])
+        counts = np.append(counts, hi - lo)
+    parents = GeneMatrix(np.packbits(2 * ones >= counts[:, None], axis=1), gm.subcarrier_count)
+    return [ParentSequence(seq, i) for i, seq in enumerate(parents)]
 
 
 def build_db(positions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) -> FingerprintDb:
@@ -249,9 +259,7 @@ def build_db(positions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) 
     entries = []
     k = None
     for label, coord, seqs in positions:
-        seqs = list(seqs)
-        if not seqs:
-            raise EmptyInputError(f"position {label!r} has no training sequences")
+        seqs = as_gene_matrix(seqs, f"position {label!r} has no training sequences")
         pair = derive_ancestors(seqs, threshold_count(micro, len(seqs)))
         if k is None:
             k = pair.as1.subcarrier_count

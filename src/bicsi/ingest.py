@@ -1,7 +1,11 @@
 """Loading CSI traces from CSV files and assembling integer amplitude matrices.
 
-Phase information is never used: I/Q inputs are reduced to their magnitude
-and floored to integers on the spot, amplitude inputs are floored directly.
+A trace is parsed into one float array by a single vectorized ``loadtxt``
+call plus vectorized domain checks. Only when that fails does the per-line
+validator run, so parse errors keep their line numbers without the common
+path paying for per-packet Python objects. Phase information is never used:
+I/Q inputs are reduced to their magnitude and floored to integers when the
+matrix is built, amplitude inputs are floored directly.
 Excluded subcarriers (pilots, invariant bins) are dropped by a configurable
 index filter; there is no built-in exclusion list because the indices are
 hardware-specific.
@@ -24,18 +28,6 @@ from .errors import (
 AMPLITUDE_CSV = "amplitude-csv"
 IQ_CSV = "iq-csv"
 TRACE_FORMATS = (AMPLITUDE_CSV, IQ_CSV)
-
-
-@dataclass(frozen=True)
-class RawCsiRecord:
-    """One packet straight from a trace file.
-
-    ``values`` holds either plain amplitudes (floats) or (I, Q) float pairs,
-    one element per raw subcarrier. All records of a trace share one width.
-    """
-
-    packet_index: int
-    values: tuple
 
 
 @dataclass(frozen=True)
@@ -126,71 +118,106 @@ def amplitude_from_iq(i: float, q: float) -> int:
     return int(math.floor(math.hypot(i, q)))
 
 
-def load_trace(path, format: str = AMPLITUDE_CSV) -> list[RawCsiRecord]:
-    """Parse a trace CSV into per-packet records.
+def _validate_lines(path, lines, format: str) -> np.ndarray:
+    """Per-line parse of a trace's raw lines into a (packets, fields) array.
+
+    The reference grammar: each data line is checked in file order and the
+    first violation raises with its line number. :func:`load_trace` calls it
+    only when its vectorized parse fails a check, so every error message
+    comes from here.
+    """
+    rows = []
+    width = None
+    for lineno, line in enumerate(lines, 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split(",")
+        try:
+            numbers = [float(f) for f in fields]
+        except ValueError:
+            raise TraceParseError(f"{path}: line {lineno}: non-numeric field") from None
+        if any(not math.isfinite(v) for v in numbers):
+            raise DataDomainError(f"{path}: line {lineno}: non-finite value")
+        if width is None:
+            width = len(numbers)
+            if format == IQ_CSV and width % 2:
+                raise TraceParseError(
+                    f"{path}: line {lineno}: I/Q rows need an even field count, got {width}"
+                )
+        elif len(numbers) != width:
+            raise TraceParseError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(numbers)}"
+            )
+        if format == AMPLITUDE_CSV and any(v < 0 for v in numbers):
+            raise DataDomainError(f"{path}: line {lineno}: negative amplitude")
+        rows.append(numbers)
+    if not rows:
+        raise EmptyTraceError(f"{path}: no data rows")
+    return np.array(rows, dtype=float)
+
+
+def load_trace(path, format: str = AMPLITUDE_CSV) -> np.ndarray:
+    """Parse a trace CSV into a float array, one row per packet.
 
     Grammar: UTF-8, comma-separated numeric fields; lines starting with '#'
     and blank lines are skipped; every data row must have the same field
-    count. In ``iq-csv`` each row holds 2r fields read as (I1, Q1, ..., Ir, Qr).
+    count. ``amplitude-csv`` returns shape (packets, subcarriers) of
+    non-negative values. In ``iq-csv`` each row holds 2r fields read as
+    (I1, Q1, ..., Ir, Qr), returned as shape (packets, r, 2).
     """
     if format not in TRACE_FORMATS:
         raise ConfigError(f"unknown trace format {format!r}; expected one of {TRACE_FORMATS}")
-    records: list[RawCsiRecord] = []
-    width = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split(",")
-            try:
-                numbers = [float(f) for f in fields]
-            except ValueError:
-                raise TraceParseError(f"{path}: line {lineno}: non-numeric field") from None
-            if any(not math.isfinite(v) for v in numbers):
-                raise DataDomainError(f"{path}: line {lineno}: non-finite value")
-            if width is None:
-                width = len(numbers)
-                if format == IQ_CSV and width % 2:
-                    raise TraceParseError(
-                        f"{path}: line {lineno}: I/Q rows need an even field count, got {width}"
-                    )
-            elif len(numbers) != width:
-                raise TraceParseError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(numbers)}"
-                )
-            if format == AMPLITUDE_CSV:
-                if any(v < 0 for v in numbers):
-                    raise DataDomainError(f"{path}: line {lineno}: negative amplitude")
-                values = tuple(numbers)
-            else:
-                values = tuple(zip(numbers[0::2], numbers[1::2]))
-            records.append(RawCsiRecord(packet_index=len(records), values=values))
-    if not records:
+        lines = fh.readlines()
+    data = [text for text in map(str.strip, lines) if text and not text.startswith("#")]
+    if not data:
         raise EmptyTraceError(f"{path}: no data rows")
-    return records
+    try:
+        # comments=None: a trailing "# note" must fail the row, as it does per line
+        arr = np.loadtxt(data, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        arr = None
+    valid = (arr is not None and bool(np.isfinite(arr).all())
+             and (arr.shape[1] % 2 == 0 if format == IQ_CSV else not (arr < 0).any()))
+    if not valid:
+        # raises the line-numbered error, or returns the rows loadtxt cannot
+        # read but float() can (digit separators, non-ASCII digits)
+        arr = _validate_lines(path, lines, format)
+    return arr.reshape(len(arr), -1, 2) if format == IQ_CSV else arr
 
 
-def build_matrix(records, subcarrier_filter: SubcarrierFilter | None = None,
+def _trace_array(trace) -> np.ndarray:
+    """``trace`` as a float array; ragged rows name the first bad packet."""
+    try:
+        return np.asarray(trace, dtype=float)
+    except ValueError:
+        rows = list(trace)
+        width = len(rows[0])
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise LengthMismatchError(
+                    f"packet {i}: expected {width} values, got {len(row)}"
+                ) from None
+        raise
+
+
+def build_matrix(trace, subcarrier_filter: SubcarrierFilter | None = None,
                  position_label: str | None = None) -> AmplitudeMatrix:
     """Integer amplitude matrix with excluded raw columns removed.
 
-    Retained columns keep their original relative order. Amplitude records
-    are floored; I/Q records go through the magnitude-then-floor rule of
-    :func:`amplitude_from_iq`.
+    ``trace`` is a :func:`load_trace` array: (packets, subcarriers)
+    amplitudes, floored, or (packets, subcarriers, 2) I/Q pairs, which go
+    through the magnitude-then-floor rule of :func:`amplitude_from_iq`.
+    Retained columns keep their original relative order.
     """
-    records = list(records)
-    if not records:
+    arr = _trace_array(trace)
+    if arr.ndim and arr.shape[0] == 0:
         raise EmptyTraceError("no records to assemble")
-    width = len(records[0].values)
-    iq = bool(records[0].values) and isinstance(records[0].values[0], tuple)
-    for rec in records:
-        if len(rec.values) != width:
-            raise LengthMismatchError(
-                f"packet {rec.packet_index}: expected {width} values, got {len(rec.values)}"
-            )
-        if bool(rec.values) and isinstance(rec.values[0], tuple) != iq:
-            raise ValueError("records mix amplitude and I/Q forms")
+    iq = arr.ndim == 3 and arr.shape[2] == 2
+    if not (arr.ndim == 2 or iq):
+        raise ValueError("trace must be (packets, subcarriers) or (packets, subcarriers, 2)")
+    width = arr.shape[1]
     if width == 0:
         raise EmptyTraceError("records have zero subcarriers")
 
@@ -204,13 +231,12 @@ def build_matrix(records, subcarrier_filter: SubcarrierFilter | None = None,
     if not keep:
         raise ConfigError("filter excludes every subcarrier")
 
-    arr = np.asarray([rec.values for rec in records], dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise DataDomainError("values must be finite")
     if iq:
         amplitudes = np.floor(np.hypot(arr[..., 0], arr[..., 1]))
     else:
-        if arr.size and float(arr.min()) < 0:
+        if float(arr.min()) < 0:
             raise DataDomainError("negative amplitude")
         amplitudes = np.floor(arr)
     data = amplitudes[:, keep].astype(np.int64)

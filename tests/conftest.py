@@ -17,6 +17,17 @@ def unpack_independently(seq: GeneSequence) -> list:
     return bits[: seq.bit_length]
 
 
+def unpack_rows(seqs) -> np.ndarray:
+    """(n, bit_length) bit matrix of same-length sequences, shifted out of
+    their raw packed bytes without the library's unpacking."""
+    seqs = list(seqs)
+    assert len({s.bit_length for s in seqs}) == 1
+    raw = np.frombuffer(b"".join(s.packed for s in seqs), dtype=np.uint8)
+    raw = raw.reshape(len(seqs), -1)
+    bits = (raw[:, :, None] >> np.arange(7, -1, -1, dtype=np.uint8)) & 1
+    return bits.reshape(len(seqs), -1)[:, : seqs[0].bit_length]
+
+
 def bit_vectors(length: int):
     return st.lists(st.integers(0, 1), min_size=length, max_size=length)
 

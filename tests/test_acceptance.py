@@ -36,7 +36,6 @@ from bicsi.fingerprint import (
     FingerprintDb,
     ParentSequence,
     PositionEntry,
-    _stack_bits,
     build_db,
     db_from_bytes,
     db_to_bytes,
@@ -48,7 +47,7 @@ from bicsi.matcher import MatchResult, match_one, match_trace
 from bicsi.similarity import MetricKind, euclidean_bits, hamming, manhattan_bits
 from bicsi.synth import SynthConfig, drift_sessions, generate
 
-from conftest import unpack_independently
+from conftest import unpack_independently, unpack_rows
 
 TRAIN_PACKETS = 12000
 TEST_PACKETS = 24000
@@ -104,7 +103,7 @@ def report_pass(name: str, elapsed: float, limit: float | None = None) -> None:
 
 def training_flip_rate(sequences) -> float:
     """Mean fraction of training bits disagreeing with their column majority."""
-    bits = _stack_bits(sequences)
+    bits = unpack_rows(sequences)
     n = bits.shape[0]
     n1 = bits.sum(axis=0, dtype=np.int64)
     return float(np.minimum(n1, n - n1).mean() / n)

@@ -189,6 +189,18 @@ class TestMatch:
         assert result.exit_code == 0
         assert len(json.loads(out.read_text())) == 4
 
+    def test_trace_too_short_for_a_window_exits_1(self, runner, tmp_path, dataset, trained):
+        rows = [r for r in (dataset / "test" / "p01.csv").read_text().splitlines()
+                if not r.startswith("#")]
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(rows[:50]) + "\n")
+        out = tmp_path / "m.json"
+        result = invoke(runner, "match", "--db", trained, "--trace", short, "--out-json", out)
+        assert result.exit_code == 1
+        assert "short.csv" in result.output
+        assert "50 packets" in result.output and "120-packet window" in result.output
+        assert not out.exists()
+
     def test_corrupt_db_exits_1(self, runner, tmp_path, dataset, trained):
         bad = tmp_path / "bad.db"
         bad.write_bytes(b"XXXX" + trained.read_bytes()[4:])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bicsi.encoding import (
     ENCODER_OVERFLOW,
+    GeneMatrix,
     GeneSequence,
     encode10,
     encode_matrix,
@@ -14,6 +15,8 @@ from bicsi.encoding import (
     majority5,
     reencode2,
 )
+
+from bicsi.errors import EmptyInputError, LengthMismatchError
 
 from conftest import gs
 
@@ -151,6 +154,71 @@ class TestEncodeMatrix:
         first = [s.packed for s in encode_matrix(m)]
         second = [s.packed for s in encode_matrix(m)]
         assert first == second
+
+    @given(st.integers(1, 12).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, 2047), min_size=k, max_size=k), min_size=1, max_size=20)))
+    def test_rows_match_encode_row(self, rows):
+        m = np.asarray(rows, dtype=np.int64)
+        gm = encode_matrix(m)
+        assert len(gm) == len(m)
+        for i in range(len(m)):
+            assert gm[i] == encode_row(m[i])
+            scalar = [b for ap in rows[i] for b in reencode2(encode10(ap))]
+            assert gm[i].bits().tolist() == scalar
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint16, np.int32, np.uint64])
+    def test_integer_dtypes_agree(self, dtype):
+        m = np.arange(2048, dtype=np.int64).reshape(128, 16)
+        m = m[m.max(axis=1) <= np.iinfo(dtype).max]
+        assert np.array_equal(encode_matrix(m.astype(dtype)).packed, encode_matrix(m).packed)
+
+
+class TestGeneMatrix:
+    def gm(self):
+        return encode_matrix(np.arange(15, dtype=np.int64).reshape(5, 3) * 61)
+
+    def test_shape_and_dtype(self):
+        gm = self.gm()
+        assert gm.packed.shape == (5, 1) and gm.packed.dtype == np.uint8
+        assert gm.bit_length == 6
+
+    def test_index_and_slice(self):
+        gm = self.gm()
+        rows = list(gm)
+        assert gm[-1] == rows[4]
+        tail = gm[1:4]
+        assert isinstance(tail, GeneMatrix)
+        assert list(tail) == rows[1:4]
+        with pytest.raises(IndexError):
+            gm[5]
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            self.gm().packed[0, 0] = 1
+
+    def test_from_sequences_round_trip(self):
+        gm = self.gm()
+        assert GeneMatrix.from_sequences(gm) is gm
+        packed = GeneMatrix.from_sequences(list(gm))
+        assert np.array_equal(packed.packed, gm.packed)
+        assert packed.subcarrier_count == gm.subcarrier_count
+
+    def test_from_sequences_checks(self):
+        with pytest.raises(LengthMismatchError, match="sequence 1"):
+            GeneMatrix.from_sequences([gs("01"), gs("0101")])
+        with pytest.raises(EmptyInputError):
+            GeneMatrix.from_sequences([])
+
+    @pytest.mark.parametrize("packed,k", [
+        (np.zeros((2, 2), dtype=np.uint8), 3),      # 6 bits need 1 byte
+        (np.zeros((2, 1), dtype=np.int64), 3),      # not uint8
+        (np.zeros(2, dtype=np.uint8), 3),           # not 2-D
+        (np.array([[0b00000010]], dtype=np.uint8), 3),  # padding bit set
+        (np.zeros((1, 1), dtype=np.uint8), 0),
+    ])
+    def test_rejects_malformed(self, packed, k):
+        with pytest.raises(ValueError):
+            GeneMatrix(packed, k)
 
 
 class TestGeneSequence:

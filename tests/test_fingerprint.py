@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicsi.encoding import GeneSequence
+from bicsi.encoding import GeneMatrix, GeneSequence
 from bicsi.errors import (
     ConfigError,
     DbLengthError,
@@ -34,7 +34,7 @@ from bicsi.fingerprint import (
     windows,
 )
 
-from conftest import gs, random_sequences
+from conftest import gs, random_sequences, unpack_independently, unpack_rows
 
 
 def column_training(ones: int, zeros: int) -> list:
@@ -163,6 +163,19 @@ class TestWindows:
     def test_bad_size(self):
         with pytest.raises(ConfigError):
             window_slices(10, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), st.integers(1, 6), st.integers(1, 50), st.integers(0, 2**16))
+    def test_matches_per_window_parent(self, count, k, size, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, size=(count, 2 * k), dtype=np.uint8)
+        gm = GeneMatrix(np.packbits(bits, axis=1), k)
+        parents = windows(gm, size)
+        slices = window_slices(count, size)
+        assert parents == [derive_parent([gm[i] for i in range(lo, hi)], w)
+                           for w, (lo, hi) in enumerate(slices)]
+        for parent, (lo, hi) in zip(parents, slices):
+            ones = unpack_rows(gm[lo:hi]).sum(axis=0)
+            assert unpack_independently(parent.sequence) == (2 * ones >= hi - lo).tolist()
 
     def test_window_slices_partition(self):
         slices = window_slices(250, 100)

@@ -1,11 +1,15 @@
 """Trace loading, I/Q magnitude extraction and matrix assembly tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicsi.errors import (
+    BicsiError,
     ConfigError,
     DataDomainError,
     EmptyTraceError,
@@ -13,10 +17,11 @@ from bicsi.errors import (
     TraceParseError,
 )
 from bicsi.ingest import (
+    AMPLITUDE_CSV,
     IQ_CSV,
     AmplitudeMatrix,
-    RawCsiRecord,
     SubcarrierFilter,
+    _validate_lines,
     amplitude_from_iq,
     build_matrix,
     load_filter,
@@ -61,10 +66,10 @@ def write_trace(tmp_path, text, name="trace.csv"):
 class TestLoadTrace:
     def test_amplitude_rows(self, tmp_path):
         path = write_trace(tmp_path, "1,2,3,4\n5,6,7,8\n9,10,11,12\n")
-        records = load_trace(path)
-        assert len(records) == 3
-        assert records[0].values == (1.0, 2.0, 3.0, 4.0)
-        assert [r.packet_index for r in records] == [0, 1, 2]
+        trace = load_trace(path)
+        assert trace.shape == (3, 4)
+        assert trace[0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert trace[:, 0].tolist() == [1.0, 5.0, 9.0]  # rows in packet order
 
     def test_header_line_skipped(self, tmp_path):
         path = write_trace(tmp_path, "# amplitudes\n1,2\n3,4\n")
@@ -97,9 +102,9 @@ class TestLoadTrace:
 
     def test_iq_pairs(self, tmp_path):
         path = write_trace(tmp_path, "1,0,0,2,3,4,-3,-4\n")
-        records = load_trace(path, IQ_CSV)
-        assert len(records) == 1
-        assert records[0].values == ((1.0, 0.0), (0.0, 2.0), (3.0, 4.0), (-3.0, -4.0))
+        trace = load_trace(path, IQ_CSV)
+        assert trace.shape == (1, 4, 2)
+        assert trace[0].tolist() == [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [-3.0, -4.0]]
 
     def test_iq_odd_field_count(self, tmp_path):
         path = write_trace(tmp_path, "1,2,3\n")
@@ -113,55 +118,119 @@ class TestLoadTrace:
 
     def test_iq_negative_components_allowed(self, tmp_path):
         path = write_trace(tmp_path, "-3,4\n")
-        records = load_trace(path, IQ_CSV)
-        assert records[0].values == ((-3.0, 4.0),)
+        trace = load_trace(path, IQ_CSV)
+        assert trace[0].tolist() == [[-3.0, 4.0]]
+
+    def test_digit_separator_parsed_like_float(self, tmp_path):
+        path = write_trace(tmp_path, "1_000,2\n")
+        assert load_trace(path).tolist() == [[1000.0, 2.0]]
+
+    def test_trailing_comment_rejected(self, tmp_path):
+        path = write_trace(tmp_path, "1,2\n3,4 # note\n")
+        with pytest.raises(TraceParseError, match="line 2: non-numeric"):
+            load_trace(path)
 
 
-def amp_records(rows):
-    return [RawCsiRecord(i, tuple(float(v) for v in row)) for i, row in enumerate(rows)]
+VALID_TOKENS = ["0", "7", "1023", "2.5", " 3 ", "+1", "1.", ".5", "1e3", "-0", "\t4"]
+ODD_TOKENS = ["-2", "nan", "inf", "-inf", "1e400", "1_000", "\u0661\u0662", "x", "",
+              "0x10", "5 # note"]
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace CSV text: mostly well-formed rows of one width, with comment and
+    blank lines, CRLF endings and a share of odd tokens and ragged rows."""
+    width = draw(st.integers(1, 4))
+    odd_percent = draw(st.sampled_from([0, 0, 3, 30]))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append("# comment")
+        elif kind == 1:
+            lines.append(draw(st.sampled_from(["", "   "])))
+        else:
+            n = width if draw(st.integers(0, 9)) else draw(st.integers(1, 5))
+            fields = [draw(st.sampled_from(ODD_TOKENS if draw(st.integers(0, 99)) < odd_percent
+                                           else VALID_TOKENS)) for _ in range(n)]
+            lines.append(",".join(fields) + (" # note" if draw(st.integers(0, 19)) == 0 else ""))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except BicsiError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_texts(), st.sampled_from([AMPLITUDE_CSV, IQ_CSV]))
+@example("1_000,2\r\n# c\n\n+1,.5\n", AMPLITUDE_CSV)
+@example("1,2\n3,4 # note\n", AMPLITUDE_CSV)
+@example("1,-0,1e3\n", IQ_CSV)
+def test_fast_parse_matches_per_line_validator(text, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            expected = _outcome(lambda: _validate_lines(path, fh.readlines(), fmt))
+        actual = _outcome(lambda: load_trace(path, fmt))
+    if isinstance(expected, tuple):
+        assert actual == expected
+    else:
+        if fmt == IQ_CSV:
+            expected = expected.reshape(len(expected), -1, 2)
+        assert isinstance(actual, np.ndarray)
+        assert (actual.shape, actual.dtype) == (expected.shape, expected.dtype)
+        assert actual.tobytes() == expected.tobytes()  # bit-exact, -0.0 included
+
+
+def amp_rows(rows):
+    return np.asarray([list(row) for row in rows], dtype=float)
 
 
 class TestBuildMatrix:
     def test_filter_removes_columns(self):
         rows = [range(256) for _ in range(3)]
         flt = SubcarrierFilter(frozenset(range(26)))
-        matrix = build_matrix(amp_records(rows), flt)
+        matrix = build_matrix(amp_rows(rows), flt)
         assert matrix.subcarrier_count == 230
         assert matrix.subcarrier_mask == tuple(range(26, 256))
 
     def test_empty_filter_keeps_width(self):
-        matrix = build_matrix(amp_records([[1, 2, 3]]), SubcarrierFilter.empty())
+        matrix = build_matrix(amp_rows([[1, 2, 3]]), SubcarrierFilter.empty())
         assert matrix.subcarrier_count == 3
 
     def test_no_filter_argument(self):
-        matrix = build_matrix(amp_records([[1, 2, 3]]))
+        matrix = build_matrix(amp_rows([[1, 2, 3]]))
         assert matrix.subcarrier_count == 3
 
     def test_integer_passthrough(self):
-        matrix = build_matrix(amp_records([[7, 0, 1023]]))
+        matrix = build_matrix(amp_rows([[7, 0, 1023]]))
         assert matrix.data.tolist() == [[7, 0, 1023]]
 
     def test_floor_applied(self):
-        matrix = build_matrix(amp_records([[7.9, 0.2, 1023.99]]))
+        matrix = build_matrix(amp_rows([[7.9, 0.2, 1023.99]]))
         assert matrix.data.tolist() == [[7, 0, 1023]]
 
     def test_floor_idempotent(self):
-        once = build_matrix(amp_records([[7.9, 0.2]]))
-        twice = build_matrix(amp_records([once.data[0].tolist()]))
+        once = build_matrix(amp_rows([[7.9, 0.2]]))
+        twice = build_matrix(amp_rows([once.data[0].tolist()]))
         assert once.data.tolist() == twice.data.tolist()
 
     def test_filter_out_of_range(self):
         with pytest.raises(ConfigError):
-            build_matrix(amp_records([[1, 2, 3]]), SubcarrierFilter(frozenset({3})))
+            build_matrix(amp_rows([[1, 2, 3]]), SubcarrierFilter(frozenset({3})))
 
     def test_filter_everything_rejected(self):
         with pytest.raises(ConfigError):
-            build_matrix(amp_records([[1, 2]]), SubcarrierFilter(frozenset({0, 1})))
+            build_matrix(amp_rows([[1, 2]]), SubcarrierFilter(frozenset({0, 1})))
 
     def test_ragged_records(self):
-        records = [RawCsiRecord(0, (1.0, 2.0)), RawCsiRecord(1, (1.0,))]
         with pytest.raises(LengthMismatchError, match="packet 1"):
-            build_matrix(records)
+            build_matrix([[1.0, 2.0], [1.0]])
 
     def test_no_records(self):
         with pytest.raises(EmptyTraceError):
@@ -169,14 +238,10 @@ class TestBuildMatrix:
 
     def test_iq_records_match_scalar_op(self):
         rng = np.random.default_rng(5)
-        iq = rng.normal(0, 100, size=(6, 8))
-        records = [
-            RawCsiRecord(i, tuple(zip(row[0::2], row[1::2])))
-            for i, row in enumerate(iq.tolist())
-        ]
-        matrix = build_matrix(records)
-        for r, rec in enumerate(records):
-            for c, (i_val, q_val) in enumerate(rec.values):
+        iq = rng.normal(0, 100, size=(6, 4, 2))
+        matrix = build_matrix(iq)
+        for r, row in enumerate(iq.tolist()):
+            for c, (i_val, q_val) in enumerate(row):
                 assert matrix.data[r, c] == amplitude_from_iq(i_val, q_val)
 
     @given(st.integers(2, 30), st.sets(st.integers(0, 29), max_size=20))
@@ -185,7 +250,7 @@ class TestBuildMatrix:
         if len(excluded) == width:
             excluded.pop()
         matrix = build_matrix(
-            amp_records([range(width)]), SubcarrierFilter(frozenset(excluded))
+            amp_rows([range(width)]), SubcarrierFilter(frozenset(excluded))
         )
         assert matrix.subcarrier_count == width - len(excluded)
 
@@ -200,7 +265,7 @@ class TestAmplitudeMatrix:
             AmplitudeMatrix(data=np.ones((1, 1)), subcarrier_mask=(0,))
 
     def test_data_read_only(self):
-        matrix = build_matrix(amp_records([[1, 2]]))
+        matrix = build_matrix(amp_rows([[1, 2]]))
         with pytest.raises(ValueError):
             matrix.data[0, 0] = 5
 
