@@ -85,10 +85,11 @@ def _resolve_seed(seed: int) -> int:
         raise ConfigError(f"BICSI_SEED must be an integer, got {raw!r}") from None
 
 
-def _read_manifest(path: Path):
+def _read_manifest(path: Path, unique_labels: bool = False):
     """Rows of (label, (x, y), trace path); paths resolve relative to the
-    manifest's directory."""
+    manifest's directory. A training manifest passes ``unique_labels``."""
     rows = []
+    first_line = {}
     first_data_line = True
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -103,10 +104,18 @@ def _read_manifest(path: Path):
             if len(parts) != 4:
                 raise TraceParseError(f"{path}: line {lineno}: expected label,x,y,file")
             label, x, y, filename = parts
+            where = f"{path}: line {lineno}"
+            if not label:
+                raise TraceParseError(f"{where}: empty label")
+            if unique_labels and label in first_line:
+                raise TraceParseError(f"{where}: label {label!r} repeats line {first_line[label]}")
+            first_line.setdefault(label, lineno)
             try:
                 coord = (float(x), float(y))
+                if not all(map(math.isfinite, coord)):
+                    raise ValueError
             except ValueError:
-                raise TraceParseError(f"{path}: line {lineno}: bad coordinates") from None
+                raise TraceParseError(f"{where}: bad coordinates, need two finite numbers") from None
             rows.append((label, coord, Path(path).parent / filename))
     if not rows:
         raise EmptyInputError(f"{path}: manifest lists no positions")
@@ -177,7 +186,7 @@ def train(manifest, out_db, threshold_fraction, filter_file, fmt):
     """Derive per-position fingerprints and write the database."""
     flt = _filter_from(filter_file)
     positions = []
-    for label, coord, trace_path in _read_manifest(manifest):
+    for label, coord, trace_path in _read_manifest(manifest, unique_labels=True):
         matrix = build_matrix(load_trace(trace_path, fmt), flt, position_label=label)
         seqs = encode_matrix(matrix)
         positions.append((label, coord, seqs))
@@ -265,7 +274,7 @@ def sweep(manifest, fractions, out_csv, filter_file, fmt):
     grid = _parse_fraction_range(fractions)
     flt = _filter_from(filter_file)
     training_sets = []
-    for label, _, trace_path in _read_manifest(manifest):
+    for label, _, trace_path in _read_manifest(manifest, unique_labels=True):
         matrix = build_matrix(load_trace(trace_path, fmt), flt, position_label=label)
         training_sets.append(encode_matrix(matrix))
     rows = threshold_sweep(training_sets, grid)
@@ -321,7 +330,8 @@ def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, filter_f
     sessions = []
     for d in session_dirs:
         training = []
-        for label, coord, trace_path in _read_manifest(d / "train" / "manifest.csv"):
+        train_rows = _read_manifest(d / "train" / "manifest.csv", unique_labels=True)
+        for label, coord, trace_path in train_rows:
             matrix = build_matrix(load_trace(trace_path, fmt), flt, position_label=label)
             training.append(TrainingSet(label=label, coord=coord,
                                         sequences=encode_matrix(matrix)))

@@ -42,8 +42,7 @@ class GeneSequence:
     Bits are packed MSB-first into bytes; pair j holds the high-half bit
     followed by the low-half bit for subcarrier j, subcarriers in matrix
     column order. Padding bits past ``bit_length`` in the final byte must be
-    zero so that whole-vector integer operations (xor/and/or popcounts) stay
-    exact.
+    zero so that popcounts over whole packed rows stay exact.
     """
 
     packed: bytes
@@ -80,10 +79,6 @@ class GeneSequence:
         """Unpacked bit vector, dtype uint8, length ``bit_length``."""
         raw = np.frombuffer(self.packed, dtype=np.uint8)
         return np.unpackbits(raw, count=self.bit_length)
-
-    def as_int(self) -> int:
-        """Packed bits as a big-endian integer (zero padding included)."""
-        return int.from_bytes(self.packed, "big")
 
 
 @dataclass(frozen=True, eq=False)

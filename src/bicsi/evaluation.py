@@ -30,7 +30,7 @@ from .fingerprint import (
 )
 from .ingest import AmplitudeMatrix
 from .matcher import match_trace
-from .similarity import MetricKind, hamming
+from .similarity import MetricKind, distances
 
 
 @dataclass(frozen=True)
@@ -241,15 +241,14 @@ def threshold_sweep(training_sets, fractions) -> list[tuple[float, float]]:
     for fraction in fractions:
         micro = fraction_to_micro(fraction)
         pairs = [ancestors_from_counts(ones, n, threshold_count(micro, n)) for n, ones in counts]
-        total = 0.0
-        count = 0
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                d1 = hamming(pairs[i].as1, pairs[j].as1)
-                d2 = hamming(pairs[i].as2, pairs[j].as2)
-                total += (d1 + d2) / 2
-                count += 1
-        rows.append((float(fraction), total / count))
+        # one kernel call per ancestor side; each (P, P) matrix is symmetric with a
+        # zero diagonal, so its sum counts every pair twice (whole numbers: exact)
+        twice = 0.0
+        for side in ("as1", "as2"):
+            gm = GeneMatrix.from_sequences(getattr(p, side) for p in pairs)
+            twice += distances(MetricKind.HAMMING, gm.packed[:, None], gm.packed,
+                               gm.bit_length).sum()
+        rows.append((float(fraction), float(twice / 4 / (len(pairs) * (len(pairs) - 1) // 2))))
     return rows
 
 

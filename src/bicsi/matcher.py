@@ -1,17 +1,21 @@
 """Nearest-fingerprint matching of parent sequences.
 
 Every ancestor of every set of every position competes; the position owning
-the globally closest ancestor wins. Scan order is fixed (entries in stored
-order, first ancestors before second, sets in stored order) and ties keep
-the earliest candidate, so results are reproducible across platforms.
+the globally closest ancestor wins. A trace is matched in one batch: one
+count-kernel call gives the (windows x ancestors) distances in a fixed scan
+order (entries in stored order, first ancestors before second, sets in
+stored order), and ties keep the earliest candidate, so results are
+reproducible across platforms.
 """
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import BicsiError, EmptyInputError, LengthMismatchError
+import numpy as np
+
+from .errors import BicsiError, ConfigError, EmptyInputError, LengthMismatchError
 from .fingerprint import FingerprintDb, ParentSequence
-from .similarity import MetricKind, distance
+from .similarity import MetricKind, distances
 
 
 @dataclass(frozen=True)
@@ -33,52 +37,47 @@ class MatchResult:
 def match_one(ps: ParentSequence, db: FingerprintDb,
               kind: MetricKind = MetricKind.HAMMING) -> MatchResult:
     """Predict the position whose ancestors come closest to ``ps``."""
+    return match_trace([ps], db, kind)[0]
+
+
+def _check(ps: ParentSequence, db: FingerprintDb, kind: MetricKind) -> None:
     if not db.entries:
         raise EmptyInputError("fingerprint database has no entries")
-    seq = ps.sequence
-    if seq.bit_length != 2 * db.subcarrier_count:
-        raise LengthMismatchError(
-            f"parent sequence has {seq.bit_length} bits, "
-            f"database stores {2 * db.subcarrier_count}"
-        )
-    entry_best = []
-    for entry in db.entries:
-        best = math.inf
-        for pick_second in (False, True):
-            for pair in entry.ancestor_sets:
-                anc = pair.as2 if pick_second else pair.as1
-                d = distance(kind, anc, seq)
-                if d < best:
-                    best = d
-        entry_best.append(best)
-    best_idx = 0
-    for i, d in enumerate(entry_best):
-        if d < entry_best[best_idx]:
-            best_idx = i
-    runner_up = min(
-        (d for i, d in enumerate(entry_best) if i != best_idx),
-        default=math.inf,
-    )
-    winner = db.entries[best_idx]
-    return MatchResult(
-        window_index=ps.window_index,
-        predicted_label=winner.label,
-        predicted_coord=winner.coord,
-        best_distance=entry_best[best_idx],
-        runner_up_margin=runner_up - entry_best[best_idx],
-    )
+    if ps.sequence.bit_length != 2 * db.subcarrier_count:
+        raise LengthMismatchError(f"parent sequence has {ps.sequence.bit_length} bits, "
+                                  f"database stores {2 * db.subcarrier_count}")
+    if not isinstance(kind, MetricKind):
+        raise ConfigError(f"unsupported metric kind: {kind!r}")
 
 
 def match_trace(parents, db: FingerprintDb,
                 kind: MetricKind = MetricKind.HAMMING) -> list[MatchResult]:
-    """Elementwise :func:`match_one` over a window sequence, order preserved.
+    """Match every window of a sequence against the database, order preserved.
 
-    A failing window aborts the whole trace with its index in the message.
+    Every window is validated first; a failing window aborts the whole trace
+    with its index in the message.
     """
-    results = []
+    parents = list(parents)
     for ps in parents:
         try:
-            results.append(match_one(ps, db, kind))
+            _check(ps, db, kind)
         except BicsiError as exc:
             raise type(exc)(f"window {ps.window_index}: {exc}") from exc
-    return results
+    if not parents:
+        return []
+    width = len(parents[0].sequence.packed)
+    stacked = b"".join([(p.as2 if second else p.as1).packed
+                        for e in db.entries for second in (False, True) for p in e.ancestor_sets])
+    rows = b"".join(ps.sequence.packed for ps in parents)
+    dist = distances(kind, np.frombuffer(rows, np.uint8).reshape(-1, 1, width),
+                     np.frombuffer(stacked, np.uint8).reshape(-1, width), 2 * db.subcarrier_count)
+    starts = list(accumulate((2 * len(e.ancestor_sets) for e in db.entries[:-1]), initial=0))
+    entry_best = np.minimum.reduceat(dist, starts, axis=1)
+    best = entry_best.argmin(axis=1)  # the first index on a tie: the earliest entry wins
+    # the runner-up is the second-smallest entry distance (equal to the best on a tie)
+    ranked = np.sort(entry_best, axis=1)
+    margins = (ranked[:, 1] if len(db.entries) > 1 else np.inf) - ranked[:, 0]
+    return [
+        MatchResult(ps.window_index, db.entries[i].label, db.entries[i].coord, d, m)
+        for ps, i, d, m in zip(parents, best.tolist(), ranked[:, 0].tolist(), margins.tolist())
+    ]

@@ -329,3 +329,89 @@ class TestTemporal:
         result = invoke(runner, "temporal", "--sessions-dir", dataset,
                         "--out-csv", tmp_path / "c.csv")
         assert result.exit_code == 1
+
+
+class TestManifestRows:
+    """A bad manifest row fails with exit 1 and one line naming it, never a traceback."""
+
+    @staticmethod
+    def assert_clean_failure(result, *fragments):
+        assert result.exit_code == 1
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1, result.output
+        for fragment in fragments:
+            assert fragment in lines[0]
+
+    @staticmethod
+    def edit_row(manifest, row, **fields):
+        """Rewrite one data row (1-based, after the header) of a manifest."""
+        lines = manifest.read_text().splitlines()
+        label, x, y, name = lines[row].split(",")
+        values = {"label": label, "x": x, "y": y, "file": name, **fields}
+        lines[row] = ",".join(values[key] for key in ("label", "x", "y", "file"))
+        manifest.write_text("\n".join(lines) + "\n")
+
+    def test_repeated_training_label_names_both_lines(self, runner, tmp_path, dataset):
+        manifest = dataset / "train" / "manifest.csv"
+        self.edit_row(manifest, 3, label="p01")
+        result = invoke(runner, "train", "--manifest", manifest, "--out-db", tmp_path / "fp.db")
+        self.assert_clean_failure(result, "line 4", "'p01'", "line 2")
+        assert not (tmp_path / "fp.db").exists()
+
+    def test_repeated_label_in_a_sweep_manifest(self, runner, tmp_path, dataset):
+        # a repeated position would add a zero-distance pair to the mean
+        manifest = dataset / "train" / "manifest.csv"
+        self.edit_row(manifest, 2, label="p01")
+        result = invoke(runner, "sweep", "--manifest", manifest, "--out-csv", tmp_path / "s.csv")
+        self.assert_clean_failure(result, "line 3", "'p01'", "line 2")
+
+    def test_repeated_label_in_a_temporal_training_manifest(self, runner, tmp_path):
+        out_dir = tmp_path / "sessions"
+        invoke(runner, *SYNTH_ARGS, "--out-dir", out_dir, "--sessions", 2)
+        manifest = out_dir / "session_02" / "train" / "manifest.csv"
+        self.edit_row(manifest, 2, label="p01")
+        result = invoke(runner, "temporal", "--sessions-dir", out_dir,
+                        "--out-csv", tmp_path / "c.csv")
+        self.assert_clean_failure(result, "session_02", "line 3", "'p01'", "line 2")
+
+    def test_test_manifest_may_repeat_a_position(self, runner, tmp_path, dataset, trained):
+        manifest = dataset / "test" / "manifest.csv"
+        self.edit_row(manifest, 2, label="p01", x="0", y="0")
+        out = tmp_path / "report.json"
+        result = invoke(runner, "eval", "--db", trained, "--manifest", manifest, "--out", out)
+        assert result.exit_code == 0, result.output
+        per_position = json.loads(out.read_text())["per_position"]
+        assert [p["n"] for p in per_position] == [4, 0, 2]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("command", ["train", "eval", "compare-metrics", "sweep"])
+    def test_non_finite_coordinate(self, runner, tmp_path, dataset, trained, command, value):
+        which = "train" if command in ("train", "sweep") else "test"
+        manifest = dataset / which / "manifest.csv"
+        self.edit_row(manifest, 2, y=value)
+        args = {
+            "train": ("--out-db", tmp_path / "new.db"),
+            "eval": ("--db", trained, "--out", tmp_path / "r.json"),
+            "compare-metrics": ("--db", trained, "--out-json", tmp_path / "r.json"),
+            "sweep": ("--out-csv", tmp_path / "s.csv"),
+        }[command]
+        result = invoke(runner, command, "--manifest", manifest, *args)
+        self.assert_clean_failure(result, "line 3", "finite")
+
+    def test_non_finite_coordinate_in_temporal(self, runner, tmp_path):
+        out_dir = tmp_path / "sessions"
+        invoke(runner, *SYNTH_ARGS, "--out-dir", out_dir, "--sessions", 2)
+        self.edit_row(out_dir / "session_01" / "test" / "manifest.csv", 1, x="nan")
+        result = invoke(runner, "temporal", "--sessions-dir", out_dir,
+                        "--out-csv", tmp_path / "c.csv")
+        self.assert_clean_failure(result, "session_01", "line 2", "finite")
+
+    @pytest.mark.parametrize("which", ["train", "test"])
+    def test_empty_label(self, runner, tmp_path, dataset, trained, which):
+        manifest = dataset / which / "manifest.csv"
+        self.edit_row(manifest, 1, label="")
+        args = (("train", "--manifest", manifest, "--out-db", tmp_path / "new.db")
+                if which == "train" else
+                ("eval", "--db", trained, "--manifest", manifest, "--out", tmp_path / "r.json"))
+        result = invoke(runner, *args)
+        self.assert_clean_failure(result, "line 2", "empty label")

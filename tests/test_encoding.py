@@ -251,9 +251,3 @@ class TestGeneSequence:
         for k in (1, 3, 4, 7, 230):
             seq = gs("10" * k)
             assert len(seq.packed) == (2 * k + 7) // 8
-
-    def test_as_int_matches_bits(self):
-        seq = gs("1100101011")
-        value = seq.as_int()
-        width = len(seq.packed) * 8
-        assert format(value, f"0{width}b")[: seq.bit_length] == "1100101011"

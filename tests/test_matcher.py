@@ -19,7 +19,7 @@ from bicsi.fingerprint import (
 from bicsi.matcher import match_one, match_trace
 from bicsi.similarity import MetricKind
 
-from conftest import gs, unpack_independently
+from conftest import gs, reference_distance
 
 
 def entry(label, coord, *pairs):
@@ -34,17 +34,14 @@ def parent(seq, index=0):
     return ParentSequence(sequence=seq, window_index=index)
 
 
-def brute_force_match(ps, db):
-    """Independent exhaustive scan under plain bit-list Hamming distance."""
-    target = unpack_independently(ps.sequence)
+def brute_force_match(ps, db, kind=MetricKind.HAMMING):
+    """Independent exhaustive scan under the per-pair bit-list reference distance."""
     per_entry = []
     for ent in db.entries:
         best = math.inf
         for pair in ent.ancestor_sets:
             for anc in (pair.as1, pair.as2):
-                bits = unpack_independently(anc)
-                d = sum(1 for x, y in zip(bits, target) if x != y)
-                best = min(best, d)
+                best = min(best, reference_distance(kind, anc, ps.sequence))
         per_entry.append(best)
     best_idx = per_entry.index(min(per_entry))
     others = [d for i, d in enumerate(per_entry) if i != best_idx]
@@ -159,11 +156,12 @@ class TestBruteForceAgreement:
             entries.append(entry(f"e{i}", (float(i), float(i)), *pairs))
         db = db_of(k, *entries)
         ps = parent(bits())
-        result = match_one(ps, db, MetricKind.HAMMING)
-        label, dist, margin = brute_force_match(ps, db)
-        assert result.predicted_label == label
-        assert result.best_distance == dist
-        assert result.runner_up_margin == margin
+        for kind in MetricKind:
+            result = match_one(ps, db, kind)
+            label, dist, margin = brute_force_match(ps, db, kind)
+            assert result.predicted_label == label, kind
+            assert result.best_distance == dist, kind
+            assert result.runner_up_margin == margin, kind
 
 
 class TestMatchTrace:
@@ -191,3 +189,38 @@ class TestMatchTrace:
         parents = [parent(gs("0000"), 0), parent(gs("01"), 7)]
         with pytest.raises(LengthMismatchError, match="window 7"):
             match_trace(parents, db)
+
+    def test_one_entry_db_margin_is_infinite(self):
+        db = db_of(2, entry("only", (3, 4), (gs("0011"), gs("0001"))))
+        results = match_trace([parent(gs("0011"), 0), parent(gs("1100"), 1)], db)
+        assert [r.runner_up_margin for r in results] == [math.inf, math.inf]
+        assert [r.best_distance for r in results] == [0.0, 3.0]
+
+    def test_match_one_error_names_window(self):
+        db = db_of(2, entry("a", (0, 0), (gs("0000"), gs("0000"))))
+        with pytest.raises(LengthMismatchError, match="window 3: parent sequence has 2 bits"):
+            match_one(parent(gs("01"), 3), db)
+        empty = FingerprintDb(subcarrier_count=1, threshold_micro=0, entries=())
+        with pytest.raises(EmptyInputError, match="window 0: fingerprint database has no entries"):
+            match_one(parent(gs("01")), empty)
+
+
+class TestBatchEqualsPerWindow:
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=40)
+    def test_match_trace_equals_match_one(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 6))
+        bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+        entries = []
+        for i in range(int(rng.integers(1, 6))):  # one entry: every margin is inf
+            if entries and rng.random() < 0.3:  # a copy of an earlier entry: exact ties
+                sets = entries[int(rng.integers(0, len(entries)))].ancestor_sets
+            else:
+                sets = tuple(AncestorPair(bits(), bits())
+                             for _ in range(int(rng.integers(1, 4))))
+            entries.append(PositionEntry(f"e{i}", (float(i), 0.0), sets))
+        db = db_of(k, *entries)
+        parents = [parent(bits(), int(j)) for j in rng.permutation(int(rng.integers(0, 7)))]
+        assert match_trace(parents, db, kind) == [match_one(ps, db, kind) for ps in parents]

@@ -2,14 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 
+from bicsi.encoding import GeneSequence
 from bicsi.errors import ConfigError, LengthMismatchError
 from bicsi.similarity import (
     MetricKind,
     cosine_bits,
     distance,
+    distances,
     euclidean_bits,
     hamming,
     jaccard_bits,
@@ -17,7 +20,77 @@ from bicsi.similarity import (
     pearson_bits,
 )
 
-from conftest import gs, sequence_pairs, sequence_triples
+from conftest import (
+    gene_sequences,
+    gs,
+    random_sequences,
+    reference_cosine,
+    reference_distance,
+    reference_euclidean,
+    reference_hamming,
+    reference_jaccard,
+    reference_manhattan,
+    reference_pearson,
+    sequence_pairs,
+    sequence_triples,
+    unpack_independently,
+)
+
+REFERENCES = (
+    (hamming, reference_hamming),
+    (manhattan_bits, reference_manhattan),
+    (euclidean_bits, reference_euclidean),
+    (cosine_bits, reference_cosine),
+    (pearson_bits, reference_pearson),
+    (jaccard_bits, reference_jaccard),
+)
+
+
+def assert_matches_reference(a, b):
+    """Every library measure equals the per-pair reference exactly, type included."""
+    x, y = unpack_independently(a), unpack_independently(b)
+    for fn, ref in REFERENCES:
+        got, want = fn(a, b), ref(x, y)
+        assert got == want and type(got) is type(want), fn.__name__
+    for kind in MetricKind:
+        got, want = distance(kind, a, b), reference_distance(kind, x, y)
+        assert got == want and type(got) is float, kind
+
+
+class TestReferenceAgreement:
+    @given(sequence_pairs(max_k=64))
+    def test_random_pairs(self, pair):
+        assert_matches_reference(*pair)
+
+    @given(gene_sequences(max_k=64))
+    def test_identical_sequences(self, a):
+        assert_matches_reference(a, a)
+        assert_matches_reference(a, GeneSequence(bytes(a.packed), a.subcarrier_count))
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 230])
+    def test_all_zero_all_one_and_mixed(self, k):
+        zero, one, mixed = gs("00" * k), gs("11" * k), gs("10" * k)
+        for a in (zero, one, mixed):
+            for b in (zero, one, mixed):
+                assert_matches_reference(a, b)
+
+    def test_pearson_variance_product_beyond_int64(self):
+        # k = 60000 half-dense vectors: var_a * var_b is about 1.3e19 > 2**63
+        rng = np.random.default_rng(5)
+        a, b = random_sequences(rng, 2, 60000)
+        assert pearson_bits(a, b) == reference_pearson(a, b)
+        assert distance(MetricKind.PEARSON, a, b) == reference_distance(MetricKind.PEARSON, a, b)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_batch_equals_scalar(self, kind):
+        rng = np.random.default_rng(17)
+        rows, cols = random_sequences(rng, 5, 9), random_sequences(rng, 7, 9)
+        rows[1], cols[2] = gs("00" * 9), gs("11" * 9)
+        cols[3] = rows[4]
+        stack = lambda seqs: np.frombuffer(b"".join(s.packed for s in seqs), np.uint8)
+        batch = distances(kind, stack(rows).reshape(5, 1, -1), stack(cols).reshape(7, -1), 18)
+        assert batch.shape == (5, 7)
+        assert batch.tolist() == [[distance(kind, r, c) for c in cols] for r in rows]
 
 
 class TestHamming:
