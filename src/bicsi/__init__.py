@@ -21,6 +21,7 @@ from .errors import (
     EmptyInputError,
     EmptyTraceError,
     LengthMismatchError,
+    SessionMismatchError,
     TraceParseError,
     UnknownLabelError,
 )

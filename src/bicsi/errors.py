@@ -37,6 +37,10 @@ class UnknownLabelError(BicsiError):
     """A position label is not present in the fingerprint database."""
 
 
+class SessionMismatchError(BicsiError):
+    """Collection sessions that must list the same positions do not."""
+
+
 class DbFormatError(BicsiError):
     """Base class for fingerprint database deserialization failures."""
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import GeneMatrix, encode_matrix
-from .errors import ConfigError, EmptyInputError, LengthMismatchError, UnknownLabelError
+from .errors import (
+    ConfigError,
+    EmptyInputError,
+    LengthMismatchError,
+    SessionMismatchError,
+    UnknownLabelError,
+)
 from .fingerprint import (
     DEFAULT_THRESHOLD_FRACTION,
     DEFAULT_WINDOW_SIZE,
@@ -292,9 +298,9 @@ def temporal_eval(sessions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTI
     if len(sessions) < 2:
         raise EmptyInputError("temporal evaluation needs at least two sessions")
     reference = [(t.label, t.coord) for t in sessions[0].training]
-    for s, session in enumerate(sessions[1:], 1):
+    for s, session in enumerate(sessions[1:], 2):
         if [(t.label, t.coord) for t in session.training] != reference:
-            raise ConfigError(f"session {s} lists different positions than session 0")
+            raise SessionMismatchError(f"session {s} lists different positions than session 1")
 
     micro = fraction_to_micro(threshold_fraction)
     session_pairs = [

@@ -16,10 +16,12 @@ whole multi-position databases in the low kilobytes.
 import math
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
-from .encoding import GeneMatrix, GeneSequence
+from .encoding import GeneMatrix, GeneSequence, _packed_bytes
 from .errors import (
     ConfigError,
     DbLengthError,
@@ -149,6 +151,19 @@ class FingerprintDb:
     @property
     def threshold_fraction(self) -> float:
         return self.threshold_micro / MICRO_UNITS
+
+    @cached_property
+    def ancestor_stack(self) -> tuple:
+        """Every ancestor as one read-only ``(A, ceil(2k / 8))`` uint8 array in
+        the matcher's scan order (entries in stored order; per entry, first
+        ancestors before second, sets in stored order) and the row at which
+        each entry starts. Built on first use, once per database."""
+        stacked = np.frombuffer(
+            b"".join([(p.as2 if second else p.as1).packed
+                      for e in self.entries for second in (False, True) for p in e.ancestor_sets]),
+            np.uint8).reshape(-1, _packed_bytes(self.subcarrier_count))
+        starts = list(accumulate((2 * len(e.ancestor_sets) for e in self.entries[:-1]), initial=0))
+        return stacked, starts
 
     def entry(self, label: str) -> PositionEntry:
         for entry in self.entries:

@@ -9,7 +9,6 @@ reproducible across platforms.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -65,13 +64,10 @@ def match_trace(parents, db: FingerprintDb,
             raise type(exc)(f"window {ps.window_index}: {exc}") from exc
     if not parents:
         return []
-    width = len(parents[0].sequence.packed)
-    stacked = b"".join([(p.as2 if second else p.as1).packed
-                        for e in db.entries for second in (False, True) for p in e.ancestor_sets])
+    stacked, starts = db.ancestor_stack
     rows = b"".join(ps.sequence.packed for ps in parents)
-    dist = distances(kind, np.frombuffer(rows, np.uint8).reshape(-1, 1, width),
-                     np.frombuffer(stacked, np.uint8).reshape(-1, width), 2 * db.subcarrier_count)
-    starts = list(accumulate((2 * len(e.ancestor_sets) for e in db.entries[:-1]), initial=0))
+    dist = distances(kind, np.frombuffer(rows, np.uint8).reshape(-1, 1, stacked.shape[1]),
+                     stacked, 2 * db.subcarrier_count)
     entry_best = np.minimum.reduceat(dist, starts, axis=1)
     best = entry_best.argmin(axis=1)  # the first index on a tie: the earliest entry wins
     # the runner-up is the second-smallest entry distance (equal to the best on a tie)

@@ -82,7 +82,7 @@ def position_coord(i: int) -> tuple:
     return (float(i), 0.0)
 
 
-def _draw_profiles(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
+def _draw_profiles(cfg: SynthConfig, rng: "np.random.Generator") -> np.ndarray:
     lo, hi = cfg.base_amplitude_range
     need = (cfg.subcarriers + 1) // 2  # at least half the subcarriers
     for _ in range(_PROFILE_ATTEMPTS):
@@ -107,7 +107,7 @@ def _draw_profiles(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def _position_packets(cfg: SynthConfig, profile_row: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
+                      rng: "np.random.Generator") -> np.ndarray:
     n, k = cfg.packets_per_position, cfg.subcarriers
     values = profile_row + rng.normal(0.0, cfg.noise_sigma, size=(n, k))
     if cfg.burst_rate > 0.0:

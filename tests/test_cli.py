@@ -1,6 +1,10 @@
 """CLI workflow tests: command wiring, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -324,6 +328,19 @@ class TestTemporal:
         assert lines[0] == "sets_used,accuracy"
         assert len(lines) == 3  # m = 1, 2
 
+    def test_sessions_listing_different_positions_exit_1(self, runner, tmp_path):
+        out_dir = tmp_path / "sessions"
+        invoke(runner, *SYNTH_ARGS, "--out-dir", out_dir, "--sessions", 2)
+        manifest = out_dir / "session_02" / "train" / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        manifest.write_text("\n".join(lines) + "\n")
+        result = invoke(runner, "temporal", "--sessions-dir", out_dir,
+                        "--out-csv", tmp_path / "c.csv")
+        assert result.exit_code == 1
+        assert "Usage:" not in result.output
+        assert "session 2 lists different positions than session 1" in result.output
+
     def test_too_few_sessions_exits_1(self, runner, tmp_path, dataset):
         # plain dataset dir has no session_* subdirectories
         result = invoke(runner, "temporal", "--sessions-dir", dataset,
@@ -415,3 +432,13 @@ class TestManifestRows:
                 ("eval", "--db", trained, "--manifest", manifest, "--out", tmp_path / "r.json"))
         result = invoke(runner, *args)
         self.assert_clean_failure(result, "line 2", "empty label")
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # only synth draws random numbers; loading numpy.random would slow every CLI start
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, bicsi.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicsi.encoding import GeneSequence, encode_matrix
-from bicsi.errors import ConfigError, EmptyInputError, LengthMismatchError, UnknownLabelError
+from bicsi.errors import (
+    ConfigError,
+    EmptyInputError,
+    LengthMismatchError,
+    SessionMismatchError,
+    UnknownLabelError,
+)
 from bicsi.evaluation import (
     LabeledTrace,
     LabeledWindows,
@@ -276,8 +282,10 @@ class TestTemporalEval:
     def test_mismatched_positions_rejected(self):
         sessions = make_sessions(2)
         bad = Session(training=(sessions[1].training[0],), test=sessions[1].test)
-        with pytest.raises(ConfigError):
-            temporal_eval([sessions[0], bad])
+        # a data error, not a usage error; sessions count from 1
+        with pytest.raises(SessionMismatchError,
+                           match="session 3 lists different positions than session 1"):
+            temporal_eval([sessions[0], sessions[1], bad])
 
     def test_csv_layout(self):
         text = temporal_to_csv([(1, 0.85), (2, 0.91)])

@@ -130,6 +130,12 @@ class TestLoadTrace:
         with pytest.raises(TraceParseError, match="line 2: non-numeric"):
             load_trace(path)
 
+    def test_integer_trace_returns_float64(self, tmp_path):
+        path = write_trace(tmp_path, "0,7\n1023,4095\n")
+        trace = load_trace(path)
+        assert trace.dtype == np.float64
+        assert trace.tolist() == [[0.0, 7.0], [1023.0, 4095.0]]
+
 
 VALID_TOKENS = ["0", "7", "1023", "2.5", " 3 ", "+1", "1.", ".5", "1e3", "-0", "\t4"]
 ODD_TOKENS = ["-2", "nan", "inf", "-inf", "1e400", "1_000", "\u0661\u0662", "x", "",
@@ -170,6 +176,12 @@ def _outcome(fn):
 @example("1_000,2\r\n# c\n\n+1,.5\n", AMPLITUDE_CSV)
 @example("1,2\n3,4 # note\n", AMPLITUDE_CSV)
 @example("1,-0,1e3\n", IQ_CSV)
+@example("-0,5\n", AMPLITUDE_CSV)
+@example("007,+1\n", AMPLITUDE_CSV)
+@example("9007199254740993,1\n", AMPLITUDE_CSV)  # 2**53 + 1 rounds like float()
+@example("99999999999999999999,1\n", AMPLITUDE_CSV)  # beyond int64
+@example("1,2\n3,4\n5,6\n7,2.5\n", AMPLITUDE_CSV)
+@example("-3,-4\n0,-12\n", IQ_CSV)
 def test_fast_parse_matches_per_line_validator(text, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
@@ -235,6 +247,15 @@ class TestBuildMatrix:
     def test_no_records(self):
         with pytest.raises(EmptyTraceError):
             build_matrix([])
+
+    @pytest.mark.parametrize(("fmt", "text"), [
+        (AMPLITUDE_CSV, "5,1e19\n"),
+        (IQ_CSV, "1e308,1e308,3,4\n"),  # the magnitude overflows to inf
+    ])
+    def test_amplitude_beyond_int64_names_the_bound(self, tmp_path, fmt, text):
+        trace = load_trace(write_trace(tmp_path, text), fmt)
+        with pytest.raises(DataDomainError, match=r"2\*\*63"):
+            build_matrix(trace)
 
     def test_iq_records_match_scalar_op(self):
         rng = np.random.default_rng(5)

@@ -196,6 +196,17 @@ class TestMatchTrace:
         assert [r.runner_up_margin for r in results] == [math.inf, math.inf]
         assert [r.best_distance for r in results] == [0.0, 3.0]
 
+    def test_ancestor_stack_built_once_in_scan_order(self):
+        db = db_of(2, entry("a", (0, 0), (gs("0001"), gs("0010")), (gs("0011"), gs("0100"))),
+                   entry("b", (1, 0), (gs("0101"), gs("0110"))))
+        stacked, starts = db.ancestor_stack
+        assert db.ancestor_stack[0] is stacked
+        # per entry: every set's first ancestor, then every set's second
+        scan = ["0001", "0011", "0010", "0100", "0101", "0110"]
+        assert stacked.tobytes() == b"".join(gs(bits).packed for bits in scan)
+        assert stacked.shape == (6, 1) and starts == [0, 4]
+        assert not stacked.flags.writeable
+
     def test_match_one_error_names_window(self):
         db = db_of(2, entry("a", (0, 0), (gs("0000"), gs("0000"))))
         with pytest.raises(LengthMismatchError, match="window 3: parent sequence has 2 bits"):
