@@ -44,7 +44,6 @@ from .evaluation import (
 from .fingerprint import (
     AncestorPair,
     FingerprintDb,
-    ParentSequence,
     PositionEntry,
     append_ancestor_set,
     build_db,

@@ -143,10 +143,12 @@ def _parse_fraction_range(text: str):
         raise ConfigError(
             f"bad fraction range {text!r}; expected start:stop:step, e.g. 0:1:0.05"
         ) from None
-    if step <= 0 or start < 0 or stop < start:
-        raise ConfigError(f"bad fraction range {text!r}: need step > 0 and 0 <= start <= stop")
+    if not (0 <= start <= stop < math.inf and 0 < step < math.inf):  # false for any NaN
+        raise ConfigError(f"bad fraction range {text!r}: need finite 0 <= start <= stop, step > 0")
     # integer micro-unit grid avoids float accumulation drift
     m_start, m_stop, m_step = (round(v * 1_000_000) for v in (start, stop, step))
+    if m_step == 0:
+        raise ConfigError(f"bad fraction range {text!r}: step rounds to 0 at 1e-6 resolution")
     return [m / 1_000_000 for m in range(m_start, m_stop + 1, m_step)]
 
 

@@ -9,6 +9,7 @@ raw-amplitude cosine/Pearson baselines that bypass binary encoding.
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -56,13 +57,15 @@ class LabeledTrace:
 
 @dataclass(frozen=True)
 class LabeledWindows:
-    """Parent sequences pooled from labeled traces, with per-window truth."""
+    """Parent sequences pooled from labeled traces, one GeneMatrix row per
+    window (gene sequences of one length are packed), with per-window truth."""
 
-    parents: tuple
+    parents: GeneMatrix
     labels: tuple
     coords: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "parents", GeneMatrix.from_sequences(self.parents))
         if not (len(self.parents) == len(self.labels) == len(self.coords)):
             raise LengthMismatchError("parents, labels and coords must align")
 
@@ -71,23 +74,26 @@ class LabeledWindows:
 
     @classmethod
     def from_traces(cls, traces, window_size: int = DEFAULT_WINDOW_SIZE) -> "LabeledWindows":
-        parents, labels, coords = [], [], []
+        sets = []
         for trace in traces:
-            seqs = encode_matrix(trace.matrix)
-            for ps in windows(seqs, window_size):
-                parents.append(ps)
-                labels.append(trace.true_label)
-                coords.append(trace.true_coord)
-        return cls(tuple(parents), tuple(labels), tuple(coords))
+            parents = windows(encode_matrix(trace.matrix), window_size)
+            sets.append(cls(parents, (trace.true_label,) * len(parents),
+                            (trace.true_coord,) * len(parents)))
+        return cls.concat(sets)
 
     @classmethod
     def concat(cls, window_sets) -> "LabeledWindows":
-        parents, labels, coords = [], [], []
-        for ws in window_sets:
-            parents.extend(ws.parents)
-            labels.extend(ws.labels)
-            coords.extend(ws.coords)
-        return cls(tuple(parents), tuple(labels), tuple(coords))
+        """One row join of window sets whose parents have one bit length."""
+        window_sets = list(window_sets)
+        if not window_sets:
+            raise EmptyInputError("no test windows")
+        widths = sorted({ws.parents.bit_length for ws in window_sets})
+        if len(widths) > 1:
+            raise LengthMismatchError(f"test windows have different bit lengths: {widths}")
+        return cls(GeneMatrix(np.concatenate([ws.parents.packed for ws in window_sets]),
+                              window_sets[0].parents.subcarrier_count),
+                   tuple(chain.from_iterable(ws.labels for ws in window_sets)),
+                   tuple(chain.from_iterable(ws.coords for ws in window_sets)))
 
 
 def mae(results, truths) -> float:
@@ -326,6 +332,21 @@ def temporal_eval(sessions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTI
     return curve
 
 
+def _freeze_means(obj, rows: str) -> None:
+    """Normalize a frozen raw-vector record in place: ``means`` becomes a
+    read-only (``rows``, subcarriers) float array aligned with ``labels``
+    and ``coords``."""
+    means = np.asarray(obj.means, dtype=float)
+    if means.ndim != 2 or means.shape[0] != len(obj.labels):
+        raise ValueError(f"means must be a ({rows}, subcarriers) array")
+    if len(obj.coords) != len(obj.labels):
+        raise LengthMismatchError("labels and coords must align")
+    means.setflags(write=False)
+    object.__setattr__(obj, "means", means)
+    object.__setattr__(obj, "labels", tuple(obj.labels))
+    object.__setattr__(obj, "coords", tuple(tuple(map(float, c)) for c in obj.coords))
+
+
 @dataclass(frozen=True)
 class RawBaselineDb:
     """Per-position mean raw amplitude vectors (no binary encoding)."""
@@ -335,15 +356,7 @@ class RawBaselineDb:
     means: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        if means.ndim != 2 or means.shape[0] != len(self.labels):
-            raise ValueError("means must be a (positions, subcarriers) array")
-        if len(self.coords) != len(self.labels):
-            raise LengthMismatchError("labels and coords must align")
-        means.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "coords", tuple(tuple(map(float, c)) for c in self.coords))
+        _freeze_means(self, "positions")
 
     @classmethod
     def from_traces(cls, traces) -> "RawBaselineDb":
@@ -366,15 +379,7 @@ class RawWindowSet:
     coords: tuple
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        if means.ndim != 2 or means.shape[0] != len(self.labels):
-            raise ValueError("means must be a (windows, subcarriers) array")
-        if len(self.coords) != len(self.labels):
-            raise LengthMismatchError("labels and coords must align")
-        means.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "coords", tuple(tuple(map(float, c)) for c in self.coords))
+        _freeze_means(self, "windows")
 
     @classmethod
     def from_traces(cls, traces, window_size: int = DEFAULT_WINDOW_SIZE) -> "RawWindowSet":

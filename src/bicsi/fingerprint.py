@@ -6,7 +6,9 @@ threshold) or left open, in which case the first ancestor records 1 and the
 second 0. A position may accumulate one ancestor pair per training session.
 Online, a parent sequence summarizes a packet window by plain column
 majority with ties going to 1: no threshold, mirroring the offline
-else-branch convention.
+else-branch convention. A trace's parents stay one packed
+:class:`~bicsi.encoding.GeneMatrix`, a row per window, all the way to the
+matcher.
 
 The database serializes to a compact little-endian binary format (magic
 ``BFPD``) whose payload is dominated by the packed ancestor bits, keeping
@@ -172,14 +174,6 @@ class FingerprintDb:
         raise UnknownLabelError(f"no position labelled {label!r}")
 
 
-@dataclass(frozen=True)
-class ParentSequence:
-    """Online summary sequence of one packet window."""
-
-    sequence: GeneSequence
-    window_index: int
-
-
 def as_gene_matrix(seqs, empty_message: str) -> GeneMatrix:
     """``seqs`` packed once into a GeneMatrix (one passes through as is).
 
@@ -219,10 +213,10 @@ def derive_ancestors(training, tr: int) -> AncestorPair:
     return ancestors_from_counts(gm.bits().sum(axis=0, dtype=np.int64), len(gm), tr)
 
 
-def derive_parent(window, window_index: int = 0) -> ParentSequence:
+def derive_parent(window) -> GeneSequence:
     """Column-majority summary of a packet window; exact ties produce 1."""
     gm = as_gene_matrix(window, "window is empty")
-    return replace(windows(gm, len(gm))[0], window_index=window_index)
+    return windows(gm, len(gm))[0]
 
 
 def window_slices(total: int, size: int) -> list[tuple[int, int]]:
@@ -241,16 +235,14 @@ def window_slices(total: int, size: int) -> list[tuple[int, int]]:
     return slices
 
 
-def windows(trace, size: int = DEFAULT_WINDOW_SIZE) -> list[ParentSequence]:
-    """Parent sequences for consecutive windows of a gene-sequence trace.
+def windows(trace, size: int = DEFAULT_WINDOW_SIZE) -> GeneMatrix:
+    """Parent sequences of consecutive windows of a gene-sequence trace, one
+    row per window; a trace shorter than half a window gives zero rows.
 
     Each parent is the column majority of its window, exact ties giving 1.
     """
-    seqs = trace if isinstance(trace, GeneMatrix) else list(trace)
-    slices = window_slices(len(seqs), size)
-    if not slices:
-        return []
-    gm = GeneMatrix.from_sequences(seqs)
+    gm = GeneMatrix.from_sequences(trace)
+    slices = window_slices(len(gm), size)
     bits = gm.bits()
     full = len(gm) // size
     # int32 sums halve the reduction time; no window holds 2**30 packets
@@ -260,8 +252,7 @@ def windows(trace, size: int = DEFAULT_WINDOW_SIZE) -> list[ParentSequence]:
         lo, hi = slices[-1]
         ones = np.vstack([ones, bits[lo:hi].sum(axis=0, dtype=np.int32)])
         counts = np.append(counts, hi - lo)
-    parents = GeneMatrix(np.packbits(2 * ones >= counts[:, None], axis=1), gm.subcarrier_count)
-    return [ParentSequence(seq, i) for i, seq in enumerate(parents)]
+    return GeneMatrix(np.packbits(2 * ones >= counts[:, None], axis=1), gm.subcarrier_count)
 
 
 def build_db(positions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) -> FingerprintDb:

@@ -4,11 +4,12 @@ A trace is parsed into one float array by vectorized ``loadtxt`` calls
 plus vectorized domain checks, in this order: the integer parser (traces
 are integer amplitudes or I/Q components, and it is about twice as fast),
 then the float parser, then the per-line validator. The validator runs only
-when both vectorized parses fail or a check fails, so parse errors keep
-their line numbers without the common path paying for per-packet Python
-objects. Phase information is never used: I/Q inputs are reduced to their
-magnitude and floored to integers when the matrix is built, amplitude
-inputs are floored directly.
+when both vectorized parses fail, a check fails or the text holds an ASCII
+separator 0x1c-0x1f (``loadtxt`` strips it, ``float()`` rejects it), so
+parse errors keep their line numbers without the common path paying for
+per-packet Python objects. Phase information is never used: I/Q inputs are
+reduced to their magnitude and floored to integers when the matrix is built,
+amplitude inputs are floored directly.
 Excluded subcarriers (pilots, invariant bins) are dropped by a configurable
 index filter; there is no built-in exclusion list because the indices are
 hardware-specific.
@@ -177,8 +178,10 @@ def load_trace(path, format: str = AMPLITUDE_CSV) -> np.ndarray:
     if not data:
         raise EmptyTraceError(f"{path}: no data rows")
     arr = None
+    # loadtxt strips the separators \x1c-\x1f that float() rejects: validator only
+    vectorized = not any(sep in text for text in data for sep in "\x1c\x1d\x1e\x1f")
     # comments=None: a trailing "# note" must fail the row, as it does per line
-    if not any("-" in text for text in data):
+    if vectorized and not any("-" in text for text in data):
         # integer parsing is about twice as fast; the float64 cast equals
         # float() on every int64 token except "-0", so any "-" skips it
         try:
@@ -186,7 +189,7 @@ def load_trace(path, format: str = AMPLITUDE_CSV) -> np.ndarray:
                              dtype=np.int64).astype(np.float64)
         except ValueError:
             pass
-    if arr is None:
+    if vectorized and arr is None:
         try:
             arr = np.loadtxt(data, delimiter=",", ndmin=2, comments=None)
         except ValueError:

@@ -34,7 +34,6 @@ from bicsi.evaluation import (
 from bicsi.fingerprint import (
     AncestorPair,
     FingerprintDb,
-    ParentSequence,
     PositionEntry,
     build_db,
     db_from_bytes,
@@ -332,11 +331,10 @@ def test_matcher_agrees_with_brute_force():
             entries.append(PositionEntry(f"e{i}", (float(i), float(-i)), tuple(sets)))
         db = FingerprintDb(subcarrier_count=k, threshold_micro=0,
                            entries=tuple(entries))
-        ps = ParentSequence(
-            GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8)), 0)
+        ps = GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
 
         # independent exhaustive scan over hand-unpacked bit lists
-        target = unpack_independently(ps.sequence)
+        target = unpack_independently(ps)
         per_entry = []
         for entry in db.entries:
             best = None

@@ -240,6 +240,20 @@ class TestEval:
         assert set(report) == {"metric", "n", "mae_m", "accuracy",
                                "per_position", "confusion"}
 
+    def test_traces_of_two_widths_exit_1(self, runner, tmp_path, dataset, trained):
+        rows = (dataset / "test" / "p02.csv").read_text().splitlines()
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("\n".join(",".join(r.split(",")[:8]) for r in rows
+                                    if not r.startswith("#")) + "\n")
+        manifest = tmp_path / "mixed.csv"
+        manifest.write_text(f"label,x,y,file\np01,0,0,{dataset / 'test' / 'p01.csv'}\n"
+                            f"p02,1,0,{narrow}\n")
+        out = tmp_path / "r.json"
+        result = invoke(runner, "eval", "--db", trained, "--manifest", manifest, "--out", out)
+        assert result.exit_code == 1
+        assert "different bit lengths: [16, 24]" in result.output
+        assert not out.exists()
+
 
 class TestSweep:
     def test_rows_and_csv(self, runner, tmp_path, dataset):
@@ -273,6 +287,15 @@ class TestSweep:
                         dataset / "train" / "manifest.csv",
                         "--fractions", "nonsense", "--out-csv", tmp_path / "s.csv")
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("fractions", ["nan:1:0.1", "0:1:nan", "0:inf:0.1", "0:1:1e-9"])
+    def test_non_finite_or_vanishing_range_exits_2(self, runner, tmp_path, dataset, fractions):
+        out = tmp_path / "s.csv"
+        result = invoke(runner, "sweep", "--manifest", dataset / "train" / "manifest.csv",
+                        "--fractions", fractions, "--out-csv", out)
+        assert result.exit_code == 2
+        assert f"bad fraction range {fractions!r}" in result.output
+        assert not out.exists()
 
     def test_single_position_exits_1(self, runner, tmp_path, dataset):
         manifest = tmp_path / "one.csv"

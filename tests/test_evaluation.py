@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicsi.encoding import GeneSequence, encode_matrix
+from bicsi.encoding import GeneMatrix, GeneSequence, encode_matrix
 from bicsi.errors import (
     ConfigError,
     EmptyInputError,
@@ -35,7 +35,7 @@ from bicsi.evaluation import (
     temporal_to_csv,
     threshold_sweep,
 )
-from bicsi.fingerprint import build_db
+from bicsi.fingerprint import build_db, windows
 from bicsi.ingest import AmplitudeMatrix
 from bicsi.matcher import MatchResult
 from bicsi.similarity import MetricKind
@@ -206,6 +206,39 @@ class TestEvaluateWindows:
         assert "metric" in format_comparison_table([report])
 
 
+class TestLabeledWindows:
+    def test_parents_are_one_matrix(self):
+        traces = make_fixture(positions=2, packets=300)
+        labeled = LabeledWindows.from_traces(traces, window_size=120)
+        assert isinstance(labeled.parents, GeneMatrix) and len(labeled) == 6
+        assert labeled.labels == ("p0",) * 3 + ("p1",) * 3
+        assert labeled.coords == ((0.0, 0.0),) * 3 + ((1.0, 0.0),) * 3
+        assert labeled.parents.packed.tobytes() == b"".join(
+            windows(encode_matrix(t.matrix), 120).packed.tobytes() for t in traces)
+
+    def test_sequence_rows_are_packed(self):
+        rows = tuple(random_sequences(np.random.default_rng(4), 3, 5))
+        labeled = LabeledWindows(rows, ("a", "b", "c"), ((0, 0), (1, 0), (2, 0)))
+        assert isinstance(labeled.parents, GeneMatrix)
+        assert list(labeled.parents) == list(rows)
+
+    def test_concat_joins_rows(self):
+        traces = make_fixture(positions=3)
+        parts = [LabeledWindows.from_traces([t], 120) for t in traces]
+        whole = LabeledWindows.from_traces(traces, 120)
+        joined = LabeledWindows.concat(parts)
+        assert joined.parents.packed.tobytes() == whole.parents.packed.tobytes()
+        assert (joined.labels, joined.coords) == (whole.labels, whole.coords)
+
+    def test_traces_of_two_widths_rejected(self):
+        traces = [make_fixture(seed=1, positions=1, k=12)[0],
+                  make_fixture(seed=2, positions=1, k=8)[0]]
+        with pytest.raises(LengthMismatchError, match="different bit lengths: \\[16, 24\\]"):
+            LabeledWindows.from_traces(traces, 120)
+        with pytest.raises(LengthMismatchError):
+            LabeledWindows.concat(LabeledWindows.from_traces([t], 120) for t in traces)
+
+
 class TestMetricComparison:
     def test_distance_metrics_identical_predictions(self):
         traces = make_fixture(seed=9)
@@ -342,6 +375,18 @@ class TestRawBaseline:
         assert ws.means.shape == (2, 2)
         assert ws.means[0].tolist() == [10.0, 10.0]
         assert ws.means[1].tolist() == [20.0, 20.0]
+
+    def test_shape_errors_name_the_rows(self):
+        with pytest.raises(ValueError, match=r"^means must be a \(positions, subcarriers\) array$"):
+            RawBaselineDb(labels=("p1", "p2"), coords=((0, 0), (1, 0)), means=np.ones((1, 2)))
+        with pytest.raises(ValueError, match=r"^means must be a \(windows, subcarriers\) array$"):
+            RawWindowSet(means=np.ones(2), labels=("p1",), coords=((0, 0),))
+        for cls in (RawBaselineDb, RawWindowSet):
+            with pytest.raises(LengthMismatchError, match="^labels and coords must align$"):
+                cls(labels=("p1",), coords=(), means=np.ones((1, 2)))
+        ws = RawWindowSet(means=[[1, 2]], labels=["p1"], coords=[(0, 1)])
+        assert (ws.labels, ws.coords, ws.means.dtype) == (("p1",), ((0.0, 1.0),), np.float64)
+        assert not ws.means.flags.writeable
 
     def test_baseline_db_from_traces(self):
         traces = make_fixture(seed=20, positions=2, packets=60, k=4)

@@ -127,17 +127,15 @@ class TestDeriveAncestors:
 class TestDeriveParent:
     def test_simple_majority(self):
         window = column_training(ones=70, zeros=50)
-        assert derive_parent(window).sequence.bits()[0] == 1
+        assert derive_parent(window).bits()[0] == 1
 
     def test_exact_tie_gives_one(self):
         window = column_training(ones=60, zeros=60)
-        assert derive_parent(window).sequence.bits()[0] == 1
+        assert derive_parent(window).bits()[0] == 1
 
     def test_unanimous_window_returns_member(self):
         seq = gs("011010")
-        parent = derive_parent([seq] * 120, window_index=3)
-        assert parent.sequence == seq
-        assert parent.window_index == 3
+        assert derive_parent([seq] * 120) == seq
 
     def test_empty_window(self):
         with pytest.raises(EmptyInputError):
@@ -148,7 +146,7 @@ class TestWindows:
     def test_full_trace_window_count(self):
         parents = windows([gs("01")] * 24000, size=120)
         assert len(parents) == 200
-        assert [p.window_index for p in parents] == list(range(200))
+        assert isinstance(parents, GeneMatrix) and parents.subcarrier_count == 1
 
     def test_small_remainder_dropped(self):
         assert len(windows([gs("01")] * 125, size=120)) == 1
@@ -171,11 +169,18 @@ class TestWindows:
         gm = GeneMatrix(np.packbits(bits, axis=1), k)
         parents = windows(gm, size)
         slices = window_slices(count, size)
-        assert parents == [derive_parent([gm[i] for i in range(lo, hi)], w)
-                           for w, (lo, hi) in enumerate(slices)]
+        assert list(parents) == [derive_parent([gm[i] for i in range(lo, hi)])
+                                 for lo, hi in slices]
         for parent, (lo, hi) in zip(parents, slices):
             ones = unpack_rows(gm[lo:hi]).sum(axis=0)
-            assert unpack_independently(parent.sequence) == (2 * ones >= hi - lo).tolist()
+            assert unpack_independently(parent) == (2 * ones >= hi - lo).tolist()
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 230])
+    def test_short_trace_gives_zero_rows(self, k):
+        gm = GeneMatrix(np.zeros((59, -(-2 * k // 8)), dtype=np.uint8), k)
+        parents = windows(gm, size=120)
+        assert isinstance(parents, GeneMatrix)
+        assert parents.packed.shape == (0, -(-2 * k // 8)) and parents.subcarrier_count == k
 
     def test_window_slices_partition(self):
         slices = window_slices(250, 100)

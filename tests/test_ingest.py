@@ -182,6 +182,8 @@ def _outcome(fn):
 @example("99999999999999999999,1\n", AMPLITUDE_CSV)  # beyond int64
 @example("1,2\n3,4\n5,6\n7,2.5\n", AMPLITUDE_CSV)
 @example("-3,-4\n0,-12\n", IQ_CSV)
+@example("5\x1c,1\n", AMPLITUDE_CSV)  # loadtxt strips the ASCII separators, float() does not
+@example("1,2\n3\x1f,4\n", IQ_CSV)
 def test_fast_parse_matches_per_line_validator(text, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"

@@ -1,18 +1,18 @@
 """Matcher tests: minimum-distance prediction, tie-breaks, oracle agreement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicsi.encoding import GeneSequence
+from bicsi.encoding import GeneMatrix, GeneSequence
 from bicsi.errors import EmptyInputError, LengthMismatchError
 from bicsi.fingerprint import (
     AncestorPair,
     FingerprintDb,
-    ParentSequence,
     PositionEntry,
     append_ancestor_set,
 )
@@ -30,10 +30,6 @@ def db_of(k, *entries):
     return FingerprintDb(subcarrier_count=k, threshold_micro=0, entries=tuple(entries))
 
 
-def parent(seq, index=0):
-    return ParentSequence(sequence=seq, window_index=index)
-
-
 def brute_force_match(ps, db, kind=MetricKind.HAMMING):
     """Independent exhaustive scan under the per-pair bit-list reference distance."""
     per_entry = []
@@ -41,7 +37,7 @@ def brute_force_match(ps, db, kind=MetricKind.HAMMING):
         best = math.inf
         for pair in ent.ancestor_sets:
             for anc in (pair.as1, pair.as2):
-                best = min(best, reference_distance(kind, anc, ps.sequence))
+                best = min(best, reference_distance(kind, anc, ps))
         per_entry.append(best)
     best_idx = per_entry.index(min(per_entry))
     others = [d for i, d in enumerate(per_entry) if i != best_idx]
@@ -56,7 +52,7 @@ class TestMatchOne:
             entry("far", (0, 0), (gs("0000"), gs("0001"))),
             entry("hit", (1, 0), (gs("1011"), gs("1111"))),
         )
-        result = match_one(parent(gs("1011")), db)
+        result = match_one(gs("1011"), db)
         assert result.predicted_label == "hit"
         assert result.best_distance == 0.0
         assert result.predicted_coord == (1.0, 0.0)
@@ -68,7 +64,7 @@ class TestMatchOne:
             entry("second", (1, 0), (gs("11"), gs("11"))),
         )
         # target at distance 1 from both entries
-        result = match_one(parent(gs("01")), db)
+        result = match_one(gs("01"), db)
         assert result.predicted_label == "first"
         assert result.runner_up_margin == 0.0
 
@@ -83,7 +79,7 @@ class TestMatchOne:
             entry("b", (1, 0), (near1, near1)),
             entry("c", (2, 0), (far7, far7)),
         )
-        result = match_one(parent(target), db)
+        result = match_one(target, db)
         assert result.predicted_label == "b"
         assert result.best_distance == 1.0
         assert result.runner_up_margin == 3.0
@@ -92,19 +88,19 @@ class TestMatchOne:
         base = entry("only", (0, 0), (gs("0000"), gs("0011")))
         db = db_of(2, base)
         db = append_ancestor_set(db, "only", AncestorPair(gs("1110"), gs("1111")))
-        result = match_one(parent(gs("1111")), db)
+        result = match_one(gs("1111"), db)
         assert result.best_distance == 0.0
         assert result.runner_up_margin == math.inf
 
     def test_empty_db(self):
         db = FingerprintDb(subcarrier_count=1, threshold_micro=0, entries=())
         with pytest.raises(EmptyInputError):
-            match_one(parent(gs("01")), db)
+            match_one(gs("01"), db)
 
     def test_length_mismatch(self):
         db = db_of(2, entry("a", (0, 0), (gs("0000"), gs("0000"))))
         with pytest.raises(LengthMismatchError):
-            match_one(parent(gs("01")), db)
+            match_one(gs("01"), db)
 
     def test_adding_a_set_never_hurts_that_entry(self):
         rng = np.random.default_rng(11)
@@ -113,7 +109,7 @@ class TestMatchOne:
             bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
             db = db_of(k, entry("a", (0, 0), (bits(), bits())),
                        entry("b", (1, 0), (bits(), bits())))
-            ps = parent(bits())
+            ps = bits()
             before = match_one(ps, db)
             grown = append_ancestor_set(db, "b", AncestorPair(bits(), bits()))
             after = match_one(ps, grown)
@@ -133,7 +129,7 @@ class TestMetricEquivalence:
             for i in range(int(rng.integers(2, 6)))
         ]
         db = db_of(k, *entries)
-        ps = parent(bits())
+        ps = bits()
         outcomes = {
             kind: match_one(ps, db, kind).predicted_label
             for kind in (MetricKind.HAMMING, MetricKind.MANHATTAN, MetricKind.EUCLIDEAN)
@@ -155,7 +151,7 @@ class TestBruteForceAgreement:
             )
             entries.append(entry(f"e{i}", (float(i), float(i)), *pairs))
         db = db_of(k, *entries)
-        ps = parent(bits())
+        ps = bits()
         for kind in MetricKind:
             result = match_one(ps, db, kind)
             label, dist, margin = brute_force_match(ps, db, kind)
@@ -168,7 +164,7 @@ class TestMatchTrace:
     def test_order_preserved(self):
         db = db_of(1, entry("a", (0, 0), (gs("00"), gs("00"))),
                    entry("b", (1, 0), (gs("11"), gs("11"))))
-        parents = [parent(gs("11"), 0), parent(gs("00"), 1), parent(gs("11"), 2)]
+        parents = [gs("11"), gs("00"), gs("11")]
         results = match_trace(parents, db)
         assert [r.predicted_label for r in results] == ["b", "a", "b"]
         assert [r.window_index for r in results] == [0, 1, 2]
@@ -180,19 +176,20 @@ class TestMatchTrace:
     def test_identical_parents_identical_results(self):
         db = db_of(1, entry("a", (0, 0), (gs("00"), gs("00"))),
                    entry("b", (1, 0), (gs("11"), gs("11"))))
-        parents = [parent(gs("10"), i) for i in range(5)]
+        parents = [gs("10")] * 5
         results = match_trace(parents, db)
         assert len({(r.predicted_label, r.best_distance) for r in results}) == 1
 
     def test_failure_names_window(self):
         db = db_of(2, entry("a", (0, 0), (gs("0000"), gs("0000"))))
-        parents = [parent(gs("0000"), 0), parent(gs("01"), 7)]
-        with pytest.raises(LengthMismatchError, match="window 7"):
+        parents = [gs("0000"), gs("01")]
+        # rows of different lengths cannot pack into one matrix; the error names the row
+        with pytest.raises(LengthMismatchError, match="^sequence 1: 2 bits, expected 4$"):
             match_trace(parents, db)
 
     def test_one_entry_db_margin_is_infinite(self):
         db = db_of(2, entry("only", (3, 4), (gs("0011"), gs("0001"))))
-        results = match_trace([parent(gs("0011"), 0), parent(gs("1100"), 1)], db)
+        results = match_trace([gs("0011"), gs("1100")], db)
         assert [r.runner_up_margin for r in results] == [math.inf, math.inf]
         assert [r.best_distance for r in results] == [0.0, 3.0]
 
@@ -209,11 +206,13 @@ class TestMatchTrace:
 
     def test_match_one_error_names_window(self):
         db = db_of(2, entry("a", (0, 0), (gs("0000"), gs("0000"))))
-        with pytest.raises(LengthMismatchError, match="window 3: parent sequence has 2 bits"):
-            match_one(parent(gs("01"), 3), db)
+        # one check per call: every row of a matrix has the same length
+        with pytest.raises(LengthMismatchError,
+                           match="^parent sequences have 2 bits, database stores 4$"):
+            match_one(gs("01"), db)
         empty = FingerprintDb(subcarrier_count=1, threshold_micro=0, entries=())
-        with pytest.raises(EmptyInputError, match="window 0: fingerprint database has no entries"):
-            match_one(parent(gs("01")), empty)
+        with pytest.raises(EmptyInputError, match="^fingerprint database has no entries$"):
+            match_one(gs("01"), empty)
 
 
 class TestBatchEqualsPerWindow:
@@ -233,5 +232,21 @@ class TestBatchEqualsPerWindow:
                              for _ in range(int(rng.integers(1, 4))))
             entries.append(PositionEntry(f"e{i}", (float(i), 0.0), sets))
         db = db_of(k, *entries)
-        parents = [parent(bits(), int(j)) for j in rng.permutation(int(rng.integers(0, 7)))]
-        assert match_trace(parents, db, kind) == [match_one(ps, db, kind) for ps in parents]
+        parents = [bits() for _ in range(int(rng.integers(0, 7)))]
+        assert match_trace(parents, db, kind) == [
+            replace(match_one(ps, db, kind), window_index=row) for row, ps in enumerate(parents)]
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=40)
+    def test_matrix_equals_its_rows(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 12))
+        bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+        db = db_of(k, *(PositionEntry(f"e{i}", (float(i), 1.0), (AncestorPair(bits(), bits()),))
+                        for i in range(int(rng.integers(1, 5)))))
+        gm = GeneMatrix(np.packbits(rng.integers(0, 2, (int(rng.integers(0, 9)), 2 * k),
+                                                 dtype=np.uint8), axis=1), k)
+        results = match_trace(gm, db, kind)
+        assert [r.window_index for r in results] == list(range(len(gm)))
+        assert results == match_trace([gm[i] for i in range(len(gm))], db, kind)
