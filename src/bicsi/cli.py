@@ -37,7 +37,9 @@ from .evaluation import (
 from .fingerprint import (
     DEFAULT_THRESHOLD_FRACTION,
     DEFAULT_WINDOW_SIZE,
+    MICRO_UNITS,
     build_db,
+    fraction_to_micro,
     load_db,
     save_db,
     windows,
@@ -50,7 +52,7 @@ from .ingest import (
     load_filter,
     load_trace,
 )
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_lines
 from .matcher import match_trace
 from .similarity import MetricKind
 from .synth import SynthConfig, drift_sessions, generate, write_dataset
@@ -91,43 +93,45 @@ def _read_manifest(path: Path, unique_labels: bool = False):
     rows = []
     first_line = {}
     first_data_line = True
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if first_data_line and stripped.lower().replace(" ", "") == "label,x,y,file":
-                first_data_line = False
-                continue
+    for lineno, line in enumerate(read_lines(path, TraceParseError), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if first_data_line and stripped.lower().replace(" ", "") == "label,x,y,file":
             first_data_line = False
-            parts = [p.strip() for p in stripped.split(",")]
-            if len(parts) != 4:
-                raise TraceParseError(f"{path}: line {lineno}: expected label,x,y,file")
-            label, x, y, filename = parts
-            where = f"{path}: line {lineno}"
-            if not label:
-                raise TraceParseError(f"{where}: empty label")
-            if unique_labels and label in first_line:
-                raise TraceParseError(f"{where}: label {label!r} repeats line {first_line[label]}")
-            first_line.setdefault(label, lineno)
-            try:
-                coord = (float(x), float(y))
-                if not all(map(math.isfinite, coord)):
-                    raise ValueError
-            except ValueError:
-                raise TraceParseError(f"{where}: bad coordinates, need two finite numbers") from None
-            rows.append((label, coord, Path(path).parent / filename))
+            continue
+        first_data_line = False
+        parts = [p.strip() for p in stripped.split(",")]
+        if len(parts) != 4:
+            raise TraceParseError(f"{path}: line {lineno}: expected label,x,y,file")
+        label, x, y, filename = parts
+        where = f"{path}: line {lineno}"
+        if not label:
+            raise TraceParseError(f"{where}: empty label")
+        if unique_labels and label in first_line:
+            raise TraceParseError(f"{where}: label {label!r} repeats line {first_line[label]}")
+        first_line.setdefault(label, lineno)
+        try:
+            coord = (float(x), float(y))
+            if not all(map(math.isfinite, coord)):
+                raise ValueError
+        except ValueError:
+            raise TraceParseError(f"{where}: bad coordinates, need two finite numbers") from None
+        rows.append((label, coord, Path(path).parent / filename))
     if not rows:
         raise EmptyInputError(f"{path}: manifest lists no positions")
     return rows
 
 
+def _load_traces(manifest: Path, fmt: str, flt: SubcarrierFilter, unique_labels: bool = False):
+    """Yield (label, (x, y), AmplitudeMatrix) per manifest row, a trace at a time."""
+    for label, coord, trace_path in _read_manifest(manifest, unique_labels):
+        yield label, coord, build_matrix(load_trace(trace_path, fmt), flt)
+
+
 def _load_labeled_traces(manifest: Path, fmt: str, flt: SubcarrierFilter):
-    traces = []
-    for label, coord, trace_path in _read_manifest(manifest):
-        matrix = build_matrix(load_trace(trace_path, fmt), flt, position_label=label)
-        traces.append(LabeledTrace(matrix=matrix, true_label=label, true_coord=coord))
-    return traces
+    for label, coord, matrix in _load_traces(manifest, fmt, flt):
+        yield LabeledTrace(matrix=matrix, true_label=label, true_coord=coord)
 
 
 def _parse_fraction_range(text: str):
@@ -143,13 +147,17 @@ def _parse_fraction_range(text: str):
         raise ConfigError(
             f"bad fraction range {text!r}; expected start:stop:step, e.g. 0:1:0.05"
         ) from None
-    if not (0 <= start <= stop < math.inf and 0 < step < math.inf):  # false for any NaN
-        raise ConfigError(f"bad fraction range {text!r}: need finite 0 <= start <= stop, step > 0")
-    # integer micro-unit grid avoids float accumulation drift
-    m_start, m_stop, m_step = (round(v * 1_000_000) for v in (start, stop, step))
-    if m_step == 0:
-        raise ConfigError(f"bad fraction range {text!r}: step rounds to 0 at 1e-6 resolution")
-    return [m / 1_000_000 for m in range(m_start, m_stop + 1, m_step)]
+    # the integer micro-unit grid (no float drift) is checked before it is built
+    try:
+        start, stop, step = map(fraction_to_micro, (start, stop, step))
+    except ConfigError as exc:
+        raise ConfigError(f"bad fraction range {text!r}: {exc}") from None
+    if start > stop or step == 0:
+        raise ConfigError(f"bad fraction range {text!r}: need start <= stop, step >= 1e-6")
+    grid = range(start, stop + 1, step)
+    if len(grid) > MICRO_UNITS + 1:
+        raise ConfigError(f"bad fraction range {text!r}: over {MICRO_UNITS + 1} fractions")
+    return [m / MICRO_UNITS for m in grid]
 
 
 _format_option = click.option(
@@ -188,8 +196,7 @@ def train(manifest, out_db, threshold_fraction, filter_file, fmt):
     """Derive per-position fingerprints and write the database."""
     flt = _filter_from(filter_file)
     positions = []
-    for label, coord, trace_path in _read_manifest(manifest, unique_labels=True):
-        matrix = build_matrix(load_trace(trace_path, fmt), flt, position_label=label)
+    for label, coord, matrix in _load_traces(manifest, fmt, flt, unique_labels=True):
         seqs = encode_matrix(matrix)
         positions.append((label, coord, seqs))
         click.echo(f"{label}: {len(seqs)} training packets")
@@ -274,11 +281,8 @@ def eval_cmd(db_path, manifest, metric, out_path, window, filter_file, fmt):
 def sweep(manifest, fractions, out_csv, filter_file, fmt):
     """Sweep the ancestor threshold and report mean fingerprint distances."""
     grid = _parse_fraction_range(fractions)
-    flt = _filter_from(filter_file)
-    training_sets = []
-    for label, _, trace_path in _read_manifest(manifest, unique_labels=True):
-        matrix = build_matrix(load_trace(trace_path, fmt), flt, position_label=label)
-        training_sets.append(encode_matrix(matrix))
+    training_sets = [encode_matrix(matrix) for _, _, matrix in _load_traces(
+        manifest, fmt, _filter_from(filter_file), unique_labels=True)]
     rows = threshold_sweep(training_sets, grid)
     atomic_write_text(out_csv, sweep_to_csv(rows))
     for fraction, mean in rows:
@@ -331,15 +335,11 @@ def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, filter_f
     )
     sessions = []
     for d in session_dirs:
-        training = []
-        train_rows = _read_manifest(d / "train" / "manifest.csv", unique_labels=True)
-        for label, coord, trace_path in train_rows:
-            matrix = build_matrix(load_trace(trace_path, fmt), flt, position_label=label)
-            training.append(TrainingSet(label=label, coord=coord,
-                                        sequences=encode_matrix(matrix)))
+        training = [TrainingSet(label=label, coord=coord, sequences=encode_matrix(matrix))
+                    for label, coord, matrix in _load_traces(
+                        d / "train" / "manifest.csv", fmt, flt, unique_labels=True)]
         test_traces = _load_labeled_traces(d / "test" / "manifest.csv", fmt, flt)
-        sessions.append(Session(training=tuple(training),
-                                test=LabeledWindows.from_traces(test_traces, window)))
+        sessions.append(Session(training, LabeledWindows.from_traces(test_traces, window)))
     curve = temporal_eval(sessions, threshold_fraction, MetricKind.parse(metric))
     atomic_write_text(out_csv, temporal_to_csv(curve))
     for m, acc in curve:

@@ -197,11 +197,7 @@ def encode_row(amplitudes) -> GeneSequence:
         raise ValueError("expected a single 1-D row of amplitudes")
     if a.size == 0:
         raise ValueError("row must contain at least one amplitude")
-    codes = _two_bit_codes(a)
-    bits = np.empty(2 * a.size, dtype=np.uint8)
-    bits[0::2] = codes >> 1
-    bits[1::2] = codes & 1
-    return GeneSequence.from_bits(bits)
+    return encode_matrix(a[None, :])[0]
 
 
 def encode_matrix(matrix) -> GeneMatrix:

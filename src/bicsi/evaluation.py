@@ -8,7 +8,7 @@ raw-amplitude cosine/Pearson baselines that bypass binary encoding.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -25,13 +25,12 @@ from .fingerprint import (
     DEFAULT_THRESHOLD_FRACTION,
     DEFAULT_WINDOW_SIZE,
     FingerprintDb,
-    PositionEntry,
-    ancestors_from_counts,
-    append_ancestor_set,
+    ancestor_matrices,
     as_gene_matrix,
-    derive_ancestors,
+    build_db,
     fraction_to_micro,
     threshold_count,
+    training_counts,
     window_slices,
     windows,
 )
@@ -96,18 +95,22 @@ class LabeledWindows:
                    tuple(chain.from_iterable(ws.coords for ws in window_sets)))
 
 
+def _aligned(results, truths, what: str) -> tuple:
+    results, truths = list(results), list(truths)
+    if len(results) != len(truths):
+        raise LengthMismatchError(f"{len(results)} predictions vs {len(truths)} truths")
+    if not results:
+        raise EmptyInputError(f"{what} needs at least one prediction")
+    return results, truths
+
+
 def mae(results, truths) -> float:
     """Mean absolute coordinate error in meters.
 
     Per point the absolute x and y gaps are summed; the grand total is
     divided by 2n, covering the horizontal and vertical components.
     """
-    results = list(results)
-    truths = list(truths)
-    if len(results) != len(truths):
-        raise LengthMismatchError(f"{len(results)} predictions vs {len(truths)} truths")
-    if not results:
-        raise EmptyInputError("mae needs at least one prediction")
+    results, truths = _aligned(results, truths, "mae")
     total = 0.0
     for res, (tx, ty) in zip(results, truths):
         px, py = res.predicted_coord
@@ -117,12 +120,7 @@ def mae(results, truths) -> float:
 
 def accuracy(results, truths) -> float:
     """Fraction of predictions whose label matches the truth."""
-    results = list(results)
-    truths = list(truths)
-    if len(results) != len(truths):
-        raise LengthMismatchError(f"{len(results)} predictions vs {len(truths)} truths")
-    if not results:
-        raise EmptyInputError("accuracy needs at least one prediction")
+    results, truths = _aligned(results, truths, "accuracy")
     correct = sum(1 for res, truth in zip(results, truths) if res.predicted_label == truth)
     return correct / len(results)
 
@@ -244,23 +242,18 @@ def threshold_sweep(training_sets, fractions) -> list[tuple[float, float]]:
     training_sets = list(training_sets)
     if len(training_sets) < 2:
         raise EmptyInputError("threshold sweep needs at least two positions")
-    # column one-counts do not depend on the threshold: count once per position
-    counts = []
-    for i, s in enumerate(training_sets):
-        gm = as_gene_matrix(s, f"training set {i} is empty")
-        counts.append((len(gm), gm.bits().sum(axis=0, dtype=np.int64)))
+    # column one-counts do not depend on the threshold: count once
+    sizes, ones = training_counts((f"training set {i}", s) for i, s in enumerate(training_sets))
+    pairs = len(sizes) * (len(sizes) - 1) // 2  # unordered position pairs
     rows = []
     for fraction in fractions:
         micro = fraction_to_micro(fraction)
-        pairs = [ancestors_from_counts(ones, n, threshold_count(micro, n)) for n, ones in counts]
+        sides = ancestor_matrices(sizes, ones, [threshold_count(micro, n) for n in sizes])
         # one kernel call per ancestor side; each (P, P) matrix is symmetric with a
         # zero diagonal, so its sum counts every pair twice (whole numbers: exact)
-        twice = 0.0
-        for side in ("as1", "as2"):
-            gm = GeneMatrix.from_sequences(getattr(p, side) for p in pairs)
-            twice += distances(MetricKind.HAMMING, gm.packed[:, None], gm.packed,
-                               gm.bit_length).sum()
-        rows.append((float(fraction), float(twice / 4 / (len(pairs) * (len(pairs) - 1) // 2))))
+        twice = sum(distances(MetricKind.HAMMING, gm.packed[:, None], gm.packed,
+                              gm.bit_length).sum() for gm in sides)
+        rows.append((float(fraction), float(twice / 4 / pairs)))
     return rows
 
 
@@ -308,27 +301,15 @@ def temporal_eval(sessions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTI
         if [(t.label, t.coord) for t in session.training] != reference:
             raise SessionMismatchError(f"session {s} lists different positions than session 1")
 
-    micro = fraction_to_micro(threshold_fraction)
-    session_pairs = [
-        [derive_ancestors(t.sequences, threshold_count(micro, len(t.sequences)))
-         for t in session.training]
-        for session in sessions
-    ]
-
-    db = FingerprintDb(
-        subcarrier_count=session_pairs[0][0].as1.subcarrier_count,
-        threshold_micro=micro,
-        entries=tuple(PositionEntry(label=label, coord=coord, ancestor_sets=(pair,))
-                      for (label, coord), pair in zip(reference, session_pairs[0])),
-    )
+    # one database per training session; the one for m joins the first m per entry
+    dbs = [build_db([(t.label, t.coord, t.sequences) for t in session.training],
+                    threshold_fraction) for session in sessions[:-1]]
     curve = []
     for m in range(1, len(sessions)):
-        if m > 1:
-            for (label, _), pair in zip(reference, session_pairs[m - 1]):
-                db = append_ancestor_set(db, label, pair)
+        entries = tuple(replace(same[0], ancestor_sets=tuple(e.ancestor_sets[0] for e in same))
+                        for same in zip(*(db.entries for db in dbs[:m])))
         test = LabeledWindows.concat(session.test for session in sessions[m:])
-        report = evaluate_windows(db, test, kind)
-        curve.append((m, report.accuracy))
+        curve.append((m, evaluate_windows(replace(dbs[0], entries=entries), test, kind).accuracy))
     return curve
 
 

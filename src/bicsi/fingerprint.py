@@ -106,12 +106,9 @@ class PositionEntry:
         sets = tuple(self.ancestor_sets)
         if not sets:
             raise ValueError(f"position {self.label!r}: needs at least one ancestor set")
-        length = sets[0].bit_length
-        for pair in sets:
-            if pair.bit_length != length:
-                raise LengthMismatchError(
-                    f"position {self.label!r}: ancestor sets have mixed bit lengths"
-                )
+        if len({pair.bit_length for pair in sets}) > 1:
+            raise LengthMismatchError(
+                f"position {self.label!r}: ancestor sets have mixed bit lengths")
         object.__setattr__(self, "coord", coord)
         object.__setattr__(self, "ancestor_sets", sets)
 
@@ -187,30 +184,45 @@ def as_gene_matrix(seqs, empty_message: str) -> GeneMatrix:
     return GeneMatrix.from_sequences(seqs)
 
 
-def ancestors_from_counts(ones: np.ndarray, n: int, tr: int) -> AncestorPair:
-    """Ancestor pair from the per-bit-column one-counts of ``n`` training
-    sequences at integer threshold ``tr`` (see :func:`derive_ancestors`)."""
-    if tr < 0:
+def training_counts(named_sets) -> tuple:
+    """Sizes ``(P,)`` and bit-column one-counts ``(P, 2k)`` of P training
+    sets given as (name, sequences), each set packed once; an empty set or
+    one whose bit length differs from the first raises an error naming it."""
+    sets = [(name, as_gene_matrix(seqs, f"{name}: no training sequences"))
+            for name, seqs in named_sets]
+    for name, gm in sets:
+        if gm.bit_length != sets[0][1].bit_length:
+            raise LengthMismatchError(
+                f"{name}: {gm.bit_length} bits, expected {sets[0][1].bit_length}")
+    return (np.array([len(gm) for _, gm in sets], dtype=np.int64),
+            np.array([gm.bits().sum(axis=0, dtype=np.int64) for _, gm in sets]))
+
+
+def ancestor_matrices(sizes, ones, trs) -> tuple:
+    """First and second ancestors of P training sets at once, as two P-row
+    GeneMatrix, from their sizes n ``(P,)``, bit-column one-counts N1
+    ``(P, 2k)`` and integer thresholds tr ``(P,)`` (or one for all).
+
+    A column with |n - 2 N1| >= tr is decided: both ancestors take its
+    majority bit, exact ties giving 1. Any other column is balanced and
+    keeps (1, 0), so a tr above n leaves the pair all-ones / all-zeros.
+    """
+    trs = np.asarray(trs, dtype=np.int64).reshape(-1, 1)
+    if (trs < 0).any():
         raise ConfigError("threshold count must be non-negative")
-    n0 = n - ones
-    majority = (ones >= n0).astype(np.uint8)
-    decided = np.abs(n0 - ones) >= tr
-    as1 = np.where(decided, majority, np.uint8(1))
-    as2 = np.where(decided, majority, np.uint8(0))
-    return AncestorPair(GeneSequence.from_bits(as1), GeneSequence.from_bits(as2))
+    majority = 2 * ones >= sizes[:, None]
+    decided = np.abs(sizes[:, None] - 2 * ones) >= trs
+    return tuple(GeneMatrix(np.packbits(bits, axis=1), ones.shape[1] // 2)
+                 for bits in (majority | ~decided, majority & decided))
 
 
 def derive_ancestors(training, tr: int) -> AncestorPair:
-    """Ancestor pair from training gene sequences at integer threshold ``tr``.
-
-    Per bit column with zero-count N0 and one-count N1: when |N0 - N1| >= tr
-    both ancestors take the dominant bit (0 only when N0 > N1, so exact ties
-    give 1); otherwise the column is balanced and the pair keeps (1, 0).
-    ``tr`` may exceed the training size, in which case every column is
-    balanced and the pair degenerates to all-ones / all-zeros.
-    """
-    gm = as_gene_matrix(training, "training set is empty")
-    return ancestors_from_counts(gm.bits().sum(axis=0, dtype=np.int64), len(gm), tr)
+    """Ancestor pair of one training set at integer threshold ``tr``, the
+    one-position case of :func:`ancestor_matrices`."""
+    sizes, ones = training_counts([("training set", training)])
+    # any tr above n decides nothing; capping it keeps the count within int64
+    as1, as2 = ancestor_matrices(sizes, ones, min(tr, int(sizes[0]) + 1))
+    return AncestorPair(as1[0], as2[0])
 
 
 def derive_parent(window) -> GeneSequence:
@@ -262,17 +274,14 @@ def build_db(positions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) 
     count for each position is ceil(fraction * its own training size).
     """
     micro = fraction_to_micro(threshold_fraction)
-    entries = []
-    k = None
-    for label, coord, seqs in positions:
-        seqs = as_gene_matrix(seqs, f"position {label!r} has no training sequences")
-        pair = derive_ancestors(seqs, threshold_count(micro, len(seqs)))
-        if k is None:
-            k = pair.as1.subcarrier_count
-        entries.append(PositionEntry(label=label, coord=coord, ancestor_sets=(pair,)))
-    if not entries:
+    positions = list(positions)
+    if not positions:
         raise EmptyInputError("no positions to train on")
-    return FingerprintDb(subcarrier_count=k, threshold_micro=micro, entries=tuple(entries))
+    sizes, ones = training_counts((f"position {label!r}", seqs) for label, _, seqs in positions)
+    sides = ancestor_matrices(sizes, ones, [threshold_count(micro, n) for n in sizes])
+    return FingerprintDb(ones.shape[1] // 2, micro, tuple(
+        PositionEntry(label, coord, (AncestorPair(*pair),))
+        for (label, coord, _), pair in zip(positions, zip(*sides))))
 
 
 def append_ancestor_set(db: FingerprintDb, label: str, pair: AncestorPair) -> FingerprintDb:

@@ -28,6 +28,7 @@ from .errors import (
     LengthMismatchError,
     TraceParseError,
 )
+from .ioutil import read_lines
 
 AMPLITUDE_CSV = "amplitude-csv"
 IQ_CSV = "iq-csv"
@@ -60,20 +61,19 @@ class SubcarrierFilter:
 def load_filter(path) -> SubcarrierFilter:
     """Read a filter file: one 0-based index per line, '#' comments allowed."""
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                idx = int(text)
-            except ValueError:
-                raise ConfigError(f"{path}: line {lineno}: not an integer index: {text!r}") from None
-            if idx < 0:
-                raise ConfigError(f"{path}: line {lineno}: negative subcarrier index {idx}")
-            if idx in seen:
-                raise ConfigError(f"{path}: line {lineno}: duplicate subcarrier index {idx}")
-            seen.add(idx)
+    for lineno, line in enumerate(read_lines(path, ConfigError), 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            idx = int(text)
+        except ValueError:
+            raise ConfigError(f"{path}: line {lineno}: not an integer index: {text!r}") from None
+        if idx < 0:
+            raise ConfigError(f"{path}: line {lineno}: negative subcarrier index {idx}")
+        if idx in seen:
+            raise ConfigError(f"{path}: line {lineno}: duplicate subcarrier index {idx}")
+        seen.add(idx)
     return SubcarrierFilter(frozenset(seen))
 
 
@@ -87,7 +87,6 @@ class AmplitudeMatrix:
 
     data: np.ndarray
     subcarrier_mask: tuple
-    position_label: str | None = None
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -172,8 +171,7 @@ def load_trace(path, format: str = AMPLITUDE_CSV) -> np.ndarray:
     """
     if format not in TRACE_FORMATS:
         raise ConfigError(f"unknown trace format {format!r}; expected one of {TRACE_FORMATS}")
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = read_lines(path, TraceParseError)
     data = [text for text in map(str.strip, lines) if text and not text.startswith("#")]
     if not data:
         raise EmptyTraceError(f"{path}: no data rows")
@@ -218,8 +216,7 @@ def _trace_array(trace) -> np.ndarray:
         raise
 
 
-def build_matrix(trace, subcarrier_filter: SubcarrierFilter | None = None,
-                 position_label: str | None = None) -> AmplitudeMatrix:
+def build_matrix(trace, subcarrier_filter: SubcarrierFilter | None = None) -> AmplitudeMatrix:
     """Integer amplitude matrix with excluded raw columns removed.
 
     ``trace`` is a :func:`load_trace` array: (packets, subcarriers)
@@ -259,4 +256,4 @@ def build_matrix(trace, subcarrier_filter: SubcarrierFilter | None = None,
     if float(amplitudes.max()) >= 2.0**63:  # also catches an I/Q magnitude that overflows to inf
         raise DataDomainError("amplitudes must be below 2**63, the int64 bound")
     data = amplitudes.astype(np.int64)
-    return AmplitudeMatrix(data=data, subcarrier_mask=keep, position_label=position_label)
+    return AmplitudeMatrix(data=data, subcarrier_mask=keep)

@@ -1,4 +1,5 @@
-"""Atomic file writes: temp file in the target directory, then rename."""
+"""File access: atomic writes (temp file in the target directory, then
+rename) and UTF-8 line reads."""
 
 import os
 import tempfile
@@ -20,3 +21,12 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_lines(path, error: type) -> list[str]:
+    """Lines of a UTF-8 text file; undecodable bytes raise ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        raise error(f"{path}: not valid UTF-8 text") from None

@@ -128,11 +128,7 @@ def _dataset_from_profiles(cfg: SynthConfig, profiles: np.ndarray,
         data = _position_packets(cfg, profiles[p], np.random.default_rng(pos_seeds[p]))
         overflow += int((data >= 1024).sum())
         total += data.size
-        matrix = AmplitudeMatrix(
-            data=data,
-            subcarrier_mask=tuple(range(cfg.subcarriers)),
-            position_label=position_label(p),
-        )
+        matrix = AmplitudeMatrix(data=data, subcarrier_mask=tuple(range(cfg.subcarriers)))
         traces.append(LabeledTrace(matrix=matrix, true_label=position_label(p),
                                    true_coord=position_coord(p)))
     return SynthDataset(traces=tuple(traces), profiles=profiles,

@@ -147,6 +147,19 @@ class TestTrain:
                         "--out-db", tmp_path / "fp.db", "--filter-file", flt)
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("bad, code", [("manifest", 1), ("trace", 1), ("filter", 2)])
+    def test_file_that_is_not_utf8_is_named(self, runner, tmp_path, dataset, bad, code):
+        manifest = dataset / "train" / "manifest.csv"
+        flt = tmp_path / "filter.txt"
+        flt.write_text("0\n")
+        target = {"manifest": manifest, "trace": dataset / "train" / "p01.csv", "filter": flt}[bad]
+        target.write_bytes(target.read_bytes() + b"\xff\n")
+        result = runner.invoke(main, ["train", "--manifest", str(manifest), "--out-db",
+                                      str(tmp_path / "fp.db"), "--filter-file", str(flt)])
+        assert result.exit_code == code
+        assert str(target) in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_unreadable_trace_exits_1(self, runner, tmp_path):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("label,x,y,file\na,0,0,missing.csv\n")
@@ -288,7 +301,8 @@ class TestSweep:
                         "--fractions", "nonsense", "--out-csv", tmp_path / "s.csv")
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("fractions", ["nan:1:0.1", "0:1:nan", "0:inf:0.1", "0:1:1e-9"])
+    @pytest.mark.parametrize("fractions", ["nan:1:0.1", "0:1:nan", "0:inf:0.1", "0:1:1e-9",
+                                           "0:1000:0.000001", "0:1e300:0.1"])
     def test_non_finite_or_vanishing_range_exits_2(self, runner, tmp_path, dataset, fractions):
         out = tmp_path / "s.csv"
         result = invoke(runner, "sweep", "--manifest", dataset / "train" / "manifest.csv",

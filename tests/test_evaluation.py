@@ -1,6 +1,7 @@
 """Evaluation tests: indicators, sweeps, temporal study, raw baselines."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -35,12 +36,19 @@ from bicsi.evaluation import (
     temporal_to_csv,
     threshold_sweep,
 )
-from bicsi.fingerprint import build_db, windows
+from bicsi.fingerprint import (
+    append_ancestor_set,
+    build_db,
+    derive_ancestors,
+    fraction_to_micro,
+    threshold_count,
+    windows,
+)
 from bicsi.ingest import AmplitudeMatrix
 from bicsi.matcher import MatchResult
 from bicsi.similarity import MetricKind
 
-from conftest import gs, random_sequences
+from conftest import gs, random_sequences, reference_hamming
 
 
 def result(coord, label="x", index=0):
@@ -132,17 +140,45 @@ class TestThresholdSweep:
         with pytest.raises(EmptyInputError):
             threshold_sweep([[gs("01")]], [0.0])
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 6),
+           st.lists(st.integers(0, 1_200_000), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_pair_loop(self, seed, positions, k, micros):
+        rng = np.random.default_rng(seed)
+        sets_ = [list(biased_matrix(rng, int(rng.integers(1, 40)), k)) for _ in range(positions)]
+        fractions = [m / 1_000_000 for m in micros]
+        assert threshold_sweep(sets_, fractions) == pair_loop_sweep(sets_, fractions)
+
     def test_csv_layout(self):
         text = sweep_to_csv([(0.0, 8.0), (0.05, 3.5)])
         assert text.splitlines()[0] == "tr_fraction,mean_hamming"
         assert text.splitlines()[1] == "0,8"
 
 
+def biased_matrix(rng, rows: int, k: int) -> GeneMatrix:
+    """Random gene rows whose columns lean to 0 or 1 by a per-column odds,
+    so unanimous, decided and balanced columns all occur."""
+    bits = rng.random((rows, 2 * k)) < rng.random(2 * k)
+    return GeneMatrix(np.packbits(bits, axis=1), k)
+
+
+def pair_loop_sweep(training_sets, fractions) -> list:
+    """Threshold sweep by brute force: ancestors per position, then the two
+    sides' Hamming distances pair by pair, averaged over position pairs."""
+    rows = []
+    for fraction in fractions:
+        micro = fraction_to_micro(fraction)
+        pairs = [derive_ancestors(s, threshold_count(micro, len(s))) for s in training_sets]
+        totals = [reference_hamming(a.as1, b.as1) + reference_hamming(a.as2, b.as2)
+                  for a, b in combinations(pairs, 2)]
+        rows.append((float(fraction), sum(totals) / 2 / len(totals)))
+    return rows
+
+
 def noiseless_trace(rng, label, coord, packets, k):
     profile = rng.integers(50, 1000, size=k)
     data = np.tile(profile, (packets, 1)).astype(np.int64)
-    matrix = AmplitudeMatrix(data=data, subcarrier_mask=tuple(range(k)),
-                             position_label=label)
+    matrix = AmplitudeMatrix(data=data, subcarrier_mask=tuple(range(k)))
     return LabeledTrace(matrix=matrix, true_label=label, true_coord=coord)
 
 
@@ -285,8 +321,7 @@ def make_sessions(count, seed=0, drift=False):
             profile = base[label] + (rng.integers(-40, 41, size=8) if drift and s else 0)
             profile = np.clip(profile, 0, 1023)
             data = np.tile(profile, (240, 1)).astype(np.int64)
-            matrix = AmplitudeMatrix(data=data, subcarrier_mask=tuple(range(8)),
-                                     position_label=label)
+            matrix = AmplitudeMatrix(data=data, subcarrier_mask=tuple(range(8)))
             trace = LabeledTrace(matrix=matrix, true_label=label,
                                  true_coord=(float(i), 0.0))
             training.append(TrainingSet(label=label, coord=(float(i), 0.0),
@@ -295,6 +330,22 @@ def make_sessions(count, seed=0, drift=False):
         sessions.append(Session(training=tuple(training),
                                 test=LabeledWindows.from_traces(traces, 120)))
     return sessions
+
+
+def appended_temporal(sessions, fraction, kind) -> list:
+    """Temporal curve with each database built from scratch: build_db on the
+    first session, then append_ancestor_set per position per later session."""
+    micro = fraction_to_micro(fraction)
+    curve = []
+    for m in range(1, len(sessions)):
+        db = build_db([(t.label, t.coord, t.sequences) for t in sessions[0].training], fraction)
+        for session in sessions[1:m]:
+            for t in session.training:
+                pair = derive_ancestors(t.sequences, threshold_count(micro, len(t.sequences)))
+                db = append_ancestor_set(db, t.label, pair)
+        test = LabeledWindows.concat(session.test for session in sessions[m:])
+        curve.append((m, evaluate_windows(db, test, kind).accuracy))
+    return curve
 
 
 class TestTemporalEval:
@@ -319,6 +370,25 @@ class TestTemporalEval:
         with pytest.raises(SessionMismatchError,
                            match="session 3 lists different positions than session 1"):
             temporal_eval([sessions[0], sessions[1], bad])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 4),
+           st.integers(1, 5), st.sampled_from(list(MetricKind)), st.integers(0, 1_200_000))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_appended_database_reference(self, seed, count, positions, k, kind, micro):
+        rng = np.random.default_rng(seed)
+        labels = [f"p{i}" for i in range(positions)]
+        sessions = []
+        for _ in range(count):
+            training = [TrainingSet(label, (float(i), 0.0),
+                                    biased_matrix(rng, int(rng.integers(1, 30)), k))
+                        for i, label in enumerate(labels)]
+            truth = rng.integers(0, positions, size=int(rng.integers(1, 6)))
+            test = LabeledWindows(biased_matrix(rng, len(truth), k),
+                                  tuple(labels[i] for i in truth),
+                                  tuple((float(i), 0.0) for i in truth))
+            sessions.append(Session(training=training, test=test))
+        fraction = micro / 1_000_000
+        assert temporal_eval(sessions, fraction, kind) == appended_temporal(sessions, fraction, kind)
 
     def test_csv_layout(self):
         text = temporal_to_csv([(1, 0.85), (2, 0.91)])

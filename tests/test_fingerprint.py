@@ -89,6 +89,12 @@ class TestDeriveAncestors:
         assert pair.as1.bits().tolist() == [1] * 8
         assert pair.as2.bits().tolist() == [0] * 8
 
+    def test_threshold_past_int64_degenerates(self):
+        training = random_sequences(np.random.default_rng(0), 30, 4)
+        pair = derive_ancestors(training, tr=2**70)
+        assert pair.as1.bits().tolist() == [1] * 8
+        assert pair.as2.bits().tolist() == [0] * 8
+
     def test_empty_training(self):
         with pytest.raises(EmptyInputError):
             derive_ancestors([], tr=0)
@@ -211,6 +217,14 @@ class TestBuildDb:
     def test_empty_positions(self):
         with pytest.raises(EmptyInputError):
             build_db([])
+
+    def test_two_widths_name_the_position(self):
+        rng = np.random.default_rng(2)
+        positions = [("a", (0, 0), random_sequences(rng, 5, 4)),
+                     ("b", (1, 0), random_sequences(rng, 5, 6))]
+        with pytest.raises(LengthMismatchError,
+                           match="^position 'b': 12 bits"):
+            build_db(positions)
 
 
 class TestAppendAncestorSet:
