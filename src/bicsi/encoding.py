@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, LengthMismatchError
+from .ingest import AmplitudeMatrix
 
 ENCODER_OVERFLOW = 1024  # amplitudes at or above this encode as the all-zero code
 TEN_BITS = 10
@@ -25,10 +26,10 @@ TEN_BITS = 10
 TenBitCode = tuple[int, ...]
 TwoBitCode = tuple[int, int]
 
-# two-bit code (H << 1) | L of every amplitude below the cutoff, then one last
-# entry, the all-zero code that every amplitude at or above it collapses to
-_CODE2 = np.array([2 * (bin(v >> 5).count("1") >= 3) + (bin(v & 31).count("1") >= 3)
-                   for v in range(ENCODER_OVERFLOW)] + [0], dtype=np.uint8)
+# the (H, L) bits of every amplitude below the cutoff, then one last row, the
+# all-zero code that every amplitude at or above it collapses to
+_PAIR_BITS = np.array([(bin(v >> 5).count("1") >= 3, bin(v & 31).count("1") >= 3)
+                       for v in range(ENCODER_OVERFLOW)] + [(0, 0)], dtype=np.uint8)
 
 
 def _packed_bytes(subcarrier_count: int) -> int:
@@ -129,6 +130,17 @@ class GeneMatrix:
         return np.unpackbits(self.packed, axis=1, count=self.bit_length)
 
     @classmethod
+    def _from_bits(cls, bits: np.ndarray) -> "GeneMatrix":
+        """Pack a (rows, 2k) array, nonzero meaning 1, MSB first. np.packbits
+        zero-fills the padding, so the constructor's checks are skipped."""
+        packed = np.packbits(bits, axis=1)
+        packed.setflags(write=False)
+        gm = object.__new__(cls)
+        object.__setattr__(gm, "packed", packed)
+        object.__setattr__(gm, "subcarrier_count", bits.shape[1] // 2)
+        return gm
+
+    @classmethod
     def from_sequences(cls, seqs) -> "GeneMatrix":
         """Pack gene sequences of one length, in order; a GeneMatrix passes through."""
         if isinstance(seqs, cls):
@@ -177,19 +189,6 @@ def reencode2(code) -> TwoBitCode:
     return majority5(code[:5]), majority5(code[5:])
 
 
-def _two_bit_codes(amplitudes) -> np.ndarray:
-    """Vectorized encoder: integer array -> uint8 array of (H << 1) | L codes.
-
-    Equivalent to ``reencode2(encode10(a))`` per element.
-    """
-    a = np.asarray(amplitudes)
-    if not np.issubdtype(a.dtype, np.integer):
-        raise ValueError("amplitudes must have an integer dtype")
-    if a.size and int(a.min()) < 0:
-        raise ValueError("amplitudes must be non-negative")
-    return np.take(_CODE2, a, mode="clip")  # clipping sends overflow to the last entry
-
-
 def encode_row(amplitudes) -> GeneSequence:
     """Gene sequence for one packet row of integer amplitudes."""
     a = np.asarray(amplitudes)
@@ -203,20 +202,22 @@ def encode_row(amplitudes) -> GeneSequence:
 def encode_matrix(matrix) -> GeneMatrix:
     """Packed gene sequences of every packet row, in packet order.
 
-    Accepts an :class:`~bicsi.ingest.AmplitudeMatrix` or a 2-D integer array.
+    Accepts an :class:`~bicsi.ingest.AmplitudeMatrix`, whose constructor
+    already checked its data, or a 2-D array of non-negative integers.
     """
-    data = getattr(matrix, "data", matrix)
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise ValueError("expected a 2-D amplitude matrix")
-    if data.shape[1] == 0:
-        raise ValueError("matrix must have at least one subcarrier column")
+    if isinstance(matrix, AmplitudeMatrix):
+        data = matrix.data
+    else:
+        data = np.asarray(matrix)
+        if data.ndim != 2:
+            raise ValueError("expected a 2-D amplitude matrix")
+        if data.dtype.kind not in "iu":
+            raise ValueError("amplitudes must have an integer dtype")
+        if data.dtype.kind == "i" and data.size and int(data.min()) < 0:
+            raise ValueError("amplitudes must be non-negative")
     n, k = data.shape
-    # four two-bit codes per byte, MSB first; zero codes fill the last byte
-    quads = np.zeros((n, 4 * _packed_bytes(k)), dtype=np.uint8)
-    quads[:, :k] = _two_bit_codes(data)
-    # the little-endian word c0 | c1 << 8 | c2 << 16 | c3 << 24 of four codes,
-    # times 2^30 + 2^20 + 2^10 + 1, holds c0 << 6 | c1 << 4 | c2 << 2 | c3 in
-    # its top byte: the partial products below bit 24 neither overlap nor carry
-    words = quads.view("<u4")
-    return GeneMatrix(((words * np.uint32(0x40100401)) >> 24).astype(np.uint8), k)
+    if k == 0:
+        raise ValueError("matrix must have at least one subcarrier column")
+    # clipping sends every amplitude at or past the cutoff to the all-zero row
+    # (a uint64 past int64 wraps negative and clips to row 0, also all-zero)
+    return GeneMatrix._from_bits(np.take(_PAIR_BITS, data, axis=0, mode="clip").reshape(n, 2 * k))

@@ -184,6 +184,26 @@ def as_gene_matrix(seqs, empty_message: str) -> GeneMatrix:
     return GeneMatrix.from_sequences(seqs)
 
 
+def _column_counts(gm: GeneMatrix, size: int) -> np.ndarray:
+    """One-count of every bit column over consecutive groups of ``size`` rows,
+    the last group holding any rows left over: int64 ``(groups, bit_length)``.
+
+    Each unpacked bit is a byte lane of a uint64 word, so one word add counts
+    eight columns; a lane holds at most 255, so groups are summed 255 rows at
+    a time and the lanes widened between runs.
+    """
+    lanes = np.unpackbits(gm.packed, axis=1).view(np.uint64)
+    full = len(lanes) // size
+    counts = np.zeros((-(-len(lanes) // size), 8 * lanes.shape[1]), dtype=np.int64)
+    grouped = lanes[: full * size].reshape(full, size, lanes.shape[1])
+    for lo in range(0, size if full else 0, 255):
+        counts[:full] += grouped[:, lo:lo + 255].sum(axis=1).view(np.uint8)
+    tail = lanes[full * size:]
+    for lo in range(0, len(tail), 255):
+        counts[full] += tail[lo:lo + 255].sum(axis=0).view(np.uint8)
+    return counts[:, : gm.bit_length]
+
+
 def training_counts(named_sets) -> tuple:
     """Sizes ``(P,)`` and bit-column one-counts ``(P, 2k)`` of P training
     sets given as (name, sequences), each set packed once; an empty set or
@@ -195,7 +215,7 @@ def training_counts(named_sets) -> tuple:
             raise LengthMismatchError(
                 f"{name}: {gm.bit_length} bits, expected {sets[0][1].bit_length}")
     return (np.array([len(gm) for _, gm in sets], dtype=np.int64),
-            np.array([gm.bits().sum(axis=0, dtype=np.int64) for _, gm in sets]))
+            np.concatenate([_column_counts(gm, len(gm)) for _, gm in sets]))
 
 
 def ancestor_matrices(sizes, ones, trs) -> tuple:
@@ -212,8 +232,7 @@ def ancestor_matrices(sizes, ones, trs) -> tuple:
         raise ConfigError("threshold count must be non-negative")
     majority = 2 * ones >= sizes[:, None]
     decided = np.abs(sizes[:, None] - 2 * ones) >= trs
-    return tuple(GeneMatrix(np.packbits(bits, axis=1), ones.shape[1] // 2)
-                 for bits in (majority | ~decided, majority & decided))
+    return GeneMatrix._from_bits(majority | ~decided), GeneMatrix._from_bits(majority & decided)
 
 
 def derive_ancestors(training, tr: int) -> AncestorPair:
@@ -255,16 +274,9 @@ def windows(trace, size: int = DEFAULT_WINDOW_SIZE) -> GeneMatrix:
     """
     gm = GeneMatrix.from_sequences(trace)
     slices = window_slices(len(gm), size)
-    bits = gm.bits()
-    full = len(gm) // size
-    # int32 sums halve the reduction time; no window holds 2**30 packets
-    ones = bits[: full * size].reshape(full, size, gm.bit_length).sum(axis=1, dtype=np.int32)
-    counts = np.full(full, size)
-    if len(slices) > full:  # the kept short tail window
-        lo, hi = slices[-1]
-        ones = np.vstack([ones, bits[lo:hi].sum(axis=0, dtype=np.int32)])
-        counts = np.append(counts, hi - lo)
-    return GeneMatrix(np.packbits(2 * ones >= counts[:, None], axis=1), gm.subcarrier_count)
+    ones = _column_counts(gm, size)[: len(slices)]  # a short tail group may be dropped
+    lengths = np.array([hi - lo for lo, hi in slices], dtype=np.int64)
+    return GeneMatrix._from_bits(2 * ones >= lengths[:, None])
 
 
 def build_db(positions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) -> FingerprintDb:

@@ -77,12 +77,26 @@ def load_filter(path) -> SubcarrierFilter:
     return SubcarrierFilter(frozenset(seen))
 
 
+def _mask_tuple(entries) -> tuple:
+    """Mask entries as Python ints; an entry ``int()`` would truncate (0.7)
+    or parse ("3") raises ValueError naming it."""
+    mask = []
+    for i, entry in enumerate(entries):
+        try:
+            mask.append(operator.index(entry))
+        except TypeError:
+            raise ValueError(f"subcarrier_mask entry {i} is {entry!r}, not an integer") from None
+    return tuple(mask)
+
+
 @dataclass(frozen=True)
 class AmplitudeMatrix:
     """Integer CSI amplitudes, packets by retained subcarriers.
 
     ``subcarrier_mask`` lists the retained raw column indices in order, so
     the matrix remembers which physical subcarriers its columns came from.
+    ``data`` is checked once, here, and made read-only: ``encode_matrix``
+    trusts it, so do not write to an array it is a view of.
     """
 
     data: np.ndarray
@@ -92,11 +106,14 @@ class AmplitudeMatrix:
         data = np.asarray(self.data)
         if data.ndim != 2:
             raise ValueError("amplitude data must be 2-D (packets x subcarriers)")
-        if not np.issubdtype(data.dtype, np.integer):
+        if data.dtype.kind not in "iu":  # signed or unsigned integers; not bool
             raise ValueError("amplitude data must have an integer dtype")
-        if data.size and int(data.min()) < 0:
+        if data.dtype.kind == "i" and data.size and int(data.min()) < 0:
             raise DataDomainError("amplitudes must be non-negative")
-        mask = tuple(map(int, self.subcarrier_mask))
+        mask = self.subcarrier_mask
+        # a tuple of exact ints, what build_matrix makes, passes as it is
+        if type(mask) is not tuple or list(map(type, mask)).count(int) != len(mask):
+            mask = _mask_tuple(mask)
         if len(mask) != data.shape[1]:
             raise ValueError("subcarrier_mask length must equal the column count")
         data.setflags(write=False)
@@ -252,7 +269,8 @@ def build_matrix(trace, subcarrier_filter: SubcarrierFilter | None = None) -> Am
         if float(arr.min()) < 0:
             raise DataDomainError("negative amplitude")
         amplitudes = np.floor(arr)
-    amplitudes = amplitudes[:, keep]
+    if len(keep) < width:  # keeping every column needs no copy
+        amplitudes = amplitudes[:, keep]
     if float(amplitudes.max()) >= 2.0**63:  # also catches an I/Q magnitude that overflows to inf
         raise DataDomainError("amplitudes must be below 2**63, the int64 bound")
     data = amplitudes.astype(np.int64)

@@ -17,6 +17,7 @@ from bicsi.encoding import (
 )
 
 from bicsi.errors import EmptyInputError, LengthMismatchError
+from bicsi.ingest import AmplitudeMatrix
 
 from conftest import gs
 
@@ -171,6 +172,36 @@ class TestEncodeMatrix:
         m = np.arange(2048, dtype=np.int64).reshape(128, 16)
         m = m[m.max(axis=1) <= np.iinfo(dtype).max]
         assert np.array_equal(encode_matrix(m.astype(dtype)).packed, encode_matrix(m).packed)
+
+    @pytest.mark.parametrize("dtype", [
+        np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
+        ">i8", ">u2", "<u4"])
+    def test_amplitude_matrix_encodes_like_its_array(self, dtype):
+        top = int(np.iinfo(dtype).max)
+        values = [v for v in (0, 1023, 1024, 2**62) if v <= top] + [top]
+        a = np.array([values, values[::-1]], dtype=dtype)
+        trusted = encode_matrix(AmplitudeMatrix(a, range(len(values))))
+        assert np.array_equal(trusted.packed, encode_matrix(a).packed)
+        expected = [b for v in values for b in reencode2(encode10(v))]
+        assert trusted[0].bits().tolist() == expected
+
+    @pytest.mark.parametrize("raw", [
+        np.array([[3, -1]]),
+        np.array([[3.0, 1.0]]),
+        np.array([[True, False]]),
+    ])
+    def test_raw_array_checks_stay(self, raw):
+        with pytest.raises(ValueError):
+            encode_matrix(raw)
+
+    @pytest.mark.parametrize("k", [1, 3, 229, 230])
+    def test_read_only_with_zero_padding(self, k):
+        # 1023 encodes as (1, 1): every data bit is set, the padding is not
+        gm = encode_matrix(np.full((4, k), 1023, dtype=np.int64))
+        assert gm.packed.shape == (4, -(-2 * k // 8))
+        assert not gm.packed.flags.writeable
+        assert not (gm.packed[:, -1] & ((1 << (8 - 2 * k % 8)) - 1)).any()
+        assert np.array_equal(GeneMatrix(gm.packed.copy(), k).packed, gm.packed)
 
 
 class TestGeneMatrix:

@@ -30,6 +30,7 @@ from bicsi.fingerprint import (
     load_db,
     save_db,
     threshold_count,
+    training_counts,
     window_slices,
     windows,
 )
@@ -192,6 +193,34 @@ class TestWindows:
         slices = window_slices(250, 100)
         assert slices == [(0, 100), (100, 200), (200, 250)]
 
+    @pytest.mark.parametrize("count,size", [
+        (1500, 254),  # 5 windows and a kept tail of 230
+        (1275, 255),  # 5 windows of exactly one lane's capacity
+        (1400, 255),  # a dropped tail of 125
+        (1408, 256),  # a tail of 128, exactly half a window
+        (1500, 511),  # a kept tail of 478
+        (1200, 511),  # a dropped tail of 178
+        (1399, 700),  # one window and a kept tail of 699
+        (254, 255),   # only the tail window
+        (0, 700),     # a zero-row trace
+    ])
+    @pytest.mark.parametrize("k", [3, 37])
+    def test_lane_boundary_matches_column_majority(self, count, size, k):
+        # columns 0 and 1 are all ones and all zeros: a lane past 255 would wrap
+        bits = np.random.default_rng(count + size + k).integers(0, 2, (count, 2 * k), np.uint8)
+        bits[:, 0], bits[:, 1] = 1, 0
+        gm = GeneMatrix(np.packbits(bits, axis=1), k)
+        bounds = [(lo, lo + size) for lo in range(0, count - size + 1, size)]
+        tail = count - len(bounds) * size
+        if tail and 2 * tail >= size:
+            bounds.append((count - tail, count))
+        parents = windows(gm, size)
+        assert parents.packed.shape == (len(bounds), gm.packed.shape[1])
+        assert not parents.packed.flags.writeable
+        for row, (lo, hi) in enumerate(bounds):
+            ones = unpack_rows(gm[lo:hi]).sum(axis=0)
+            assert unpack_independently(parents[row]) == (2 * ones >= hi - lo).tolist()
+
 
 def small_db(k: int = 2) -> FingerprintDb:
     entries = (
@@ -199,6 +228,20 @@ def small_db(k: int = 2) -> FingerprintDb:
         PositionEntry("b", (1.0, 2.0), (AncestorPair(gs("11" * k), gs("10" * k)),)),
     )
     return FingerprintDb(subcarrier_count=k, threshold_micro=50000, entries=entries)
+
+
+class TestTrainingCounts:
+    def test_long_sets_match_unpacked_sums(self):
+        rng = np.random.default_rng(3)
+        sets = []
+        for count in (256, 1, 700, 255, 511):
+            bits = rng.integers(0, 2, (count, 10), np.uint8)
+            bits[:, 0], bits[:, 3] = 1, 0
+            sets.append(GeneMatrix(np.packbits(bits, axis=1), 5))
+        sizes, ones = training_counts((f"set {i}", gm) for i, gm in enumerate(sets))
+        assert sizes.tolist() == [256, 1, 700, 255, 511]
+        assert ones.dtype == np.int64
+        assert ones.tolist() == [unpack_rows(gm).sum(axis=0).tolist() for gm in sets]
 
 
 class TestBuildDb:

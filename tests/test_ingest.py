@@ -287,6 +287,17 @@ class TestAmplitudeMatrix:
         with pytest.raises(ValueError):
             AmplitudeMatrix(data=np.ones((1, 1)), subcarrier_mask=(0,))
 
+    @pytest.mark.parametrize("entry", [0.7, "3"])
+    def test_mask_entry_not_an_integer_is_named(self, entry):
+        with pytest.raises(ValueError, match=rf"^subcarrier_mask entry 1 is {entry!r}, not an"):
+            AmplitudeMatrix(data=np.zeros((1, 2), dtype=np.int64), subcarrier_mask=(4, entry))
+
+    def test_numpy_mask_entries_become_ints(self):
+        mask = np.array([4, 7], dtype=np.int64)
+        matrix = AmplitudeMatrix(data=np.zeros((1, 2), dtype=np.int64), subcarrier_mask=mask)
+        assert matrix.subcarrier_mask == (4, 7)
+        assert [type(i) for i in matrix.subcarrier_mask] == [int, int]
+
     def test_data_read_only(self):
         matrix = build_matrix(amp_rows([[1, 2]]))
         with pytest.raises(ValueError):
