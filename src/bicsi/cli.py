@@ -305,6 +305,9 @@ def sweep(manifest, fractions, out_csv, filter_file, fmt):
 def compare_metrics(db_path, manifest, metrics, out_json, window, filter_file, fmt):
     """Evaluate the same windows under several metrics side by side."""
     kinds = [MetricKind.parse(name) for name in metrics.split(",") if name.strip()]
+    if not kinds:
+        raise ConfigError(f"--metrics {metrics!r} names no metric; "
+                          f"valid metrics: {', '.join(METRIC_NAMES)}")
     db = load_db(db_path)
     traces = _load_labeled_traces(manifest, fmt, _filter_from(filter_file))
     labeled = LabeledWindows.from_traces(traces, window)

@@ -98,7 +98,7 @@ class GeneMatrix:
     def __post_init__(self):
         if self.subcarrier_count < 1:
             raise ValueError("subcarrier_count must be >= 1")
-        packed = np.asarray(self.packed)
+        packed = np.asarray(self.packed).view()  # a view: the caller's array stays writable
         if packed.dtype != np.uint8 or packed.ndim != 2:
             raise ValueError("packed rows must be a 2-D uint8 array")
         expected = _packed_bytes(self.subcarrier_count)

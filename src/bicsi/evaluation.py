@@ -28,6 +28,7 @@ from .fingerprint import (
     ancestor_matrices,
     as_gene_matrix,
     build_db,
+    finite_coord,
     fraction_to_micro,
     threshold_count,
     training_counts,
@@ -48,10 +49,8 @@ class LabeledTrace:
     true_coord: tuple
 
     def __post_init__(self):
-        coord = (float(self.true_coord[0]), float(self.true_coord[1]))
-        if not all(math.isfinite(c) for c in coord):
-            raise ValueError(f"trace {self.true_label!r}: coordinates must be finite")
-        object.__setattr__(self, "true_coord", coord)
+        object.__setattr__(self, "true_coord",
+                           finite_coord(self.true_coord, f"trace {self.true_label!r}"))
 
 
 @dataclass(frozen=True)
@@ -104,18 +103,23 @@ def _aligned(results, truths, what: str) -> tuple:
     return results, truths
 
 
-def mae(results, truths) -> float:
-    """Mean absolute coordinate error in meters.
+def _coord_errors(predicted, truths) -> tuple:
+    """Per-window |dx| + |dy| in meters, and the MAE: their sum in window
+    order over 2n, covering the horizontal and vertical components.
 
-    Per point the absolute x and y gaps are summed; the grand total is
-    divided by 2n, covering the horizontal and vertical components.
+    ``np.cumsum`` adds strictly left to right; ``np.sum`` (pairwise) or a
+    compensated sum would change the last bit.
     """
+    gap = np.abs(np.asarray(predicted, dtype=float) - np.asarray(truths, dtype=float))
+    err = gap[:, 0] + gap[:, 1]
+    return err, float(np.cumsum(err)[-1]) / (2 * len(err))
+
+
+def mae(results, truths) -> float:
+    """Mean absolute coordinate error in meters: the window-order sum of
+    |dx| + |dy| over 2n, the rule every report uses."""
     results, truths = _aligned(results, truths, "mae")
-    total = 0.0
-    for res, (tx, ty) in zip(results, truths):
-        px, py = res.predicted_coord
-        total += abs(px - tx) + abs(py - ty)
-    return total / (2 * len(results))
+    return _coord_errors([res.predicted_coord for res in results], truths)[1]
 
 
 def accuracy(results, truths) -> float:
@@ -162,48 +166,32 @@ class EvalReport:
         }
 
 
-def _assemble_report(metric: MetricKind, db_labels, predicted_labels, predicted_coords,
-                     true_labels, true_coords) -> EvalReport:
-    n = len(true_labels)
-    index = {label: i for i, label in enumerate(db_labels)}
-    unknown = sorted(set(true_labels) - set(db_labels))
+def _assemble_report(metric: MetricKind, labels, coords, predicted, truth) -> EvalReport:
+    """Fold predicted entry indices into a report. ``labels`` and ``coords``
+    are the database's, in entry order; ``truth`` (labeled windows or a raw
+    window set) holds a label and a coordinate per prediction. The confusion
+    matrix is the only count."""
+    index = {label: i for i, label in enumerate(labels)}
+    unknown = sorted(set(truth.labels) - index.keys())
     if unknown:
         raise UnknownLabelError(f"test labels not present in the database: {unknown}")
-
-    confusion = [[0] * len(db_labels) for _ in db_labels]
-    pos_n = [0] * len(db_labels)
-    pos_correct = [0] * len(db_labels)
-    pos_err = [0.0] * len(db_labels)
-    total_err = 0.0
-    total_correct = 0
-    for plabel, pcoord, tlabel, tcoord in zip(
-        predicted_labels, predicted_coords, true_labels, true_coords
-    ):
-        ti = index[tlabel]
-        confusion[ti][index[plabel]] += 1
-        err = abs(pcoord[0] - tcoord[0]) + abs(pcoord[1] - tcoord[1])
-        pos_n[ti] += 1
-        pos_err[ti] += err
-        total_err += err
-        if plabel == tlabel:
-            pos_correct[ti] += 1
-            total_correct += 1
-    breakdown = tuple(
-        PositionBreakdown(
-            label=label,
-            n=pos_n[i],
-            correct=pos_correct[i],
-            mae_m=pos_err[i] / (2 * pos_n[i]) if pos_n[i] else 0.0,
-        )
-        for i, label in enumerate(db_labels)
-    )
+    true_idx = np.array([index[label] for label in truth.labels], dtype=np.intp)
+    predicted = np.asarray(predicted, dtype=np.intp)
+    err, mae_m = _coord_errors(np.asarray(coords, dtype=float)[predicted], truth.coords)
+    p = len(labels)
+    confusion = np.bincount(true_idx * p + predicted, minlength=p * p).reshape(p, p)
+    pos_n, correct = confusion.sum(axis=1).tolist(), confusion.diagonal().tolist()
+    # bincount adds each position's errors in window order, like the total
+    pos_err = np.bincount(true_idx, weights=err, minlength=p).tolist()
     return EvalReport(
         metric=metric,
-        n=n,
-        mae_m=total_err / (2 * n),
-        accuracy=total_correct / n,
-        per_position=breakdown,
-        confusion=tuple(tuple(row) for row in confusion),
+        n=len(true_idx),
+        mae_m=mae_m,
+        accuracy=sum(correct) / len(true_idx),
+        per_position=tuple(
+            PositionBreakdown(label, n, c, e / (2 * n) if n else 0.0)
+            for label, n, c, e in zip(labels, pos_n, correct, pos_err)),
+        confusion=tuple(map(tuple, confusion.tolist())),
     )
 
 
@@ -212,15 +200,10 @@ def evaluate_windows(db: FingerprintDb, labeled: LabeledWindows,
     """Match every labeled window and fold the outcomes into a report."""
     if not labeled.parents:
         raise EmptyInputError("no test windows to evaluate")
-    results = match_trace(labeled.parents, db, kind)
-    return _assemble_report(
-        metric=kind,
-        db_labels=[e.label for e in db.entries],
-        predicted_labels=[r.predicted_label for r in results],
-        predicted_coords=[r.predicted_coord for r in results],
-        true_labels=list(labeled.labels),
-        true_coords=list(labeled.coords),
-    )
+    index = {e.label: i for i, e in enumerate(db.entries)}
+    predicted = [index[r.predicted_label] for r in match_trace(labeled.parents, db, kind)]
+    return _assemble_report(kind, list(index), [e.coord for e in db.entries],
+                            predicted, labeled)
 
 
 def metric_comparison(db: FingerprintDb, labeled: LabeledWindows, kinds) -> list[EvalReport]:
@@ -315,9 +298,9 @@ def temporal_eval(sessions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTI
 
 def _freeze_means(obj, rows: str) -> None:
     """Normalize a frozen raw-vector record in place: ``means`` becomes a
-    read-only (``rows``, subcarriers) float array aligned with ``labels``
-    and ``coords``."""
-    means = np.asarray(obj.means, dtype=float)
+    read-only (``rows``, subcarriers) float view aligned with ``labels``
+    and ``coords``, each coordinate a finite (x, y) pair."""
+    means = np.asarray(obj.means, dtype=float).view()  # a view: the caller's array stays writable
     if means.ndim != 2 or means.shape[0] != len(obj.labels):
         raise ValueError(f"means must be a ({rows}, subcarriers) array")
     if len(obj.coords) != len(obj.labels):
@@ -325,12 +308,13 @@ def _freeze_means(obj, rows: str) -> None:
     means.setflags(write=False)
     object.__setattr__(obj, "means", means)
     object.__setattr__(obj, "labels", tuple(obj.labels))
-    object.__setattr__(obj, "coords", tuple(tuple(map(float, c)) for c in obj.coords))
+    object.__setattr__(obj, "coords", tuple(finite_coord(c, f"{rows[:-1]} {i}")
+                                            for i, c in enumerate(obj.coords)))
 
 
 @dataclass(frozen=True)
 class RawBaselineDb:
-    """Per-position mean raw amplitude vectors (no binary encoding)."""
+    """Per-position mean raw amplitude vectors (no binary encoding), one per label."""
 
     labels: tuple
     coords: tuple
@@ -338,6 +322,8 @@ class RawBaselineDb:
 
     def __post_init__(self):
         _freeze_means(self, "positions")
+        if len(set(self.labels)) < len(self.labels):
+            raise ValueError("position labels must be unique")
 
     @classmethod
     def from_traces(cls, traces) -> "RawBaselineDb":
@@ -412,9 +398,10 @@ def raw_baseline(db: RawBaselineDb, window_set: RawWindowSet,
         raise LengthMismatchError(
             f"vector lengths differ: db {db.means.shape[1]}, windows {window_set.means.shape[1]}"
         )
+    if not window_set.labels:
+        raise EmptyInputError("no test windows to evaluate")
     sim = _cosine_real if kind is MetricKind.COSINE else _pearson_real
-    predicted_labels = []
-    predicted_coords = []
+    predicted = []
     for row in window_set.means:
         best_idx = 0
         best_sim = -math.inf
@@ -423,16 +410,8 @@ def raw_baseline(db: RawBaselineDb, window_set: RawWindowSet,
             if s > best_sim:
                 best_sim = s
                 best_idx = i
-        predicted_labels.append(db.labels[best_idx])
-        predicted_coords.append(db.coords[best_idx])
-    return _assemble_report(
-        metric=kind,
-        db_labels=list(db.labels),
-        predicted_labels=predicted_labels,
-        predicted_coords=predicted_coords,
-        true_labels=list(window_set.labels),
-        true_coords=list(window_set.coords),
-    )
+        predicted.append(best_idx)
+    return _assemble_report(kind, db.labels, db.coords, predicted, window_set)
 
 
 def report_to_json(report: EvalReport) -> str:

@@ -58,6 +58,18 @@ def fraction_to_micro(fraction: float) -> int:
     return int(micro)
 
 
+def finite_coord(coord, owner: str) -> tuple:
+    """``coord`` as an (x, y) pair of finite floats; a ValueError names ``owner``."""
+    try:
+        x, y = coord
+    except (TypeError, ValueError):
+        raise ValueError(f"{owner}: coordinates must be an (x, y) pair") from None
+    coord = (float(x), float(y))
+    if not all(map(math.isfinite, coord)):
+        raise ValueError(f"{owner}: coordinates must be finite")
+    return coord
+
+
 def threshold_count(micro: int, training_count: int) -> int:
     """Materialize a micro-unit fraction as a count: ceil(fraction * n).
 
@@ -100,9 +112,7 @@ class PositionEntry:
     ancestor_sets: tuple
 
     def __post_init__(self):
-        coord = (float(self.coord[0]), float(self.coord[1]))
-        if not all(math.isfinite(c) for c in coord):
-            raise ValueError(f"position {self.label!r}: coordinates must be finite")
+        coord = finite_coord(self.coord, f"position {self.label!r}")
         sets = tuple(self.ancestor_sets)
         if not sets:
             raise ValueError(f"position {self.label!r}: needs at least one ancestor set")

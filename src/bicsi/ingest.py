@@ -95,15 +95,16 @@ class AmplitudeMatrix:
 
     ``subcarrier_mask`` lists the retained raw column indices in order, so
     the matrix remembers which physical subcarriers its columns came from.
-    ``data`` is checked once, here, and made read-only: ``encode_matrix``
-    trusts it, so do not write to an array it is a view of.
+    ``data`` is checked once, here, and kept as a read-only view; the
+    caller's array stays writable. ``encode_matrix`` trusts the checks, so
+    do not write to the array it views.
     """
 
     data: np.ndarray
     subcarrier_mask: tuple
 
     def __post_init__(self):
-        data = np.asarray(self.data)
+        data = np.asarray(self.data).view()  # a view: the caller's array stays writable
         if data.ndim != 2:
             raise ValueError("amplitude data must be 2-D (packets x subcarriers)")
         if data.dtype.kind not in "iu":  # signed or unsigned integers; not bool

@@ -67,7 +67,7 @@ class SynthDataset:
     overflow_fraction: float  # share of amplitudes at or past the encoder cutoff
 
     def __post_init__(self):
-        profiles = np.asarray(self.profiles, dtype=float)
+        profiles = np.asarray(self.profiles, dtype=float).view()  # the caller's stays writable
         profiles.setflags(write=False)
         object.__setattr__(self, "profiles", profiles)
         object.__setattr__(self, "traces", tuple(self.traces))
@@ -89,16 +89,9 @@ def _draw_profiles(cfg: SynthConfig, rng: "np.random.Generator") -> np.ndarray:
         # bin-centered means: floor(profile + noise) only moves once the
         # noise magnitude exceeds half an amplitude unit
         profiles = rng.integers(lo, hi + 1, size=(cfg.positions, cfg.subcarriers)) + 0.5
-        ok = True
-        for i in range(cfg.positions):
-            for j in range(i + 1, cfg.positions):
-                separated = np.abs(profiles[i] - profiles[j]) >= cfg.profile_separation
-                if int(separated.sum()) < need:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        # every pair (i, j > i) separated on at least ``need`` subcarriers
+        if all(((np.abs(profiles[i + 1:] - profiles[i]) >= cfg.profile_separation).sum(axis=1)
+                >= need).all() for i in range(cfg.positions)):
             return profiles
     raise ConfigError(
         "could not draw position profiles meeting the separation requirement; "

@@ -1,5 +1,6 @@
-"""Shared test helpers: bit-literal sequences, hypothesis strategies and
-per-pair reference measures computed without the library's count kernel."""
+"""Shared test helpers: bit-literal sequences, hypothesis strategies,
+per-pair reference measures computed without the library's count kernel and
+a per-window reference report fold."""
 
 import math
 
@@ -7,6 +8,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from bicsi.encoding import GeneSequence
+from bicsi.errors import UnknownLabelError
+from bicsi.evaluation import EvalReport, PositionBreakdown
 from bicsi.similarity import MetricKind
 
 
@@ -141,3 +144,50 @@ def random_sequences(rng: np.random.Generator, count: int, k: int) -> list:
     """Seeded batch of random gene sequences (test fixture helper)."""
     bits = rng.integers(0, 2, size=(count, 2 * k), dtype=np.uint8)
     return [GeneSequence.from_bits(row) for row in bits]
+
+
+def reference_report(metric, db_labels, predicted_labels, predicted_coords,
+                     true_labels, true_coords) -> EvalReport:
+    """Report by one Python pass over the windows with a counter per figure:
+    the fold the library replaced by array counts, kept as its reference."""
+    n = len(true_labels)
+    index = {label: i for i, label in enumerate(db_labels)}
+    unknown = sorted(set(true_labels) - set(db_labels))
+    if unknown:
+        raise UnknownLabelError(f"test labels not present in the database: {unknown}")
+
+    confusion = [[0] * len(db_labels) for _ in db_labels]
+    pos_n = [0] * len(db_labels)
+    pos_correct = [0] * len(db_labels)
+    pos_err = [0.0] * len(db_labels)
+    total_err = 0.0
+    total_correct = 0
+    for plabel, pcoord, tlabel, tcoord in zip(
+        predicted_labels, predicted_coords, true_labels, true_coords
+    ):
+        ti = index[tlabel]
+        confusion[ti][index[plabel]] += 1
+        err = abs(pcoord[0] - tcoord[0]) + abs(pcoord[1] - tcoord[1])
+        pos_n[ti] += 1
+        pos_err[ti] += err
+        total_err += err
+        if plabel == tlabel:
+            pos_correct[ti] += 1
+            total_correct += 1
+    breakdown = tuple(
+        PositionBreakdown(
+            label=label,
+            n=pos_n[i],
+            correct=pos_correct[i],
+            mae_m=pos_err[i] / (2 * pos_n[i]) if pos_n[i] else 0.0,
+        )
+        for i, label in enumerate(db_labels)
+    )
+    return EvalReport(
+        metric=metric,
+        n=n,
+        mae_m=total_err / (2 * n),
+        accuracy=total_correct / n,
+        per_position=breakdown,
+        confusion=tuple(tuple(row) for row in confusion),
+    )

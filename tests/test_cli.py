@@ -343,6 +343,16 @@ class TestCompareMetrics:
         assert result.exit_code == 0
         assert len(json.loads(out.read_text())) == 2
 
+    @pytest.mark.parametrize("metrics", ["", ",", " , "])
+    def test_empty_metric_list_exits_2_before_reading(self, runner, tmp_path, trained, metrics):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("label,x,y,file\np01,0,0,missing.csv\n")
+        result = invoke(runner, "compare-metrics", "--db", trained, "--manifest", manifest,
+                        "--metrics", metrics, "--out-json", tmp_path / "c.json")
+        assert result.exit_code == 2
+        assert "--metrics" in result.output and "names no metric" in result.output
+        assert not (tmp_path / "c.json").exists()
+
     def test_unknown_metric_exits_2(self, runner, tmp_path, dataset, trained):
         result = invoke(runner, "compare-metrics", "--db", trained, "--manifest",
                         dataset / "test" / "manifest.csv",

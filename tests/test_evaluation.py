@@ -23,6 +23,8 @@ from bicsi.evaluation import (
     RawWindowSet,
     Session,
     TrainingSet,
+    _cosine_real,
+    _pearson_real,
     accuracy,
     evaluate_windows,
     format_comparison_table,
@@ -45,10 +47,10 @@ from bicsi.fingerprint import (
     windows,
 )
 from bicsi.ingest import AmplitudeMatrix
-from bicsi.matcher import MatchResult
+from bicsi.matcher import MatchResult, match_trace
 from bicsi.similarity import MetricKind
 
-from conftest import gs, random_sequences, reference_hamming
+from conftest import gs, random_sequences, reference_hamming, reference_report
 
 
 def result(coord, label="x", index=0):
@@ -240,6 +242,74 @@ class TestEvaluateWindows:
         report = evaluate_windows(db, LabeledWindows.from_traces(traces, 120))
         assert "accuracy" in format_report_table(report)
         assert "metric" in format_comparison_table([report])
+
+
+def random_coords(rng, count) -> list:
+    """Coordinates over seven magnitudes, so the order of a float sum shows."""
+    scale = 10.0 ** rng.integers(-3, 4, size=(count, 1))
+    return [tuple(row) for row in (rng.normal(size=(count, 2)) * scale).tolist()]
+
+
+def first_best(sims) -> int:
+    """Index of the highest similarity, the lowest index on a tie."""
+    best = 0
+    for i, s in enumerate(sims):
+        if s > sims[best]:
+            best = i
+    return best
+
+
+class TestReportFold:
+    """Every report equals the per-window reference fold, field by field."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5),
+           st.integers(1, 40), st.sampled_from(list(MetricKind)))
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_windows_equals_reference(self, seed, positions, k, count, kind):
+        rng = np.random.default_rng(seed)
+        labels = [f"p{i}" for i in range(positions)]
+        db = build_db([(label, coord, biased_matrix(rng, int(rng.integers(1, 30)), k))
+                       for label, coord in zip(labels, random_coords(rng, positions))])
+        truth = rng.integers(0, positions, size=count)
+        test = LabeledWindows(biased_matrix(rng, count, k), tuple(labels[i] for i in truth),
+                              tuple(random_coords(rng, count)))
+        report = evaluate_windows(db, test, kind)
+        results = match_trace(test.parents, db, kind)
+        assert report == reference_report(
+            kind, labels, [r.predicted_label for r in results],
+            [r.predicted_coord for r in results], test.labels, test.coords)
+        assert report.mae_m == mae(results, test.coords)
+        assert report.accuracy == accuracy(results, test.labels)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
+           st.integers(1, 40), st.sampled_from([MetricKind.COSINE, MetricKind.PEARSON]))
+    @settings(max_examples=60, deadline=None)
+    def test_raw_baseline_equals_reference(self, seed, positions, k, count, kind):
+        rng = np.random.default_rng(seed)
+        labels = [f"p{i}" for i in range(positions)]
+        # few distinct values: tied candidates and constant vectors occur
+        step = float(rng.choice([1.0, 0.1]))
+        db = RawBaselineDb(labels, random_coords(rng, positions),
+                           rng.integers(0, 3, size=(positions, k)) * step)
+        truth = rng.integers(0, positions, size=count)
+        ws = RawWindowSet(rng.integers(0, 3, size=(count, k)) * step,
+                          tuple(labels[i] for i in truth), random_coords(rng, count))
+        sim = _cosine_real if kind is MetricKind.COSINE else _pearson_real
+        best = [first_best([sim(m, row) for m in db.means]) for row in ws.means]
+        assert raw_baseline(db, ws, kind) == reference_report(
+            kind, labels, [db.labels[i] for i in best], [db.coords[i] for i in best],
+            ws.labels, ws.coords)
+
+    def test_mae_sums_in_window_order(self):
+        # 1.0 + 2**-53 rounds back to 1.0 at every step; a pairwise or
+        # compensated sum keeps some of the 200 small errors
+        pattern = gs("0110")
+        db = build_db([("p", (0.0, 0.0), [pattern] * 3)])
+        coords = ((1.0, 0.0),) + ((2.0 ** -53, 0.0),) * 200
+        test = LabeledWindows((pattern,) * 201, ("p",) * 201, coords)
+        report = evaluate_windows(db, test)
+        assert report.mae_m == report.per_position[0].mae_m == 1.0 / 402
+        assert mae(match_trace(test.parents, db), coords) == 1.0 / 402
 
 
 class TestLabeledWindows:
@@ -457,6 +527,33 @@ class TestRawBaseline:
         ws = RawWindowSet(means=[[1, 2]], labels=["p1"], coords=[(0, 1)])
         assert (ws.labels, ws.coords, ws.means.dtype) == (("p1",), ((0.0, 1.0),), np.float64)
         assert not ws.means.flags.writeable
+
+    @pytest.mark.parametrize("coord", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_non_finite_coordinate_rejected(self, coord):
+        with pytest.raises(ValueError, match=r"^position 1: coordinates must be finite$"):
+            RawBaselineDb(labels=("p1", "p2"), coords=((0, 0), coord), means=np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"^window 0: coordinates must be finite$"):
+            RawWindowSet(means=np.ones((1, 2)), labels=("p1",), coords=(coord,))
+
+    @pytest.mark.parametrize("coord", [(0, 0, 9), (1,), 5])
+    def test_coordinate_not_a_pair_rejected(self, coord):
+        with pytest.raises(ValueError, match=r"^window 1: coordinates must be an \(x, y\) pair$"):
+            RawWindowSet(means=np.ones((2, 2)), labels=("p1", "p1"), coords=((0, 0), coord))
+        with pytest.raises(ValueError, match=r"^position 0: coordinates must be an"):
+            RawBaselineDb(labels=("p1",), coords=(coord,), means=np.ones((1, 2)))
+        with pytest.raises(ValueError, match=r"^trace 'p1': coordinates must be an"):
+            LabeledTrace(AmplitudeMatrix(np.ones((1, 2), dtype=np.int64), (0, 1)), "p1", coord)
+
+    def test_repeated_position_label_rejected(self):
+        with pytest.raises(ValueError, match="^position labels must be unique$"):
+            RawBaselineDb(labels=("p1", "p1"), coords=((0, 0), (1, 0)), means=np.ones((2, 2)))
+
+    def test_no_windows_is_empty_input(self):
+        db = RawBaselineDb(labels=("p1",), coords=((0, 0),), means=np.ones((1, 2)))
+        windows = RawWindowSet(means=np.ones((0, 2)), labels=(), coords=())
+        for kind in (MetricKind.COSINE, MetricKind.PEARSON):
+            with pytest.raises(EmptyInputError, match="^no test windows to evaluate$"):
+                raw_baseline(db, windows, kind)
 
     def test_baseline_db_from_traces(self):
         traces = make_fixture(seed=20, positions=2, packets=60, k=4)

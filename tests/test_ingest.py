@@ -16,6 +16,8 @@ from bicsi.errors import (
     LengthMismatchError,
     TraceParseError,
 )
+from bicsi.encoding import GeneMatrix
+from bicsi.evaluation import RawBaselineDb, RawWindowSet
 from bicsi.ingest import (
     AMPLITUDE_CSV,
     IQ_CSV,
@@ -27,6 +29,7 @@ from bicsi.ingest import (
     load_filter,
     load_trace,
 )
+from bicsi.synth import SynthDataset
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
                           min_value=-1e150, max_value=1e150)
@@ -302,6 +305,28 @@ class TestAmplitudeMatrix:
         matrix = build_matrix(amp_rows([[1, 2]]))
         with pytest.raises(ValueError):
             matrix.data[0, 0] = 5
+
+
+FROZEN_ARRAY_OWNERS = {
+    "AmplitudeMatrix": (lambda a: AmplitudeMatrix(a, (0, 1)), "data", np.int64),
+    "GeneMatrix": (lambda a: GeneMatrix(a, 1), "packed", np.uint8),
+    "RawBaselineDb": (lambda a: RawBaselineDb(("p", "q"), ((0, 0), (1, 0)), a),
+                      "means", np.float64),
+    "RawWindowSet": (lambda a: RawWindowSet(a, ("p", "q"), ((0, 0), (1, 0))),
+                     "means", np.float64),
+    "SynthDataset": (lambda a: SynthDataset((), a, 0.0), "profiles", np.float64),
+}
+
+
+@pytest.mark.parametrize("owner", sorted(FROZEN_ARRAY_OWNERS))
+def test_constructor_leaves_the_callers_array_writable(owner):
+    make, field, dtype = FROZEN_ARRAY_OWNERS[owner]
+    shape = (2, 1) if owner == "GeneMatrix" else (2, 2)
+    caller = np.zeros(shape, dtype=dtype)
+    held = getattr(make(caller), field)
+    assert not held.flags.writeable
+    assert caller.flags.writeable
+    caller[0, 0] = 3  # the caller may still write its own array
 
 
 class TestSubcarrierFilter:
