@@ -42,10 +42,7 @@ from .evaluation import (
     threshold_sweep,
 )
 from .fingerprint import (
-    AncestorPair,
     FingerprintDb,
-    PositionEntry,
-    append_ancestor_set,
     build_db,
     derive_ancestors,
     derive_parent,

@@ -138,20 +138,21 @@ def _parse_fraction_range(text: str):
     """Expand "start:stop:step" (inclusive) or a single fraction literal."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError
-        start, stop, step = (float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(
             f"bad fraction range {text!r}; expected start:stop:step, e.g. 0:1:0.05"
         ) from None
-    # the integer micro-unit grid (no float drift) is checked before it is built
+    # a literal, or the integer micro-unit grid (no float drift), is checked before use
     try:
-        start, stop, step = map(fraction_to_micro, (start, stop, step))
+        micros = [fraction_to_micro(v) for v in values]
     except ConfigError as exc:
         raise ConfigError(f"bad fraction range {text!r}: {exc}") from None
+    if len(values) == 1:
+        return values
+    start, stop, step = micros
     if start > stop or step == 0:
         raise ConfigError(f"bad fraction range {text!r}: need start <= stop, step >= 1e-6")
     grid = range(start, stop + 1, step)
@@ -194,6 +195,7 @@ def main():
 @_friendly
 def train(manifest, out_db, threshold_fraction, filter_file, fmt):
     """Derive per-position fingerprints and write the database."""
+    fraction_to_micro(threshold_fraction)  # a bad fraction fails before any trace is read
     flt = _filter_from(filter_file)
     positions = []
     for label, coord, matrix in _load_traces(manifest, fmt, flt, unique_labels=True):
@@ -331,6 +333,7 @@ def compare_metrics(db_path, manifest, metrics, out_json, window, filter_file, f
 @_friendly
 def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, filter_file, fmt):
     """Accuracy versus the number of training sessions' ancestor sets."""
+    fraction_to_micro(threshold_fraction)  # a bad fraction fails before any trace is read
     flt = _filter_from(filter_file)
     session_dirs = sorted(
         d for d in Path(sessions_dir).iterdir()
@@ -396,8 +399,9 @@ def synth(out_dir, positions, subcarriers, train_packets, test_packets, amplitud
     if sessions == 1:
         datasets = {None: generate(cfg)}
     else:
+        width = max(2, len(str(sessions)))  # names sort in session order
         datasets = {
-            f"session_{i + 1:02d}": ds
+            f"session_{i + 1:0{width}d}": ds
             for i, ds in enumerate(drift_sessions(cfg, sessions))
         }
     for name, dataset in datasets.items():

@@ -89,7 +89,8 @@ class GeneMatrix:
     ``packed`` has shape (packets, ceil(2k / 8)), dtype ``uint8``; each row
     is laid out exactly like :attr:`GeneSequence.packed`, padding included.
     Indexing with an integer gives that row's :class:`GeneSequence`; slicing
-    gives a :class:`GeneMatrix` view.
+    gives a :class:`GeneMatrix` view. Two are equal when they have the same
+    subcarrier count and the same packed bytes.
     """
 
     packed: np.ndarray
@@ -118,6 +119,12 @@ class GeneMatrix:
 
     def __len__(self) -> int:
         return len(self.packed)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GeneMatrix):
+            return NotImplemented
+        return (self.subcarrier_count == other.subcarrier_count
+                and np.array_equal(self.packed, other.packed))
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -64,6 +64,8 @@ class LabeledWindows:
 
     def __post_init__(self):
         object.__setattr__(self, "parents", GeneMatrix.from_sequences(self.parents))
+        object.__setattr__(self, "coords", tuple(finite_coord(c, f"window {i}")
+                                                 for i, c in enumerate(self.coords)))
         if not (len(self.parents) == len(self.labels) == len(self.coords)):
             raise LengthMismatchError("parents, labels and coords must align")
 
@@ -200,10 +202,9 @@ def evaluate_windows(db: FingerprintDb, labeled: LabeledWindows,
     """Match every labeled window and fold the outcomes into a report."""
     if not labeled.parents:
         raise EmptyInputError("no test windows to evaluate")
-    index = {e.label: i for i, e in enumerate(db.entries)}
+    index = {label: i for i, label in enumerate(db.labels)}
     predicted = [index[r.predicted_label] for r in match_trace(labeled.parents, db, kind)]
-    return _assemble_report(kind, list(index), [e.coord for e in db.entries],
-                            predicted, labeled)
+    return _assemble_report(kind, db.labels, db.coords, predicted, labeled)
 
 
 def metric_comparison(db: FingerprintDb, labeled: LabeledWindows, kinds) -> list[EvalReport]:
@@ -287,12 +288,18 @@ def temporal_eval(sessions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTI
     # one database per training session; the one for m joins the first m per entry
     dbs = [build_db([(t.label, t.coord, t.sequences) for t in session.training],
                     threshold_fraction) for session in sessions[:-1]]
+    for s, db in enumerate(dbs[1:], 2):
+        if db.subcarrier_count != dbs[0].subcarrier_count:
+            raise LengthMismatchError(f"session {s} trains on {db.subcarrier_count} subcarriers, "
+                                      f"session 1 on {dbs[0].subcarrier_count}")
+    # (positions, sessions, 2 ancestors, bytes): a position's sets in session order
+    sets = np.stack([db.ancestors.packed.reshape(len(reference), 2, -1) for db in dbs], axis=1)
     curve = []
     for m in range(1, len(sessions)):
-        entries = tuple(replace(same[0], ancestor_sets=tuple(e.ancestor_sets[0] for e in same))
-                        for same in zip(*(db.entries for db in dbs[:m])))
+        ancestors = GeneMatrix(sets[:, :m].reshape(-1, sets.shape[-1]), dbs[0].subcarrier_count)
+        db = replace(dbs[0], set_counts=(m,) * len(reference), ancestors=ancestors)
         test = LabeledWindows.concat(session.test for session in sessions[m:])
-        curve.append((m, evaluate_windows(replace(dbs[0], entries=entries), test, kind).accuracy))
+        curve.append((m, evaluate_windows(db, test, kind).accuracy))
     return curve
 
 

@@ -10,20 +10,19 @@ else-branch convention. A trace's parents stay one packed
 :class:`~bicsi.encoding.GeneMatrix`, a row per window, all the way to the
 matcher.
 
-The database serializes to a compact little-endian binary format (magic
-``BFPD``) whose payload is dominated by the packed ancestor bits, keeping
+The database keeps every ancestor in one packed GeneMatrix whose row order
+is the file's payload order, and serializes to a compact little-endian
+binary format (magic ``BFPD``) dominated by those packed bits, keeping
 whole multi-position databases in the low kilobytes.
 """
 
 import math
 import struct
-from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import accumulate
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import GeneMatrix, GeneSequence, _packed_bytes
+from .encoding import GeneMatrix, GeneSequence
 from .errors import (
     ConfigError,
     DbLengthError,
@@ -32,7 +31,6 @@ from .errors import (
     DbVersionError,
     EmptyInputError,
     LengthMismatchError,
-    UnknownLabelError,
 )
 from .ioutil import atomic_write_bytes
 
@@ -81,104 +79,55 @@ def threshold_count(micro: int, training_count: int) -> int:
 
 
 @dataclass(frozen=True)
-class AncestorPair:
-    """The two offline fingerprint sequences of one position and session.
-
-    Where the training columns were decisive both sequences agree; open
-    columns hold 1 in ``as1`` and 0 in ``as2``, so bitwise ``as1 >= as2``
-    everywhere.
-    """
-
-    as1: GeneSequence
-    as2: GeneSequence
-
-    def __post_init__(self):
-        if self.as1.bit_length != self.as2.bit_length:
-            raise LengthMismatchError(
-                f"ancestor lengths differ: {self.as1.bit_length} vs {self.as2.bit_length}"
-            )
-
-    @property
-    def bit_length(self) -> int:
-        return self.as1.bit_length
-
-
-@dataclass(frozen=True)
-class PositionEntry:
-    """A reference position: label, coordinates, and its ancestor sets."""
-
-    label: str
-    coord: tuple
-    ancestor_sets: tuple
-
-    def __post_init__(self):
-        coord = finite_coord(self.coord, f"position {self.label!r}")
-        sets = tuple(self.ancestor_sets)
-        if not sets:
-            raise ValueError(f"position {self.label!r}: needs at least one ancestor set")
-        if len({pair.bit_length for pair in sets}) > 1:
-            raise LengthMismatchError(
-                f"position {self.label!r}: ancestor sets have mixed bit lengths")
-        object.__setattr__(self, "coord", coord)
-        object.__setattr__(self, "ancestor_sets", sets)
-
-    @property
-    def bit_length(self) -> int:
-        return self.ancestor_sets[0].bit_length
-
-
-@dataclass(frozen=True)
 class FingerprintDb:
-    """Offline store mapping positions to ancestor sets.
+    """Offline store of every reference position's ancestors.
 
-    ``threshold_micro`` records the threshold used during training as a
-    fraction of the training size, in micro-units (the serialized form).
+    ``labels``, ``coords`` and ``set_counts`` hold one value per position.
+    ``ancestors`` holds every ancestor as one packed GeneMatrix in file
+    order: a position's rows are contiguous, each of its sets a first
+    ancestor followed by its second (open columns hold 1 in the first and 0
+    in the second). ``starts`` is each position's first row, computed once
+    here. ``threshold_micro`` records the threshold used during training as
+    a fraction of the training size, in micro-units (the serialized form).
     """
 
-    subcarrier_count: int
     threshold_micro: int
-    entries: tuple
+    labels: tuple
+    coords: tuple
+    set_counts: tuple
+    ancestors: GeneMatrix
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.subcarrier_count < 1:
-            raise ValueError("subcarrier_count must be >= 1")
         if not 0 <= self.threshold_micro <= 0xFFFFFFFF:
             raise ValueError("threshold_micro out of range")
-        entries = tuple(self.entries)
-        labels = set()
-        for entry in entries:
-            if entry.label in labels:
-                raise ValueError(f"duplicate position label {entry.label!r}")
-            labels.add(entry.label)
-            if entry.bit_length != 2 * self.subcarrier_count:
-                raise LengthMismatchError(
-                    f"position {entry.label!r}: {entry.bit_length} bits, "
-                    f"database stores {2 * self.subcarrier_count}"
-                )
-        object.__setattr__(self, "entries", entries)
+        labels, counts = tuple(self.labels), tuple(map(int, self.set_counts))
+        if not len(labels) == len(self.coords) == len(counts):
+            raise LengthMismatchError("labels, coords and set counts must align")
+        coords, seen = [], set()
+        for label, coord, count in zip(labels, self.coords, counts):
+            if label in seen:
+                raise ValueError(f"duplicate position label {label!r}")
+            seen.add(label)
+            coords.append(finite_coord(coord, f"position {label!r}"))
+            if count < 1:
+                raise ValueError(f"position {label!r}: needs at least one ancestor set")
+        if 2 * sum(counts) != len(self.ancestors):
+            raise LengthMismatchError(
+                f"{len(self.ancestors)} ancestor rows, the set counts need {2 * sum(counts)}")
+        starts = 2 * np.cumsum((0,) + counts, dtype=np.intp)[:-1]
+        starts.setflags(write=False)
+        for name, value in (("labels", labels), ("coords", tuple(coords)), ("set_counts", counts),
+                            ("starts", starts)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def subcarrier_count(self) -> int:
+        return self.ancestors.subcarrier_count
 
     @property
     def threshold_fraction(self) -> float:
         return self.threshold_micro / MICRO_UNITS
-
-    @cached_property
-    def ancestor_stack(self) -> tuple:
-        """Every ancestor as one read-only ``(A, ceil(2k / 8))`` uint8 array in
-        the matcher's scan order (entries in stored order; per entry, first
-        ancestors before second, sets in stored order) and the row at which
-        each entry starts. Built on first use, once per database."""
-        stacked = np.frombuffer(
-            b"".join([(p.as2 if second else p.as1).packed
-                      for e in self.entries for second in (False, True) for p in e.ancestor_sets]),
-            np.uint8).reshape(-1, _packed_bytes(self.subcarrier_count))
-        starts = list(accumulate((2 * len(e.ancestor_sets) for e in self.entries[:-1]), initial=0))
-        return stacked, starts
-
-    def entry(self, label: str) -> PositionEntry:
-        for entry in self.entries:
-            if entry.label == label:
-                return entry
-        raise UnknownLabelError(f"no position labelled {label!r}")
 
 
 def as_gene_matrix(seqs, empty_message: str) -> GeneMatrix:
@@ -245,13 +194,14 @@ def ancestor_matrices(sizes, ones, trs) -> tuple:
     return GeneMatrix._from_bits(majority | ~decided), GeneMatrix._from_bits(majority & decided)
 
 
-def derive_ancestors(training, tr: int) -> AncestorPair:
-    """Ancestor pair of one training set at integer threshold ``tr``, the
-    one-position case of :func:`ancestor_matrices`."""
+def derive_ancestors(training, tr: int) -> tuple:
+    """First and second ancestor of one training set at integer threshold
+    ``tr``, a GeneSequence pair: the one-position case of
+    :func:`ancestor_matrices`."""
     sizes, ones = training_counts([("training set", training)])
     # any tr above n decides nothing; capping it keeps the count within int64
     as1, as2 = ancestor_matrices(sizes, ones, min(tr, int(sizes[0]) + 1))
-    return AncestorPair(as1[0], as2[0])
+    return as1[0], as2[0]
 
 
 def derive_parent(window) -> GeneSequence:
@@ -300,46 +250,30 @@ def build_db(positions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) 
     if not positions:
         raise EmptyInputError("no positions to train on")
     sizes, ones = training_counts((f"position {label!r}", seqs) for label, _, seqs in positions)
-    sides = ancestor_matrices(sizes, ones, [threshold_count(micro, n) for n in sizes])
-    return FingerprintDb(ones.shape[1] // 2, micro, tuple(
-        PositionEntry(label, coord, (AncestorPair(*pair),))
-        for (label, coord, _), pair in zip(positions, zip(*sides))))
-
-
-def append_ancestor_set(db: FingerprintDb, label: str, pair: AncestorPair) -> FingerprintDb:
-    """New database with ``pair`` appended to the labelled entry's sets."""
-    if pair.bit_length != 2 * db.subcarrier_count:
-        raise LengthMismatchError(
-            f"ancestor pair has {pair.bit_length} bits, database stores {2 * db.subcarrier_count}"
-        )
-    for i, entry in enumerate(db.entries):
-        if entry.label == label:
-            updated = replace(entry, ancestor_sets=entry.ancestor_sets + (pair,))
-            return replace(db, entries=db.entries[:i] + (updated,) + db.entries[i + 1:])
-    raise UnknownLabelError(f"no position labelled {label!r}")
+    as1, as2 = ancestor_matrices(sizes, ones, [threshold_count(micro, n) for n in sizes])
+    labels, coords, _ = zip(*positions)
+    rows = np.stack([as1.packed, as2.packed], axis=1).reshape(-1, as1.packed.shape[1])
+    return FingerprintDb(micro, labels, coords, (1,) * len(labels),
+                         GeneMatrix(rows, as1.subcarrier_count))
 
 
 def db_to_bytes(db: FingerprintDb) -> bytes:
-    """Serialize to the binary database format (see the package README)."""
+    """Serialize to the binary database format (see the package README):
+    each entry's ancestors are one row slice of ``db.ancestors``."""
     if db.subcarrier_count > 0xFFFF:
         raise ConfigError("subcarrier count does not fit the format (u16)")
-    if len(db.entries) > 0xFFFFFFFF:
+    if len(db.labels) > 0xFFFFFFFF:
         raise ConfigError("entry count does not fit the format (u32)")
     chunks = [_HEADER.pack(DB_MAGIC, DB_VERSION, db.subcarrier_count,
-                           db.threshold_micro, len(db.entries))]
-    for entry in db.entries:
-        label = entry.label.encode("utf-8")
-        if len(label) > 0xFFFF:
-            raise ConfigError(f"label {entry.label!r} exceeds the format limit")
-        if len(entry.ancestor_sets) > 0xFFFF:
-            raise ConfigError(f"position {entry.label!r} has too many ancestor sets")
-        chunks.append(_U16.pack(len(label)))
-        chunks.append(label)
-        chunks.append(_COORDS.pack(*entry.coord))
-        chunks.append(_U16.pack(len(entry.ancestor_sets)))
-        for pair in entry.ancestor_sets:
-            chunks.append(pair.as1.packed)
-            chunks.append(pair.as2.packed)
+                           db.threshold_micro, len(db.labels))]
+    for label, coord, count, start in zip(db.labels, db.coords, db.set_counts, db.starts):
+        raw = label.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise ConfigError(f"label {label!r} exceeds the format limit")
+        if count > 0xFFFF:
+            raise ConfigError(f"position {label!r} has too many ancestor sets")
+        chunks += [_U16.pack(len(raw)), raw, _COORDS.pack(*coord), _U16.pack(count),
+                   db.ancestors.packed[start:start + 2 * count].tobytes()]
     return b"".join(chunks)
 
 
@@ -377,40 +311,33 @@ def db_from_bytes(buf: bytes) -> FingerprintDb:
     if version != DB_VERSION:
         raise DbVersionError(f"unsupported format version {version}, expected {DB_VERSION}")
     seq_bytes = (2 * k + 7) // 8
-    entries = []
+    labels, coords, counts, blocks = [], [], [], []
     for i in range(entry_count):
         where = f"entry {i}"
         (label_len,) = reader.unpack(_U16, f"{where} label length")
         raw_label = reader.take(label_len, f"{where} label")
         try:
-            label = raw_label.decode("utf-8")
+            labels.append(raw_label.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise DbLengthError(f"{where}: label is not valid UTF-8") from exc
-        x, y = reader.unpack(_COORDS, f"{where} coordinates")
+        coord = reader.unpack(_COORDS, f"{where} coordinates")
         (set_count,) = reader.unpack(_U16, f"{where} set count")
         if set_count == 0:
-            raise DbLengthError(f"{where} ({label!r}): zero ancestor sets")
-        sets = []
-        for s in range(set_count):
-            as1 = reader.take(seq_bytes, f"{where} set {s} first ancestor")
-            as2 = reader.take(seq_bytes, f"{where} set {s} second ancestor")
-            try:
-                sets.append(AncestorPair(
-                    GeneSequence(packed=as1, subcarrier_count=k),
-                    GeneSequence(packed=as2, subcarrier_count=k),
-                ))
-            except ValueError as exc:
-                raise DbLengthError(f"{where} set {s}: {exc}") from exc
-        try:
-            entries.append(PositionEntry(label=label, coord=(x, y), ancestor_sets=tuple(sets)))
-        except (ValueError, LengthMismatchError) as exc:
+            raise DbLengthError(f"{where} ({labels[-1]!r}): zero ancestor sets")
+        counts.append(set_count)
+        blocks.append(reader.take(2 * set_count * seq_bytes, f"{where} ancestors"))
+        try:  # the coordinate and padding checks, naming the entry
+            coords.append(finite_coord(coord, f"position {labels[-1]!r}"))
+            GeneMatrix(np.frombuffer(blocks[-1], np.uint8).reshape(2 * set_count, seq_bytes), k)
+        except ValueError as exc:
             raise DbLengthError(f"{where}: {exc}") from exc
     if reader.pos != len(buf):
         raise DbLengthError(
             f"{len(buf) - reader.pos} trailing bytes after the last entry"
         )
     try:
-        return FingerprintDb(subcarrier_count=k, threshold_micro=micro, entries=tuple(entries))
+        rows = np.frombuffer(b"".join(blocks), np.uint8).reshape(2 * sum(counts), seq_bytes)
+        return FingerprintDb(micro, labels, coords, counts, GeneMatrix(rows, k))
     except (ValueError, LengthMismatchError) as exc:
         raise DbLengthError(str(exc)) from exc
 

@@ -4,9 +4,10 @@ Every ancestor of every set of every position competes; the position owning
 the globally closest ancestor wins. A trace's parents arrive as one packed
 :class:`~bicsi.encoding.GeneMatrix`, a row per window, and are matched in
 one batch: one count-kernel call gives the (windows x ancestors) distances
-in a fixed scan order (entries in stored order, first ancestors before
-second, sets in stored order), and ties keep the earliest candidate, so
-results are reproducible across platforms.
+against the database's ancestor rows, as stored, and one reduction takes
+each position's minimum over its contiguous rows. Row order within a
+position cannot change its minimum, and a tie between positions keeps the
+earliest, so results are reproducible across platforms.
 """
 
 from dataclasses import dataclass
@@ -55,22 +56,21 @@ def match_trace(parents, db: FingerprintDb,
         if not parents:
             return []
         parents = GeneMatrix.from_sequences(parents)
-    if not db.entries:
+    if not db.labels:
         raise EmptyInputError("fingerprint database has no entries")
     if parents.bit_length != 2 * db.subcarrier_count:
         raise LengthMismatchError(f"parent sequences have {parents.bit_length} bits, "
                                   f"database stores {2 * db.subcarrier_count}")
     if not isinstance(kind, MetricKind):
         raise ConfigError(f"unsupported metric kind: {kind!r}")
-    stacked, starts = db.ancestor_stack
-    dist = distances(kind, parents.packed[:, None], stacked, parents.bit_length)
-    entry_best = np.minimum.reduceat(dist, starts, axis=1)
+    dist = distances(kind, parents.packed[:, None], db.ancestors.packed, parents.bit_length)
+    entry_best = np.minimum.reduceat(dist, db.starts, axis=1)
     best = entry_best.argmin(axis=1)  # the first index on a tie: the earliest entry wins
     # the runner-up is the second-smallest entry distance (equal to the best on a tie)
     ranked = np.sort(entry_best, axis=1)
-    margins = (ranked[:, 1] if len(db.entries) > 1 else np.inf) - ranked[:, 0]
+    margins = (ranked[:, 1] if len(db.labels) > 1 else np.inf) - ranked[:, 0]
     return [
-        MatchResult(row, db.entries[i].label, db.entries[i].coord, d, m)
+        MatchResult(row, db.labels[i], db.coords[i], d, m)
         for row, (i, d, m) in enumerate(zip(best.tolist(), ranked[:, 0].tolist(),
                                             margins.tolist()))
     ]

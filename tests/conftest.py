@@ -1,21 +1,35 @@
-"""Shared test helpers: bit-literal sequences, hypothesis strategies,
-per-pair reference measures computed without the library's count kernel and
-a per-window reference report fold."""
+"""Shared test helpers: bit-literal sequences, databases built from
+ancestor pairs, hypothesis strategies, per-pair reference measures computed
+without the library's count kernel and a per-window reference report fold."""
 
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from bicsi.encoding import GeneSequence
+from bicsi.encoding import GeneMatrix, GeneSequence
 from bicsi.errors import UnknownLabelError
 from bicsi.evaluation import EvalReport, PositionBreakdown
+from bicsi.fingerprint import FingerprintDb
 from bicsi.similarity import MetricKind
 
 
 def gs(bit_string: str) -> GeneSequence:
     """GeneSequence from a literal like "0101"."""
     return GeneSequence.from_bits([int(c) for c in bit_string])
+
+
+def fingerprint_db(k: int, entries, threshold_micro: int = 0) -> FingerprintDb:
+    """Database of ``entries``, each (label, coord, [(as1, as2), ...]) with
+    2k-bit ancestors, packed in file order: per entry, per set, as1 then as2."""
+    entries = [(label, coord, list(sets)) for label, coord, sets in entries]
+    rows = [anc for _, _, sets in entries for pair in sets for anc in pair]
+    assert all(anc.bit_length == 2 * k for anc in rows)
+    packed = np.frombuffer(b"".join(anc.packed for anc in rows), dtype=np.uint8)
+    return FingerprintDb(threshold_micro, [label for label, _, _ in entries],
+                         [coord for _, coord, _ in entries],
+                         [len(sets) for _, _, sets in entries],
+                         GeneMatrix(packed.reshape(len(rows), (2 * k + 7) // 8), k))
 
 
 def unpack_independently(seq: GeneSequence) -> list:

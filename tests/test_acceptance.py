@@ -32,9 +32,6 @@ from bicsi.evaluation import (
     threshold_sweep,
 )
 from bicsi.fingerprint import (
-    AncestorPair,
-    FingerprintDb,
-    PositionEntry,
     build_db,
     db_from_bytes,
     db_to_bytes,
@@ -47,6 +44,7 @@ from bicsi.similarity import MetricKind, euclidean_bits, manhattan_bits
 from bicsi.synth import SynthConfig, drift_sessions, generate
 
 from conftest import (
+    fingerprint_db,
     reference_euclidean,
     reference_manhattan,
     unpack_independently,
@@ -185,8 +183,8 @@ def test_ancestor_derivation_limits():
         k = int(rng.integers(1, 12))
         seqs = [GeneSequence.from_bits(row)
                 for row in rng.integers(0, 2, size=(count, 2 * k), dtype=np.uint8)]
-        pair = derive_ancestors(seqs, tr=0)
-        assert pair.as1 == pair.as2
+        as1, as2 = derive_ancestors(seqs, tr=0)
+        assert as1 == as2
 
     # threshold above the training size degenerates every position alike
     training_sets = []
@@ -195,9 +193,9 @@ def test_ancestor_derivation_limits():
                 for row in rng.integers(0, 2, size=(50, 32), dtype=np.uint8)]
         training_sets.append(seqs)
     pairs = [derive_ancestors(s, tr=51) for s in training_sets]
-    for pair in pairs:
-        assert pair.as1.bits().tolist() == [1] * 32
-        assert pair.as2.bits().tolist() == [0] * 32
+    for as1, as2 in pairs:
+        assert as1.bits().tolist() == [1] * 32
+        assert as2.bits().tolist() == [0] * 32
     degenerate = threshold_sweep(training_sets, [1.02])  # ceil -> tr = 51 > 50
     assert degenerate[0][1] == 0.0
 
@@ -222,16 +220,14 @@ def test_storage_bound_and_packing_ratio(tmp_path):
     entries = []
     for i in range(6):
         row = rng.integers(0, 2, size=2 * k, dtype=np.uint8)
-        pair = AncestorPair(GeneSequence.from_bits(row),
-                            GeneSequence.from_bits(1 - row))
-        entries.append(PositionEntry(f"p{i + 1:02d}", (float(i), 0.0), (pair,)))
-    db = FingerprintDb(subcarrier_count=k, threshold_micro=50000,
-                       entries=tuple(entries))
+        pair = (GeneSequence.from_bits(row), GeneSequence.from_bits(1 - row))
+        entries.append((f"p{i + 1:02d}", (float(i), 0.0), [pair]))
+    db = fingerprint_db(k, entries, 50000)
     path = tmp_path / "fp.db"
     save_db(db, path)
     assert path.stat().st_size <= 4096
 
-    seq = entries[0].ancestor_sets[0].as1
+    seq = entries[0][2][0][0]
     two_bit_bits = 2 * k
     ten_bit_bits = 10 * k
     assert two_bit_bits * 5 == ten_bit_bits  # exactly 80% fewer bits
@@ -327,19 +323,18 @@ def test_matcher_agrees_with_brute_force():
             for _ in range(int(rng.integers(1, 4))):
                 a = GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
                 b = GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
-                sets.append(AncestorPair(a, b))
-            entries.append(PositionEntry(f"e{i}", (float(i), float(-i)), tuple(sets)))
-        db = FingerprintDb(subcarrier_count=k, threshold_micro=0,
-                           entries=tuple(entries))
+                sets.append((a, b))
+            entries.append((f"e{i}", (float(i), float(-i)), sets))
+        db = fingerprint_db(k, entries)
         ps = GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
 
         # independent exhaustive scan over hand-unpacked bit lists
         target = unpack_independently(ps)
         per_entry = []
-        for entry in db.entries:
+        for _, _, sets in entries:
             best = None
-            for pair in entry.ancestor_sets:
-                for anc in (pair.as1, pair.as2):
+            for pair in sets:
+                for anc in pair:
                     d = sum(1 for x, y in zip(unpack_independently(anc), target)
                             if x != y)
                     if best is None or d < best:
@@ -352,7 +347,7 @@ def test_matcher_agrees_with_brute_force():
             ties_seen += 1
 
         result = match_one(ps, db, MetricKind.HAMMING)
-        assert result.predicted_label == db.entries[expected_idx].label
+        assert result.predicted_label == entries[expected_idx][0]
         assert result.best_distance == per_entry[expected_idx]
         assert result.runner_up_margin == expected_margin
 
@@ -374,20 +369,15 @@ def test_db_round_trip_and_corruption_classes():
             for _ in range(int(rng.integers(1, 4))):
                 a = GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
                 b = GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
-                sets.append(AncestorPair(a, b))
+                sets.append((a, b))
             coord = (float(rng.normal() * 10), float(rng.normal() * 10))
-            entries.append(PositionEntry(f"pos-{i}", coord, tuple(sets)))
-        db = FingerprintDb(subcarrier_count=k,
-                           threshold_micro=int(rng.integers(0, 2**32)),
-                           entries=tuple(entries))
+            entries.append((f"pos-{i}", coord, sets))
+        db = fingerprint_db(k, entries, int(rng.integers(0, 2**32)))
         assert db_from_bytes(db_to_bytes(db)) == db
 
-    reference = FingerprintDb(
-        subcarrier_count=2, threshold_micro=50000,
-        entries=(PositionEntry("a", (0.0, 0.0),
-                               (AncestorPair(GeneSequence.from_bits([0, 1, 0, 1]),
-                                             GeneSequence.from_bits([0, 0, 0, 0])),)),),
-    )
+    reference = fingerprint_db(2, [("a", (0.0, 0.0),
+                                    [(GeneSequence.from_bits([0, 1, 0, 1]),
+                                      GeneSequence.from_bits([0, 0, 0, 0]))])], 50000)
     good = db_to_bytes(reference)
 
     corrupted_magic = b"XXXX" + good[4:]

@@ -98,6 +98,16 @@ class TestSynth:
         for i in (1, 2, 3):
             assert (out / f"session_{i:02d}" / "train" / "manifest.csv").is_file()
 
+    def test_session_names_sort_in_session_order_past_99(self, runner, tmp_path):
+        out = tmp_path / "many"
+        result = invoke(runner, "synth", "--positions", 2, "--subcarriers", 2,
+                        "--train-packets", 3, "--test-packets", 3, "--sessions", 101,
+                        "--out-dir", out)
+        assert result.exit_code == 0, result.output
+        names = [f"session_{i:03d}" for i in range(1, 102)]
+        assert sorted(d.name for d in out.iterdir() if d.is_dir()) == names
+        assert [line.split(":")[0] for line in result.output.splitlines()[:-1]] == names
+
     def test_default_flag_contract(self):
         from bicsi.cli import synth as synth_cmd
 
@@ -123,6 +133,17 @@ class TestTrain:
         assert "threshold fraction: 0.05" in result.output
         assert "KB" in result.output
         assert db.is_file()
+
+    @pytest.mark.parametrize("fraction", ["nan", "-1", "1e300"])
+    def test_bad_threshold_fraction_exits_2_before_reading(self, runner, tmp_path, dataset,
+                                                           fraction):
+        db = tmp_path / "fp.db"
+        result = invoke(runner, "train", "--manifest", dataset / "train" / "manifest.csv",
+                        "--out-db", db, "--threshold-fraction", fraction)
+        assert result.exit_code == 2
+        assert "threshold fraction" in result.output
+        assert "training packets" not in result.output
+        assert not db.exists()
 
     def test_missing_manifest_exits_2(self, runner, tmp_path):
         result = invoke(runner, "train", "--manifest", tmp_path / "nope.csv",
@@ -311,6 +332,18 @@ class TestSweep:
         assert f"bad fraction range {fractions!r}" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("fractions", ["nan", "1e300", "-1"])
+    def test_bad_single_fraction_exits_2_before_reading(self, runner, tmp_path, fractions):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("label,x,y,file\np01,0,0,missing.csv\np02,1,0,missing.csv\n")
+        out = tmp_path / "s.csv"
+        result = invoke(runner, "sweep", "--manifest", manifest, "--fractions", fractions,
+                        "--out-csv", out)
+        assert result.exit_code == 2
+        assert f"bad fraction range {fractions!r}: " in result.output
+        assert "missing.csv" not in result.output
+        assert not out.exists()
+
     def test_single_position_exits_1(self, runner, tmp_path, dataset):
         manifest = tmp_path / "one.csv"
         src = (dataset / "train" / "manifest.csv").read_text().splitlines()
@@ -387,6 +420,22 @@ class TestTemporal:
         assert result.exit_code == 1
         assert "Usage:" not in result.output
         assert "session 2 lists different positions than session 1" in result.output
+
+    @pytest.mark.parametrize("fraction", ["nan", "-1", "1e300"])
+    def test_bad_threshold_fraction_exits_2_before_reading(self, runner, tmp_path, fraction):
+        sessions_dir = tmp_path / "sessions"
+        for name in ("session_01", "session_02"):
+            for part in ("train", "test"):
+                (sessions_dir / name / part).mkdir(parents=True)
+                (sessions_dir / name / part / "manifest.csv").write_text(
+                    "label,x,y,file\np01,0,0,missing.csv\n")
+        out = tmp_path / "c.csv"
+        result = invoke(runner, "temporal", "--sessions-dir", sessions_dir,
+                        "--threshold-fraction", fraction, "--out-csv", out)
+        assert result.exit_code == 2
+        assert "threshold fraction" in result.output
+        assert "missing.csv" not in result.output
+        assert not out.exists()
 
     def test_too_few_sessions_exits_1(self, runner, tmp_path, dataset):
         # plain dataset dir has no session_* subdirectories

@@ -227,6 +227,14 @@ class TestGeneMatrix:
         with pytest.raises(ValueError):
             self.gm().packed[0, 0] = 1
 
+    def test_value_equality(self):
+        gm = self.gm()
+        assert gm == GeneMatrix(gm.packed.copy(), 3)
+        assert gm != gm[1:]
+        assert gm != GeneMatrix(gm.packed ^ np.uint8(0x80), 3)
+        assert GeneMatrix(np.zeros((1, 1), np.uint8), 3) != GeneMatrix(np.zeros((1, 1), np.uint8), 4)
+        assert gm != "gm"
+
     def test_from_sequences_round_trip(self):
         gm = self.gm()
         assert GeneMatrix.from_sequences(gm) is gm

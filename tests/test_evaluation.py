@@ -39,7 +39,6 @@ from bicsi.evaluation import (
     threshold_sweep,
 )
 from bicsi.fingerprint import (
-    append_ancestor_set,
     build_db,
     derive_ancestors,
     fraction_to_micro,
@@ -50,7 +49,7 @@ from bicsi.ingest import AmplitudeMatrix
 from bicsi.matcher import MatchResult, match_trace
 from bicsi.similarity import MetricKind
 
-from conftest import gs, random_sequences, reference_hamming, reference_report
+from conftest import fingerprint_db, gs, random_sequences, reference_hamming, reference_report
 
 
 def result(coord, label="x", index=0):
@@ -171,7 +170,7 @@ def pair_loop_sweep(training_sets, fractions) -> list:
     for fraction in fractions:
         micro = fraction_to_micro(fraction)
         pairs = [derive_ancestors(s, threshold_count(micro, len(s))) for s in training_sets]
-        totals = [reference_hamming(a.as1, b.as1) + reference_hamming(a.as2, b.as2)
+        totals = [reference_hamming(a[0], b[0]) + reference_hamming(a[1], b[1])
                   for a, b in combinations(pairs, 2)]
         rows.append((float(fraction), sum(totals) / 2 / len(totals)))
     return rows
@@ -336,6 +335,14 @@ class TestLabeledWindows:
         assert joined.parents.packed.tobytes() == whole.parents.packed.tobytes()
         assert (joined.labels, joined.coords) == (whole.labels, whole.coords)
 
+    @pytest.mark.parametrize("coord, message", [
+        ((float("nan"), 0.0), "^window 1: coordinates must be finite$"),
+        ((0, 0, 9), "^window 1: coordinates must be an \\(x, y\\) pair$"),
+    ])
+    def test_truth_coordinates_are_checked(self, coord, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledWindows([gs("01"), gs("10")], ("a", "a"), ((0.0, 0.0), coord))
+
     def test_traces_of_two_widths_rejected(self):
         traces = [make_fixture(seed=1, positions=1, k=12)[0],
                   make_fixture(seed=2, positions=1, k=8)[0]]
@@ -402,17 +409,20 @@ def make_sessions(count, seed=0, drift=False):
     return sessions
 
 
-def appended_temporal(sessions, fraction, kind) -> list:
-    """Temporal curve with each database built from scratch: build_db on the
-    first session, then append_ancestor_set per position per later session."""
+def hand_built_temporal(sessions, fraction, kind) -> list:
+    """Temporal curve with each database built by hand: every position's
+    sets are derive_ancestors of its training in each of the first m
+    sessions, in session order."""
     micro = fraction_to_micro(fraction)
+    k = sessions[0].training[0].sequences.subcarrier_count
     curve = []
     for m in range(1, len(sessions)):
-        db = build_db([(t.label, t.coord, t.sequences) for t in sessions[0].training], fraction)
-        for session in sessions[1:m]:
-            for t in session.training:
-                pair = derive_ancestors(t.sequences, threshold_count(micro, len(t.sequences)))
-                db = append_ancestor_set(db, t.label, pair)
+        db = fingerprint_db(k, [
+            (t.label, t.coord,
+             [derive_ancestors(s.training[j].sequences,
+                               threshold_count(micro, len(s.training[j].sequences)))
+              for s in sessions[:m]])
+            for j, t in enumerate(sessions[0].training)], micro)
         test = LabeledWindows.concat(session.test for session in sessions[m:])
         curve.append((m, evaluate_windows(db, test, kind).accuracy))
     return curve
@@ -441,6 +451,15 @@ class TestTemporalEval:
                            match="session 3 lists different positions than session 1"):
             temporal_eval([sessions[0], sessions[1], bad])
 
+    def test_training_widths_must_agree(self):
+        sessions = make_sessions(3)
+        narrow = tuple(TrainingSet(t.label, t.coord, GeneMatrix(t.sequences.packed[:, :1], 4))
+                       for t in sessions[1].training)
+        sessions[1] = Session(training=narrow, test=sessions[1].test)
+        with pytest.raises(LengthMismatchError,
+                           match="^session 2 trains on 4 subcarriers, session 1 on 8$"):
+            temporal_eval(sessions)
+
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 4),
            st.integers(1, 5), st.sampled_from(list(MetricKind)), st.integers(0, 1_200_000))
     @settings(max_examples=40, deadline=None)
@@ -458,7 +477,7 @@ class TestTemporalEval:
                                   tuple((float(i), 0.0) for i in truth))
             sessions.append(Session(training=training, test=test))
         fraction = micro / 1_000_000
-        assert temporal_eval(sessions, fraction, kind) == appended_temporal(sessions, fraction, kind)
+        assert temporal_eval(sessions, fraction, kind) == hand_built_temporal(sessions, fraction, kind)
 
     def test_csv_layout(self):
         text = temporal_to_csv([(1, 0.85), (2, 0.91)])

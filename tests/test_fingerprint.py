@@ -14,13 +14,9 @@ from bicsi.errors import (
     DbVersionError,
     EmptyInputError,
     LengthMismatchError,
-    UnknownLabelError,
 )
 from bicsi.fingerprint import (
-    AncestorPair,
     FingerprintDb,
-    PositionEntry,
-    append_ancestor_set,
     build_db,
     db_from_bytes,
     db_to_bytes,
@@ -35,7 +31,7 @@ from bicsi.fingerprint import (
     windows,
 )
 
-from conftest import gs, random_sequences, unpack_independently, unpack_rows
+from conftest import fingerprint_db, gs, random_sequences, unpack_independently, unpack_rows
 
 
 def column_training(ones: int, zeros: int) -> list:
@@ -70,31 +66,31 @@ class TestThresholdMaterialization:
 
 class TestDeriveAncestors:
     def test_dominant_zeros(self):
-        pair = derive_ancestors(column_training(ones=20, zeros=80), tr=5)
-        assert pair.as1.bits()[0] == 0
-        assert pair.as2.bits()[0] == 0
+        as1, as2 = derive_ancestors(column_training(ones=20, zeros=80), tr=5)
+        assert as1.bits()[0] == 0
+        assert as2.bits()[0] == 0
 
     def test_balanced_column_keeps_both(self):
-        pair = derive_ancestors(column_training(ones=49, zeros=51), tr=5)
-        assert pair.as1.bits()[0] == 1
-        assert pair.as2.bits()[0] == 0
+        as1, as2 = derive_ancestors(column_training(ones=49, zeros=51), tr=5)
+        assert as1.bits()[0] == 1
+        assert as2.bits()[0] == 0
 
     def test_tie_with_zero_threshold_gives_one(self):
-        pair = derive_ancestors(column_training(ones=50, zeros=50), tr=0)
-        assert pair.as1.bits()[0] == 1
-        assert pair.as2.bits()[0] == 1
+        as1, as2 = derive_ancestors(column_training(ones=50, zeros=50), tr=0)
+        assert as1.bits()[0] == 1
+        assert as2.bits()[0] == 1
 
     def test_threshold_above_training_size_degenerates(self):
         training = random_sequences(np.random.default_rng(0), 30, 4)
-        pair = derive_ancestors(training, tr=31)
-        assert pair.as1.bits().tolist() == [1] * 8
-        assert pair.as2.bits().tolist() == [0] * 8
+        as1, as2 = derive_ancestors(training, tr=31)
+        assert as1.bits().tolist() == [1] * 8
+        assert as2.bits().tolist() == [0] * 8
 
     def test_threshold_past_int64_degenerates(self):
         training = random_sequences(np.random.default_rng(0), 30, 4)
-        pair = derive_ancestors(training, tr=2**70)
-        assert pair.as1.bits().tolist() == [1] * 8
-        assert pair.as2.bits().tolist() == [0] * 8
+        as1, as2 = derive_ancestors(training, tr=2**70)
+        assert as1.bits().tolist() == [1] * 8
+        assert as2.bits().tolist() == [0] * 8
 
     def test_empty_training(self):
         with pytest.raises(EmptyInputError):
@@ -112,8 +108,8 @@ class TestDeriveAncestors:
     @settings(max_examples=40)
     def test_zero_threshold_collapses_pair(self, seed, count, k):
         training = random_sequences(np.random.default_rng(seed), count, k)
-        pair = derive_ancestors(training, tr=0)
-        assert pair.as1 == pair.as2
+        as1, as2 = derive_ancestors(training, tr=0)
+        assert as1 == as2
 
     @given(st.integers(0, 2**32), st.integers(1, 60), st.integers(1, 6),
            st.integers(0, 70), st.integers(0, 70))
@@ -123,11 +119,11 @@ class TestDeriveAncestors:
         training = random_sequences(np.random.default_rng(seed), count, k)
         low = derive_ancestors(training, tr_lo)
         high = derive_ancestors(training, tr_hi)
-        for pair in (low, high):
-            assert np.all(pair.as1.bits() >= pair.as2.bits())
+        for as1, as2 in (low, high):
+            assert np.all(as1.bits() >= as2.bits())
         # a column decided (equal bits) at the higher threshold stays decided
-        decided_low = low.as1.bits() == low.as2.bits()
-        decided_high = high.as1.bits() == high.as2.bits()
+        decided_low = low[0].bits() == low[1].bits()
+        decided_high = high[0].bits() == high[1].bits()
         assert np.all(decided_high <= decided_low)
 
 
@@ -223,11 +219,8 @@ class TestWindows:
 
 
 def small_db(k: int = 2) -> FingerprintDb:
-    entries = (
-        PositionEntry("a", (0.0, 0.0), (AncestorPair(gs("01" * k), gs("00" * k)),)),
-        PositionEntry("b", (1.0, 2.0), (AncestorPair(gs("11" * k), gs("10" * k)),)),
-    )
-    return FingerprintDb(subcarrier_count=k, threshold_micro=50000, entries=entries)
+    return fingerprint_db(k, [("a", (0.0, 0.0), [(gs("01" * k), gs("00" * k))]),
+                              ("b", (1.0, 2.0), [(gs("11" * k), gs("10" * k))])], 50000)
 
 
 class TestTrainingCounts:
@@ -248,7 +241,7 @@ class TestBuildDb:
     def test_build_and_thresholds(self):
         training = random_sequences(np.random.default_rng(1), 40, 3)
         db = build_db([("x", (0, 0), training), ("y", (1, 0), training)], 0.05)
-        assert [e.label for e in db.entries] == ["x", "y"]
+        assert db.labels == ("x", "y")
         assert db.subcarrier_count == 3
         assert db.threshold_micro == 50000
 
@@ -270,32 +263,6 @@ class TestBuildDb:
             build_db(positions)
 
 
-class TestAppendAncestorSet:
-    def test_append_grows_sets(self):
-        db = small_db()
-        pair = AncestorPair(gs("0101"), gs("0001"))
-        updated = append_ancestor_set(db, "a", pair)
-        assert len(updated.entry("a").ancestor_sets) == 2
-        assert updated.entry("a").ancestor_sets[1] == pair
-        assert len(db.entry("a").ancestor_sets) == 1  # original untouched
-
-    def test_append_keeps_order(self):
-        db = small_db()
-        pairs = [AncestorPair(gs("0101"), gs("0001")) for _ in range(3)]
-        for pair in pairs:
-            db = append_ancestor_set(db, "b", pair)
-        assert len(db.entry("b").ancestor_sets) == 4
-        assert db.entry("b").ancestor_sets[1:] == tuple(pairs)
-
-    def test_unknown_label(self):
-        with pytest.raises(UnknownLabelError):
-            append_ancestor_set(small_db(), "zzz", AncestorPair(gs("0101"), gs("0001")))
-
-    def test_wrong_length(self):
-        with pytest.raises(LengthMismatchError):
-            append_ancestor_set(small_db(), "a", AncestorPair(gs("01"), gs("00")))
-
-
 def utf8_text(max_size=8):
     return st.text(st.characters(codec="utf-8"), max_size=max_size)
 
@@ -311,14 +278,9 @@ def fingerprint_dbs(draw):
         for _ in range(draw(st.integers(1, 3))):
             bits = draw(st.lists(st.integers(0, 1), min_size=2 * k, max_size=2 * k))
             bits2 = draw(st.lists(st.integers(0, 1), min_size=2 * k, max_size=2 * k))
-            sets.append(AncestorPair(GeneSequence.from_bits(bits),
-                                     GeneSequence.from_bits(bits2)))
-        entries.append(PositionEntry(label, (draw(coords), draw(coords)), tuple(sets)))
-    return FingerprintDb(
-        subcarrier_count=k,
-        threshold_micro=draw(st.integers(0, 0xFFFFFFFF)),
-        entries=tuple(entries),
-    )
+            sets.append((GeneSequence.from_bits(bits), GeneSequence.from_bits(bits2)))
+        entries.append((label, (draw(coords), draw(coords)), sets))
+    return fingerprint_db(k, entries, draw(st.integers(0, 0xFFFFFFFF)))
 
 
 class TestDbRoundTrip:
@@ -334,7 +296,7 @@ class TestDbRoundTrip:
         assert load_db(path) == db
 
     def test_empty_db(self):
-        db = FingerprintDb(subcarrier_count=4, threshold_micro=0, entries=())
+        db = fingerprint_db(4, [])
         assert db_from_bytes(db_to_bytes(db)) == db
 
     def test_ten_position_db_stays_small(self, tmp_path):
@@ -342,11 +304,9 @@ class TestDbRoundTrip:
         entries = []
         for i in range(10):
             bits = rng.integers(0, 2, size=460, dtype=np.uint8)
-            pair = AncestorPair(GeneSequence.from_bits(bits),
-                                GeneSequence.from_bits(1 - bits))
-            entries.append(PositionEntry(f"pos{i:02d}", (float(i), 0.0), (pair,)))
-        db = FingerprintDb(subcarrier_count=230, threshold_micro=50000,
-                           entries=tuple(entries))
+            pair = (GeneSequence.from_bits(bits), GeneSequence.from_bits(1 - bits))
+            entries.append((f"pos{i:02d}", (float(i), 0.0), [pair]))
+        db = fingerprint_db(230, entries, 50000)
         path = tmp_path / "fp.db"
         save_db(db, path)
         assert path.stat().st_size <= 4096
@@ -411,3 +371,81 @@ class TestDbCorruption:
         raw = raw.replace(b"\x01\x00a", b"\x01\x00b")
         with pytest.raises(DbLengthError):
             db_from_bytes(bytes(raw))
+
+    def test_non_finite_coordinate_names_the_entry(self):
+        import struct
+
+        buf = db_to_bytes(small_db())
+        at = buf.index(struct.pack("<dd", 1.0, 2.0))  # entry 1's coordinates
+        bad = buf[:at] + struct.pack("<dd", float("inf"), 2.0) + buf[at + 16:]
+        with pytest.raises(DbLengthError,
+                           match="^entry 1: position 'b': coordinates must be finite$"):
+            db_from_bytes(bad)
+
+    def test_dirty_padding_names_the_entry(self):
+        buf = bytearray(db_to_bytes(small_db()))
+        buf[-1] |= 0x01  # entry 1's second ancestor: k=2 leaves 4 padding bits
+        with pytest.raises(DbLengthError, match="^entry 1: padding bits"):
+            db_from_bytes(bytes(buf))
+        with pytest.raises(DbTruncatedError, match="inside entry 1 ancestors"):
+            db_from_bytes(bytes(buf[:-1]))
+
+
+class TestDbBytes:
+    def test_multi_set_db_matches_the_format_table(self):
+        import struct
+
+        # k = 5: 10 bits in 2 bytes, packed MSB-first, 6 zero padding bits
+        seqs = {"1111111111": b"\xff\xc0", "1010101010": b"\xaa\x80",
+                "0000000001": b"\x00\x40", "0000000000": b"\x00\x00",
+                "1000000010": b"\x80\x80", "0100000000": b"\x40\x00"}
+        s = {bits: gs(bits) for bits in seqs}
+        db = fingerprint_db(5, [
+            ("a1", (1.5, -2.0), [(s["1111111111"], s["1010101010"]),
+                                 (s["0000000001"], s["0000000000"])]),
+            ("é", (0.0, 3.25), [(s["1000000010"], s["0100000000"])]),
+        ], 50000)
+        expected = (
+            struct.pack("<4sBHII", b"BFPD", 1, 5, 50000, 2)
+            + struct.pack("<H", 2) + b"a1" + struct.pack("<dd", 1.5, -2.0) + struct.pack("<H", 2)
+            + b"\xff\xc0" + b"\xaa\x80" + b"\x00\x40" + b"\x00\x00"
+            + struct.pack("<H", 2) + b"\xc3\xa9" + struct.pack("<dd", 0.0, 3.25)
+            + struct.pack("<H", 1) + b"\x80\x80" + b"\x40\x00"
+        )
+        assert db_to_bytes(db) == expected
+        assert db_from_bytes(expected) == db
+
+
+class TestFingerprintDbRecord:
+    def ancestors(self, rows: int) -> GeneMatrix:
+        return GeneMatrix(np.zeros((rows, 1), dtype=np.uint8), 2)
+
+    def test_rows_must_match_the_set_counts(self):
+        with pytest.raises(LengthMismatchError, match="^4 ancestor rows, the set counts need 2$"):
+            FingerprintDb(0, ["a"], [(0.0, 0.0)], [1], self.ancestors(4))
+
+    def test_columns_must_align(self):
+        with pytest.raises(LengthMismatchError, match="must align"):
+            FingerprintDb(0, ["a", "b"], [(0.0, 0.0)], [1, 1], self.ancestors(4))
+
+    @pytest.mark.parametrize("labels, coords, counts, message", [
+        (["a"], [(0.0, 0.0)], [0], "^position 'a': needs at least one ancestor set$"),
+        (["a"], [(float("nan"), 0.0)], [1], "^position 'a': coordinates must be finite$"),
+        (["a", "a"], [(0.0, 0.0), (1.0, 0.0)], [1, 1], "^duplicate position label 'a'$"),
+    ])
+    def test_bad_positions_are_named(self, labels, coords, counts, message):
+        with pytest.raises(ValueError, match=message):
+            FingerprintDb(0, labels, coords, counts, self.ancestors(2 * sum(counts)))
+
+    def test_threshold_out_of_range(self):
+        with pytest.raises(ValueError, match="threshold_micro"):
+            FingerprintDb(2**32, [], [], [], self.ancestors(0))
+
+    def test_build_db_interleaves_each_positions_ancestors(self):
+        rng = np.random.default_rng(4)
+        positions = [(f"p{i}", (float(i), 0.0), random_sequences(rng, 20, 3)) for i in range(3)]
+        db = build_db(positions, 0.2)
+        rows = [anc for _, _, seqs in positions
+                for anc in derive_ancestors(seqs, threshold_count(200000, 20))]
+        assert db.ancestors == GeneMatrix.from_sequences(rows)
+        assert db.set_counts == (1, 1, 1) and db.starts.tolist() == [0, 2, 4]

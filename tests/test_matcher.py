@@ -10,39 +10,48 @@ from hypothesis import strategies as st
 
 from bicsi.encoding import GeneMatrix, GeneSequence
 from bicsi.errors import EmptyInputError, LengthMismatchError
-from bicsi.fingerprint import (
-    AncestorPair,
-    FingerprintDb,
-    PositionEntry,
-    append_ancestor_set,
-)
+from bicsi.fingerprint import db_to_bytes
 from bicsi.matcher import match_one, match_trace
 from bicsi.similarity import MetricKind
 
-from conftest import gs, reference_distance
+from conftest import fingerprint_db, gs, reference_distance
 
 
 def entry(label, coord, *pairs):
-    return PositionEntry(label, coord, tuple(AncestorPair(a, b) for a, b in pairs))
+    return label, coord, pairs
 
 
 def db_of(k, *entries):
-    return FingerprintDb(subcarrier_count=k, threshold_micro=0, entries=tuple(entries))
+    return fingerprint_db(k, entries)
 
 
-def brute_force_match(ps, db, kind=MetricKind.HAMMING):
-    """Independent exhaustive scan under the per-pair bit-list reference distance."""
+def random_entries(rng, bits) -> list:
+    """1-5 entries of 1-3 random sets each; about a third copy an earlier
+    entry's sets, so exact ties between entries occur."""
+    entries = []
+    for i in range(int(rng.integers(1, 6))):  # one entry: every margin is inf
+        if entries and rng.random() < 0.3:
+            sets = entries[int(rng.integers(0, len(entries)))][2]
+        else:
+            sets = tuple((bits(), bits()) for _ in range(int(rng.integers(1, 4))))
+        entries.append(entry(f"e{i}", (float(i), 0.0), *sets))
+    return entries
+
+
+def brute_force_match(ps, entries, kind=MetricKind.HAMMING):
+    """Independent exhaustive scan of the test's own (label, coord, sets)
+    entries under the per-pair bit-list reference distance."""
     per_entry = []
-    for ent in db.entries:
+    for _, _, sets in entries:
         best = math.inf
-        for pair in ent.ancestor_sets:
-            for anc in (pair.as1, pair.as2):
+        for pair in sets:
+            for anc in pair:
                 best = min(best, reference_distance(kind, anc, ps))
         per_entry.append(best)
     best_idx = per_entry.index(min(per_entry))
     others = [d for i, d in enumerate(per_entry) if i != best_idx]
     margin = (min(others) - per_entry[best_idx]) if others else math.inf
-    return db.entries[best_idx].label, per_entry[best_idx], margin
+    return entries[best_idx][0], per_entry[best_idx], margin
 
 
 class TestMatchOne:
@@ -85,15 +94,13 @@ class TestMatchOne:
         assert result.runner_up_margin == 3.0
 
     def test_min_over_both_ancestors_and_all_sets(self):
-        base = entry("only", (0, 0), (gs("0000"), gs("0011")))
-        db = db_of(2, base)
-        db = append_ancestor_set(db, "only", AncestorPair(gs("1110"), gs("1111")))
+        db = db_of(2, entry("only", (0, 0), (gs("0000"), gs("0011")), (gs("1110"), gs("1111"))))
         result = match_one(gs("1111"), db)
         assert result.best_distance == 0.0
         assert result.runner_up_margin == math.inf
 
     def test_empty_db(self):
-        db = FingerprintDb(subcarrier_count=1, threshold_micro=0, entries=())
+        db = db_of(1)
         with pytest.raises(EmptyInputError):
             match_one(gs("01"), db)
 
@@ -107,11 +114,10 @@ class TestMatchOne:
         for _ in range(25):
             k = int(rng.integers(1, 8))
             bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
-            db = db_of(k, entry("a", (0, 0), (bits(), bits())),
-                       entry("b", (1, 0), (bits(), bits())))
+            a, b = entry("a", (0, 0), (bits(), bits())), entry("b", (1, 0), (bits(), bits()))
             ps = bits()
-            before = match_one(ps, db)
-            grown = append_ancestor_set(db, "b", AncestorPair(bits(), bits()))
+            before = match_one(ps, db_of(k, a, b))
+            grown = db_of(k, a, entry("b", (1, 0), *b[2], (bits(), bits())))
             after = match_one(ps, grown)
             if before.predicted_label == "b":
                 assert after.best_distance <= before.best_distance
@@ -154,7 +160,7 @@ class TestBruteForceAgreement:
         ps = bits()
         for kind in MetricKind:
             result = match_one(ps, db, kind)
-            label, dist, margin = brute_force_match(ps, db, kind)
+            label, dist, margin = brute_force_match(ps, entries, kind)
             assert result.predicted_label == label, kind
             assert result.best_distance == dist, kind
             assert result.runner_up_margin == margin, kind
@@ -193,16 +199,21 @@ class TestMatchTrace:
         assert [r.runner_up_margin for r in results] == [math.inf, math.inf]
         assert [r.best_distance for r in results] == [0.0, 3.0]
 
-    def test_ancestor_stack_built_once_in_scan_order(self):
+    def test_ancestors_read_only_in_file_order(self):
         db = db_of(2, entry("a", (0, 0), (gs("0001"), gs("0010")), (gs("0011"), gs("0100"))),
                    entry("b", (1, 0), (gs("0101"), gs("0110"))))
-        stacked, starts = db.ancestor_stack
-        assert db.ancestor_stack[0] is stacked
-        # per entry: every set's first ancestor, then every set's second
-        scan = ["0001", "0011", "0010", "0100", "0101", "0110"]
-        assert stacked.tobytes() == b"".join(gs(bits).packed for bits in scan)
-        assert stacked.shape == (6, 1) and starts == [0, 4]
-        assert not stacked.flags.writeable
+        # per entry, per set: the first ancestor, then the second, as the file stores them
+        rows = ["0001", "0010", "0011", "0100", "0101", "0110"]
+        assert db.ancestors.packed.tobytes() == b"".join(gs(bits).packed for bits in rows)
+        # the payload: a 15-byte header, then per entry a u16 label length, the
+        # label, two f64, a u16 set count and the rows (a at 36:40, b at 61:63)
+        payload = db_to_bytes(db)
+        assert len(payload) == 63
+        assert payload[36:40] + payload[61:63] == db.ancestors.packed.tobytes()
+        assert db.ancestors.packed.shape == (6, 1) and db.starts.tolist() == [0, 4]
+        assert not db.ancestors.packed.flags.writeable and not db.starts.flags.writeable
+        with pytest.raises(ValueError):
+            db.ancestors.packed[0, 0] = 0xFF
 
     def test_match_one_error_names_window(self):
         db = db_of(2, entry("a", (0, 0), (gs("0000"), gs("0000"))))
@@ -210,7 +221,7 @@ class TestMatchTrace:
         with pytest.raises(LengthMismatchError,
                            match="^parent sequences have 2 bits, database stores 4$"):
             match_one(gs("01"), db)
-        empty = FingerprintDb(subcarrier_count=1, threshold_micro=0, entries=())
+        empty = db_of(1)
         with pytest.raises(EmptyInputError, match="^fingerprint database has no entries$"):
             match_one(gs("01"), empty)
 
@@ -223,15 +234,7 @@ class TestBatchEqualsPerWindow:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 6))
         bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
-        entries = []
-        for i in range(int(rng.integers(1, 6))):  # one entry: every margin is inf
-            if entries and rng.random() < 0.3:  # a copy of an earlier entry: exact ties
-                sets = entries[int(rng.integers(0, len(entries)))].ancestor_sets
-            else:
-                sets = tuple(AncestorPair(bits(), bits())
-                             for _ in range(int(rng.integers(1, 4))))
-            entries.append(PositionEntry(f"e{i}", (float(i), 0.0), sets))
-        db = db_of(k, *entries)
+        db = db_of(k, *random_entries(rng, bits))
         parents = [bits() for _ in range(int(rng.integers(0, 7)))]
         assert match_trace(parents, db, kind) == [
             replace(match_one(ps, db, kind), window_index=row) for row, ps in enumerate(parents)]
@@ -243,10 +246,28 @@ class TestBatchEqualsPerWindow:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 12))
         bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
-        db = db_of(k, *(PositionEntry(f"e{i}", (float(i), 1.0), (AncestorPair(bits(), bits()),))
+        db = db_of(k, *(entry(f"e{i}", (float(i), 1.0), (bits(), bits()))
                         for i in range(int(rng.integers(1, 5)))))
         gm = GeneMatrix(np.packbits(rng.integers(0, 2, (int(rng.integers(0, 9)), 2 * k),
                                                  dtype=np.uint8), axis=1), k)
         results = match_trace(gm, db, kind)
         assert [r.window_index for r in results] == list(range(len(gm)))
         assert results == match_trace([gm[i] for i in range(len(gm))], db, kind)
+
+
+class TestWithinEntryOrder:
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=40)
+    def test_permuted_sets_and_swapped_ancestors_match_alike(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 6))
+        bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+        entries = random_entries(rng, bits)
+        shuffled = []  # each entry's sets reordered, each set's ancestors swapped
+        for label, coord, sets in entries:
+            order = rng.permutation(len(sets))
+            shuffled.append(entry(label, coord, *((sets[j][1], sets[j][0]) for j in order)))
+        parents = [bits() for _ in range(int(rng.integers(1, 7)))]
+        assert (match_trace(parents, db_of(k, *entries), kind)
+                == match_trace(parents, db_of(k, *shuffled), kind))

@@ -101,9 +101,8 @@ class TestGenerate:
             positions.append((trace.true_label, trace.true_coord, seqs[:120]))
             tests.append(trace)
         db = build_db(positions, threshold_fraction=0.0)
-        for entry in db.entries:
-            pair = entry.ancestor_sets[0]
-            assert pair.as1 == pair.as2
+        # rows in file order: each position's first ancestor, then its second
+        assert db.ancestors[0::2] == db.ancestors[1::2]
         labeled = LabeledWindows.from_traces(tests, window_size=120)
         report = evaluate_windows(db, labeled)
         assert report.accuracy == 1.0
