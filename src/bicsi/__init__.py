@@ -1,14 +1,6 @@
 """Binary CSI fingerprint encoding and position matching toolkit."""
 
-from .encoding import (
-    GeneMatrix,
-    GeneSequence,
-    encode10,
-    encode_matrix,
-    encode_row,
-    majority5,
-    reencode2,
-)
+from .encoding import GeneMatrix, encode_matrix
 from .errors import (
     BicsiError,
     ConfigError,
@@ -45,7 +37,6 @@ from .fingerprint import (
     FingerprintDb,
     build_db,
     derive_ancestors,
-    derive_parent,
     fraction_to_micro,
     load_db,
     save_db,
@@ -55,22 +46,12 @@ from .fingerprint import (
 from .ingest import (
     AmplitudeMatrix,
     SubcarrierFilter,
-    amplitude_from_iq,
     build_matrix,
     load_filter,
     load_trace,
 )
-from .matcher import MatchResult, match_one, match_trace
-from .similarity import (
-    MetricKind,
-    cosine_bits,
-    distance,
-    euclidean_bits,
-    hamming,
-    jaccard_bits,
-    manhattan_bits,
-    pearson_bits,
-)
+from .matcher import MatchResult, match_trace
+from .similarity import MetricKind
 from .synth import SynthConfig, SynthDataset, drift_sessions, generate
 
 __version__ = "0.1.0"

@@ -26,7 +26,6 @@ from .fingerprint import (
     DEFAULT_WINDOW_SIZE,
     FingerprintDb,
     ancestor_matrices,
-    as_gene_matrix,
     build_db,
     finite_coord,
     fraction_to_micro,
@@ -56,14 +55,19 @@ class LabeledTrace:
 @dataclass(frozen=True)
 class LabeledWindows:
     """Parent sequences pooled from labeled traces, one GeneMatrix row per
-    window (gene sequences of one length are packed), with per-window truth."""
+    window, with per-window truth. ``parents`` may also be given as GeneMatrix
+    pieces of one bit length, which are joined in order."""
 
     parents: GeneMatrix
     labels: tuple
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "parents", GeneMatrix.from_sequences(self.parents))
+        if not isinstance(self.parents, GeneMatrix):
+            try:
+                object.__setattr__(self, "parents", GeneMatrix.concat(self.parents))
+            except LengthMismatchError as exc:
+                raise LengthMismatchError(f"test windows have {exc}") from None
         object.__setattr__(self, "coords", tuple(finite_coord(c, f"window {i}")
                                                  for i, c in enumerate(self.coords)))
         if not (len(self.parents) == len(self.labels) == len(self.coords)):
@@ -87,11 +91,7 @@ class LabeledWindows:
         window_sets = list(window_sets)
         if not window_sets:
             raise EmptyInputError("no test windows")
-        widths = sorted({ws.parents.bit_length for ws in window_sets})
-        if len(widths) > 1:
-            raise LengthMismatchError(f"test windows have different bit lengths: {widths}")
-        return cls(GeneMatrix(np.concatenate([ws.parents.packed for ws in window_sets]),
-                              window_sets[0].parents.subcarrier_count),
+        return cls(tuple(ws.parents for ws in window_sets),
                    tuple(chain.from_iterable(ws.labels for ws in window_sets)),
                    tuple(chain.from_iterable(ws.coords for ws in window_sets)))
 
@@ -243,16 +243,16 @@ def threshold_sweep(training_sets, fractions) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """One position's training sequences within a session, packed once into
-    a :class:`~bicsi.encoding.GeneMatrix`."""
+    """One position's training sequences within a session, one
+    :class:`~bicsi.encoding.GeneMatrix` row per packet."""
 
     label: str
     coord: tuple
     sequences: GeneMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "sequences", as_gene_matrix(
-            self.sequences, f"position {self.label!r}: no training sequences"))
+        if not len(self.sequences):
+            raise EmptyInputError(f"position {self.label!r}: no training sequences")
 
 
 @dataclass(frozen=True)

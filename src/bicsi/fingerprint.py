@@ -6,9 +6,10 @@ threshold) or left open, in which case the first ancestor records 1 and the
 second 0. A position may accumulate one ancestor pair per training session.
 Online, a parent sequence summarizes a packet window by plain column
 majority with ties going to 1: no threshold, mirroring the offline
-else-branch convention. A trace's parents stay one packed
-:class:`~bicsi.encoding.GeneMatrix`, a row per window, all the way to the
-matcher.
+else-branch convention. Every group of sequences here is one packed
+:class:`~bicsi.encoding.GeneMatrix`: a position's training packets, a
+trace's parents (a row per window, all the way to the matcher) and an
+ancestor pair alike; a single sequence is a one-row GeneMatrix.
 
 The database keeps every ancestor in one packed GeneMatrix whose row order
 is the file's payload order, and serializes to a compact little-endian
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import GeneMatrix, GeneSequence
+from .encoding import GeneMatrix
 from .errors import (
     ConfigError,
     DbLengthError,
@@ -130,19 +131,6 @@ class FingerprintDb:
         return self.threshold_micro / MICRO_UNITS
 
 
-def as_gene_matrix(seqs, empty_message: str) -> GeneMatrix:
-    """``seqs`` packed once into a GeneMatrix (one passes through as is).
-
-    Raises EmptyInputError(empty_message) when there are no sequences and
-    LengthMismatchError when their lengths differ.
-    """
-    if not isinstance(seqs, GeneMatrix):
-        seqs = list(seqs)
-    if not len(seqs):
-        raise EmptyInputError(empty_message)
-    return GeneMatrix.from_sequences(seqs)
-
-
 def _column_counts(gm: GeneMatrix, size: int) -> np.ndarray:
     """One-count of every bit column over consecutive groups of ``size`` rows,
     the last group holding any rows left over: int64 ``(groups, bit_length)``.
@@ -165,11 +153,12 @@ def _column_counts(gm: GeneMatrix, size: int) -> np.ndarray:
 
 def training_counts(named_sets) -> tuple:
     """Sizes ``(P,)`` and bit-column one-counts ``(P, 2k)`` of P training
-    sets given as (name, sequences), each set packed once; an empty set or
-    one whose bit length differs from the first raises an error naming it."""
-    sets = [(name, as_gene_matrix(seqs, f"{name}: no training sequences"))
-            for name, seqs in named_sets]
+    sets given as (name, GeneMatrix); an empty set or one whose bit length
+    differs from the first raises an error naming it."""
+    sets = list(named_sets)
     for name, gm in sets:
+        if not len(gm):
+            raise EmptyInputError(f"{name}: no training sequences")
         if gm.bit_length != sets[0][1].bit_length:
             raise LengthMismatchError(
                 f"{name}: {gm.bit_length} bits, expected {sets[0][1].bit_length}")
@@ -191,23 +180,16 @@ def ancestor_matrices(sizes, ones, trs) -> tuple:
         raise ConfigError("threshold count must be non-negative")
     majority = 2 * ones >= sizes[:, None]
     decided = np.abs(sizes[:, None] - 2 * ones) >= trs
-    return GeneMatrix._from_bits(majority | ~decided), GeneMatrix._from_bits(majority & decided)
+    return GeneMatrix._pack(majority | ~decided), GeneMatrix._pack(majority & decided)
 
 
 def derive_ancestors(training, tr: int) -> tuple:
-    """First and second ancestor of one training set at integer threshold
-    ``tr``, a GeneSequence pair: the one-position case of
+    """First and second ancestor of one training GeneMatrix at integer
+    threshold ``tr``, two one-row GeneMatrix: the one-position case of
     :func:`ancestor_matrices`."""
     sizes, ones = training_counts([("training set", training)])
     # any tr above n decides nothing; capping it keeps the count within int64
-    as1, as2 = ancestor_matrices(sizes, ones, min(tr, int(sizes[0]) + 1))
-    return as1[0], as2[0]
-
-
-def derive_parent(window) -> GeneSequence:
-    """Column-majority summary of a packet window; exact ties produce 1."""
-    gm = as_gene_matrix(window, "window is empty")
-    return windows(gm, len(gm))[0]
+    return ancestor_matrices(sizes, ones, min(tr, int(sizes[0]) + 1))
 
 
 def window_slices(total: int, size: int) -> list[tuple[int, int]]:
@@ -226,23 +208,22 @@ def window_slices(total: int, size: int) -> list[tuple[int, int]]:
     return slices
 
 
-def windows(trace, size: int = DEFAULT_WINDOW_SIZE) -> GeneMatrix:
-    """Parent sequences of consecutive windows of a gene-sequence trace, one
+def windows(gm: GeneMatrix, size: int = DEFAULT_WINDOW_SIZE) -> GeneMatrix:
+    """Parent sequences of consecutive windows of a trace's GeneMatrix, one
     row per window; a trace shorter than half a window gives zero rows.
 
     Each parent is the column majority of its window, exact ties giving 1.
     """
-    gm = GeneMatrix.from_sequences(trace)
     slices = window_slices(len(gm), size)
     ones = _column_counts(gm, size)[: len(slices)]  # a short tail group may be dropped
     lengths = np.array([hi - lo for lo, hi in slices], dtype=np.int64)
-    return GeneMatrix._from_bits(2 * ones >= lengths[:, None])
+    return GeneMatrix._pack(2 * ones >= lengths[:, None])
 
 
 def build_db(positions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) -> FingerprintDb:
     """Derive one ancestor set per position and assemble the database.
 
-    ``positions`` yields (label, (x, y), training sequences); the threshold
+    ``positions`` yields (label, (x, y), training GeneMatrix); the threshold
     count for each position is ceil(fraction * its own training size).
     """
     micro = fraction_to_micro(threshold_fraction)

@@ -130,15 +130,6 @@ class AmplitudeMatrix:
         return int(self.data.shape[1])
 
 
-def amplitude_from_iq(i: float, q: float) -> int:
-    """Integer part of the complex-channel magnitude sqrt(i^2 + q^2)."""
-    i = float(i)
-    q = float(q)
-    if not (math.isfinite(i) and math.isfinite(q)):
-        raise DataDomainError("I/Q components must be finite")
-    return int(math.floor(math.hypot(i, q)))
-
-
 def _validate_lines(path, lines, format: str) -> np.ndarray:
     """Per-line parse of a trace's raw lines into a (packets, fields) array.
 
@@ -238,8 +229,8 @@ def build_matrix(trace, subcarrier_filter: SubcarrierFilter | None = None) -> Am
     """Integer amplitude matrix with excluded raw columns removed.
 
     ``trace`` is a :func:`load_trace` array: (packets, subcarriers)
-    amplitudes, floored, or (packets, subcarriers, 2) I/Q pairs, which go
-    through the magnitude-then-floor rule of :func:`amplitude_from_iq`.
+    amplitudes, floored, or (packets, subcarriers, 2) I/Q pairs, each
+    reduced to the integer part of its magnitude, floor(hypot(i, q)).
     Retained columns keep their original relative order.
     """
     arr = _trace_array(trace)

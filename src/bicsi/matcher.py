@@ -1,4 +1,4 @@
-"""Nearest-fingerprint matching of parent sequences.
+"""Nearest-fingerprint matching of parent windows.
 
 Every ancestor of every set of every position competes; the position owning
 the globally closest ancestor wins. A trace's parents arrive as one packed
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import GeneMatrix, GeneSequence
+from .encoding import GeneMatrix
 from .errors import ConfigError, EmptyInputError, LengthMismatchError
 from .fingerprint import FingerprintDb
 from .similarity import MetricKind, distances
@@ -36,26 +36,15 @@ class MatchResult:
     runner_up_margin: float
 
 
-def match_one(parent: GeneSequence, db: FingerprintDb,
-              kind: MetricKind = MetricKind.HAMMING) -> MatchResult:
-    """Predict the position whose ancestors come closest to ``parent``."""
-    return match_trace([parent], db, kind)[0]
-
-
-def match_trace(parents, db: FingerprintDb,
+def match_trace(parents: GeneMatrix, db: FingerprintDb,
                 kind: MetricKind = MetricKind.HAMMING) -> list[MatchResult]:
     """Match every parent row against the database, order preserved.
 
     ``parents`` is a GeneMatrix, as :func:`~bicsi.fingerprint.windows`
-    returns, or gene sequences of one length, packed once. The database, the
-    bit length and the metric kind are checked once per call; a result's
+    returns; one window is a one-row GeneMatrix. The database, the bit
+    length and the metric kind are checked once per call; a result's
     ``window_index`` is its row.
     """
-    if not isinstance(parents, GeneMatrix):
-        parents = list(parents)
-        if not parents:
-            return []
-        parents = GeneMatrix.from_sequences(parents)
     if not db.labels:
         raise EmptyInputError("fingerprint database has no entries")
     if parents.bit_length != 2 * db.subcarrier_count:

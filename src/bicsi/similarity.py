@@ -1,4 +1,4 @@
-"""Distance and similarity measures over gene sequences.
+"""Distance and similarity measures over packed gene-sequence rows.
 
 All six measures are closed forms in (ones in a, ones in b, ones in a & b,
 bit length), and bits are counted in one place: :func:`bit_counts`, a
@@ -13,8 +13,7 @@ import enum
 
 import numpy as np
 
-from .encoding import GeneSequence
-from .errors import ConfigError, LengthMismatchError
+from .errors import ConfigError
 
 
 class MetricKind(enum.Enum):
@@ -78,48 +77,3 @@ def distances(kind: MetricKind, a: np.ndarray, b: np.ndarray, bit_length: int) -
         return 1.0 - value
     return np.asarray(value, dtype=np.float64)
 
-
-def _rows(a: GeneSequence, b: GeneSequence) -> tuple:
-    if a.bit_length != b.bit_length:
-        raise LengthMismatchError(f"sequence lengths differ: {a.bit_length} vs {b.bit_length} bits")
-    return np.frombuffer(a.packed, dtype=np.uint8), np.frombuffer(b.packed, dtype=np.uint8)
-
-
-def _scalar(kind: MetricKind, a: GeneSequence, b: GeneSequence):
-    return _measure(kind, *bit_counts(*_rows(a, b)), a.bit_length)
-
-
-def hamming(a: GeneSequence, b: GeneSequence) -> int:
-    """Number of bit positions where the two sequences differ."""
-    return int(_scalar(MetricKind.HAMMING, a, b))
-
-
-def manhattan_bits(a: GeneSequence, b: GeneSequence) -> int:
-    """Sum of absolute bitwise differences (the Hamming distance on 0/1 vectors)."""
-    return int(_scalar(MetricKind.MANHATTAN, a, b))
-
-
-def euclidean_bits(a: GeneSequence, b: GeneSequence) -> float:
-    """Euclidean norm of the bitwise difference vector."""
-    return float(_scalar(MetricKind.EUCLIDEAN, a, b))
-
-
-def cosine_bits(a: GeneSequence, b: GeneSequence) -> float:
-    """Cosine similarity over 0/1 vectors; 1 for two all-zero sequences, 0 for one."""
-    return float(_scalar(MetricKind.COSINE, a, b))
-
-
-def pearson_bits(a: GeneSequence, b: GeneSequence) -> float:
-    """Pearson correlation over 0/1 vectors; 1 for identical sequences (constant
-    ones too), otherwise 0 when either sequence is constant."""
-    return float(_scalar(MetricKind.PEARSON, a, b))
-
-
-def jaccard_bits(a: GeneSequence, b: GeneSequence) -> float:
-    """Jaccard index over bit supports; two empty supports count as identical."""
-    return float(_scalar(MetricKind.JACCARD, a, b))
-
-
-def distance(kind: MetricKind, a: GeneSequence, b: GeneSequence) -> float:
-    """Lower-is-better distance for any metric kind (see :func:`distances`)."""
-    return float(distances(kind, *_rows(a, b), a.bit_length))

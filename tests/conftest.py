@@ -1,50 +1,75 @@
-"""Shared test helpers: bit-literal sequences, databases built from
-ancestor pairs, hypothesis strategies, per-pair reference measures computed
-without the library's count kernel and a per-window reference report fold."""
+"""Shared test helpers: bit-literal rows, databases built from ancestor
+pairs, hypothesis strategies, the per-amplitude encoder reference, per-pair
+reference measures computed without the library's count kernel and a
+per-window reference report fold."""
 
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from bicsi.encoding import GeneMatrix, GeneSequence
+from bicsi.encoding import GeneMatrix
 from bicsi.errors import UnknownLabelError
 from bicsi.evaluation import EvalReport, PositionBreakdown
 from bicsi.fingerprint import FingerprintDb
 from bicsi.similarity import MetricKind
 
 
-def gs(bit_string: str) -> GeneSequence:
-    """GeneSequence from a literal like "0101"."""
-    return GeneSequence.from_bits([int(c) for c in bit_string])
+def rows_of(bits) -> GeneMatrix:
+    """GeneMatrix of a (rows, 2k) 0/1 array, packed MSB first; a 1-D vector
+    gives one row."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    bits = bits.reshape(-1, bits.shape[-1])
+    assert bits.shape[1] and bits.shape[1] % 2 == 0 and bits.max(initial=0) <= 1
+    return GeneMatrix(np.packbits(bits, axis=1), bits.shape[1] // 2)
+
+
+def gs(*bit_strings: str) -> GeneMatrix:
+    """GeneMatrix with one row per literal like "0101"."""
+    return rows_of([[int(c) for c in s] for s in bit_strings])
 
 
 def fingerprint_db(k: int, entries, threshold_micro: int = 0) -> FingerprintDb:
     """Database of ``entries``, each (label, coord, [(as1, as2), ...]) with
-    2k-bit ancestors, packed in file order: per entry, per set, as1 then as2."""
+    one-row 2k-bit ancestors, packed in file order: per entry, per set, as1
+    then as2."""
     entries = [(label, coord, list(sets)) for label, coord, sets in entries]
     rows = [anc for _, _, sets in entries for pair in sets for anc in pair]
-    assert all(anc.bit_length == 2 * k for anc in rows)
-    packed = np.frombuffer(b"".join(anc.packed for anc in rows), dtype=np.uint8)
+    assert all(len(anc) == 1 and anc.bit_length == 2 * k for anc in rows)
+    packed = np.frombuffer(b"".join(anc.packed.tobytes() for anc in rows), dtype=np.uint8)
     return FingerprintDb(threshold_micro, [label for label, _, _ in entries],
                          [coord for _, coord, _ in entries],
                          [len(sets) for _, _, sets in entries],
                          GeneMatrix(packed.reshape(len(rows), (2 * k + 7) // 8), k))
 
 
-def unpack_independently(seq: GeneSequence) -> list:
-    """Bit list recovered from the raw packed bytes, bypassing numpy."""
-    bits = [int(c) for byte in seq.packed for c in format(byte, "08b")]
-    return bits[: seq.bit_length]
+def unpack_independently(row: GeneMatrix) -> list:
+    """Bit list of a one-row GeneMatrix, recovered from its raw packed bytes
+    without numpy's unpacking."""
+    assert len(row) == 1
+    bits = [int(c) for byte in row.packed.tobytes() for c in format(byte, "08b")]
+    return bits[: row.bit_length]
 
 
-# The references take two GeneSequences (unpacked with unpack_independently)
-# or two 0/1 lists. They keep the per-pair formulas the library used before
-# its count kernel: Python ints, the same float expression order and the same
-# degenerate cases, so the library must match them exactly.
+def reference_code(ap: int) -> list:
+    """[H, L] of one amplitude: the majority bits of the high and low halves
+    of its ten-bit code, all-zero at or past the 1024 cutoff."""
+    ten = format(ap, "010b") if ap < 1024 else "0" * 10
+    return [int(ten[:5].count("1") >= 3), int(ten[5:].count("1") >= 3)]
+
+
+def reference_encoding(amplitudes) -> list:
+    """The gene-sequence bits of one packet row, code after code."""
+    return [b for ap in amplitudes for b in reference_code(int(ap))]
+
+
+# The references take two one-row GeneMatrix (unpacked with
+# unpack_independently) or two 0/1 lists. They keep the per-pair formulas the
+# library used before its count kernel: Python ints, the same float expression
+# order and the same degenerate cases, so the library must match them exactly.
 
 def _bit_lists(a, b) -> tuple:
-    x, y = [unpack_independently(v) if isinstance(v, GeneSequence) else list(v)
+    x, y = [unpack_independently(v) if isinstance(v, GeneMatrix) else list(v)
             for v in (a, b)]
     assert len(x) == len(y)
     return x, y
@@ -113,15 +138,11 @@ def reference_distance(kind: MetricKind, a, b) -> float:
     return 1.0 - reference_jaccard(a, b)
 
 
-def unpack_rows(seqs) -> np.ndarray:
-    """(n, bit_length) bit matrix of same-length sequences, shifted out of
-    their raw packed bytes without the library's unpacking."""
-    seqs = list(seqs)
-    assert len({s.bit_length for s in seqs}) == 1
-    raw = np.frombuffer(b"".join(s.packed for s in seqs), dtype=np.uint8)
-    raw = raw.reshape(len(seqs), -1)
-    bits = (raw[:, :, None] >> np.arange(7, -1, -1, dtype=np.uint8)) & 1
-    return bits.reshape(len(seqs), -1)[:, : seqs[0].bit_length]
+def unpack_rows(gm: GeneMatrix) -> np.ndarray:
+    """(rows, bit_length) bit matrix, shifted out of the raw packed bytes
+    without the library's unpacking."""
+    bits = (gm.packed[:, :, None] >> np.arange(7, -1, -1, dtype=np.uint8)) & 1
+    return bits.reshape(len(gm), -1)[:, : gm.bit_length]
 
 
 def bit_vectors(length: int):
@@ -129,35 +150,26 @@ def bit_vectors(length: int):
 
 
 def gene_sequences(min_k: int = 1, max_k: int = 32):
-    return st.integers(min_k, max_k).flatmap(
-        lambda k: bit_vectors(2 * k).map(GeneSequence.from_bits)
-    )
+    """One-row GeneMatrix of 2k random bits."""
+    return st.integers(min_k, max_k).flatmap(lambda k: bit_vectors(2 * k).map(rows_of))
 
 
 def sequence_pairs(min_k: int = 1, max_k: int = 32):
-    """Two gene sequences of one shared length."""
+    """Two one-row GeneMatrix of one shared length."""
     return st.integers(min_k, max_k).flatmap(
-        lambda k: st.tuples(
-            bit_vectors(2 * k).map(GeneSequence.from_bits),
-            bit_vectors(2 * k).map(GeneSequence.from_bits),
-        )
+        lambda k: st.tuples(bit_vectors(2 * k).map(rows_of), bit_vectors(2 * k).map(rows_of))
     )
 
 
 def sequence_triples(min_k: int = 1, max_k: int = 16):
     return st.integers(min_k, max_k).flatmap(
-        lambda k: st.tuples(
-            bit_vectors(2 * k).map(GeneSequence.from_bits),
-            bit_vectors(2 * k).map(GeneSequence.from_bits),
-            bit_vectors(2 * k).map(GeneSequence.from_bits),
-        )
+        lambda k: st.tuples(*(bit_vectors(2 * k).map(rows_of) for _ in range(3)))
     )
 
 
-def random_sequences(rng: np.random.Generator, count: int, k: int) -> list:
-    """Seeded batch of random gene sequences (test fixture helper)."""
-    bits = rng.integers(0, 2, size=(count, 2 * k), dtype=np.uint8)
-    return [GeneSequence.from_bits(row) for row in bits]
+def random_sequences(rng: np.random.Generator, count: int, k: int) -> GeneMatrix:
+    """Seeded GeneMatrix of ``count`` random rows (test fixture helper)."""
+    return rows_of(rng.integers(0, 2, size=(count, 2 * k), dtype=np.uint8))
 
 
 def reference_report(metric, db_labels, predicted_labels, predicted_coords,

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from bicsi.encoding import GeneSequence, encode10, encode_matrix
+from bicsi.encoding import encode_matrix
 from bicsi.errors import (
     DbLengthError,
     DbMagicError,
@@ -39,14 +39,16 @@ from bicsi.fingerprint import (
     save_db,
 )
 from bicsi.ingest import AmplitudeMatrix
-from bicsi.matcher import MatchResult, match_one, match_trace
-from bicsi.similarity import MetricKind, euclidean_bits, manhattan_bits
+from bicsi.matcher import MatchResult, match_trace
+from bicsi.similarity import MetricKind, distances
 from bicsi.synth import SynthConfig, drift_sessions, generate
 
 from conftest import (
     fingerprint_db,
+    reference_code,
     reference_euclidean,
     reference_manhattan,
+    rows_of,
     unpack_independently,
     unpack_rows,
 )
@@ -130,10 +132,9 @@ def split_fixture(dataset, train_packets, test_packets):
 
 def test_encoder_exhaustive_correctness():
     start = time.perf_counter()
-    for ap in range(2048):
-        code = encode10(ap)
-        expected = format(ap, "010b") if ap < 1024 else "0000000000"
-        assert "".join(map(str, code)) == expected
+    # one packet per amplitude; the reference votes over the halves of format(ap, "010b")
+    bits = unpack_rows(encode_matrix(np.arange(2048, dtype=np.int64)[:, None]))
+    assert bits.tolist() == [reference_code(ap) for ap in range(2048)]
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report_pass("encoder exhaustive correctness over 0..2047", elapsed, 1.0)
@@ -144,13 +145,13 @@ def test_distance_identity_and_prediction_invariance():
     rng = np.random.default_rng(424242)
     k = 230
     bits = rng.integers(0, 2, size=(20000, 2 * k), dtype=np.uint8)
-    for i in range(10000):
-        a = GeneSequence.from_bits(bits[2 * i])
-        b = GeneSequence.from_bits(bits[2 * i + 1])
-        # the reference reads the generated bits, not the library's packing
-        x, y = bits[2 * i].tolist(), bits[2 * i + 1].tolist()
-        assert manhattan_bits(a, b) == reference_manhattan(x, y)
-        assert euclidean_bits(a, b) == reference_euclidean(x, y)
+    packed = np.packbits(bits, axis=1)  # (20000, 58): pair i is rows 2i and 2i + 1
+    manhattan = distances(MetricKind.MANHATTAN, packed[0::2], packed[1::2], 2 * k)
+    euclidean = distances(MetricKind.EUCLIDEAN, packed[0::2], packed[1::2], 2 * k)
+    # the reference reads the generated bits, not the library's packing
+    pairs = list(zip(bits[0::2].tolist(), bits[1::2].tolist()))
+    assert manhattan.tolist() == [reference_manhattan(x, y) for x, y in pairs]
+    assert euclidean.tolist() == [reference_euclidean(x, y) for x, y in pairs]
 
     # prediction invariance on a six-position synthetic fixture
     cfg = SynthConfig(positions=6, subcarriers=230, packets_per_position=360,
@@ -181,21 +182,18 @@ def test_ancestor_derivation_limits():
     for _ in range(100):
         count = int(rng.integers(1, 80))
         k = int(rng.integers(1, 12))
-        seqs = [GeneSequence.from_bits(row)
-                for row in rng.integers(0, 2, size=(count, 2 * k), dtype=np.uint8)]
+        seqs = rows_of(rng.integers(0, 2, size=(count, 2 * k), dtype=np.uint8))
         as1, as2 = derive_ancestors(seqs, tr=0)
         assert as1 == as2
 
     # threshold above the training size degenerates every position alike
     training_sets = []
     for _ in range(4):
-        seqs = [GeneSequence.from_bits(row)
-                for row in rng.integers(0, 2, size=(50, 32), dtype=np.uint8)]
-        training_sets.append(seqs)
+        training_sets.append(rows_of(rng.integers(0, 2, size=(50, 32), dtype=np.uint8)))
     pairs = [derive_ancestors(s, tr=51) for s in training_sets]
     for as1, as2 in pairs:
-        assert as1.bits().tolist() == [1] * 32
-        assert as2.bits().tolist() == [0] * 32
+        assert unpack_independently(as1) == [1] * 32
+        assert unpack_independently(as2) == [0] * 32
     degenerate = threshold_sweep(training_sets, [1.02])  # ceil -> tr = 51 > 50
     assert degenerate[0][1] == 0.0
 
@@ -220,7 +218,7 @@ def test_storage_bound_and_packing_ratio(tmp_path):
     entries = []
     for i in range(6):
         row = rng.integers(0, 2, size=2 * k, dtype=np.uint8)
-        pair = (GeneSequence.from_bits(row), GeneSequence.from_bits(1 - row))
+        pair = (rows_of(row), rows_of(1 - row))
         entries.append((f"p{i + 1:02d}", (float(i), 0.0), [pair]))
     db = fingerprint_db(k, entries, 50000)
     path = tmp_path / "fp.db"
@@ -231,9 +229,9 @@ def test_storage_bound_and_packing_ratio(tmp_path):
     two_bit_bits = 2 * k
     ten_bit_bits = 10 * k
     assert two_bit_bits * 5 == ten_bit_bits  # exactly 80% fewer bits
-    assert len(seq.packed) == (two_bit_bits + 7) // 8
+    assert seq.packed.shape == (1, (two_bit_bits + 7) // 8)
     ten_bit_bytes_per_row = (ten_bit_bits + 7) // 8
-    assert len(seq.packed) == math.ceil(0.2 * ten_bit_bytes_per_row)
+    assert seq.packed.shape[1] == math.ceil(0.2 * ten_bit_bytes_per_row)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -272,7 +270,7 @@ def test_temporal_multi_set_trend():
     sessions = []
     for dataset in drift_sessions(TEMPORAL_CFG, 7):
         positions, test_traces = split_fixture(dataset, TEMPORAL_TRAIN, TEMPORAL_TEST)
-        training = tuple(TrainingSet(label=label, coord=coord, sequences=tuple(seqs))
+        training = tuple(TrainingSet(label=label, coord=coord, sequences=seqs)
                          for label, coord, seqs in positions)
         sessions.append(Session(training=training,
                                 test=LabeledWindows.from_traces(test_traces, 120)))
@@ -321,12 +319,12 @@ def test_matcher_agrees_with_brute_force():
         for i in range(entry_count):
             sets = []
             for _ in range(int(rng.integers(1, 4))):
-                a = GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
-                b = GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+                a = rows_of(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+                b = rows_of(rng.integers(0, 2, 2 * k, dtype=np.uint8))
                 sets.append((a, b))
             entries.append((f"e{i}", (float(i), float(-i)), sets))
         db = fingerprint_db(k, entries)
-        ps = GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+        ps = rows_of(rng.integers(0, 2, 2 * k, dtype=np.uint8))
 
         # independent exhaustive scan over hand-unpacked bit lists
         target = unpack_independently(ps)
@@ -346,7 +344,7 @@ def test_matcher_agrees_with_brute_force():
         if others and min(others) == per_entry[expected_idx]:
             ties_seen += 1
 
-        result = match_one(ps, db, MetricKind.HAMMING)
+        result = match_trace(ps, db, MetricKind.HAMMING)[0]
         assert result.predicted_label == entries[expected_idx][0]
         assert result.best_distance == per_entry[expected_idx]
         assert result.runner_up_margin == expected_margin
@@ -367,8 +365,8 @@ def test_db_round_trip_and_corruption_classes():
         for i in range(int(rng.integers(0, 5))):
             sets = []
             for _ in range(int(rng.integers(1, 4))):
-                a = GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
-                b = GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+                a = rows_of(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+                b = rows_of(rng.integers(0, 2, 2 * k, dtype=np.uint8))
                 sets.append((a, b))
             coord = (float(rng.normal() * 10), float(rng.normal() * 10))
             entries.append((f"pos-{i}", coord, sets))
@@ -376,8 +374,7 @@ def test_db_round_trip_and_corruption_classes():
         assert db_from_bytes(db_to_bytes(db)) == db
 
     reference = fingerprint_db(2, [("a", (0.0, 0.0),
-                                    [(GeneSequence.from_bits([0, 1, 0, 1]),
-                                      GeneSequence.from_bits([0, 0, 0, 0]))])], 50000)
+                                    [(rows_of([0, 1, 0, 1]), rows_of([0, 0, 0, 0]))])], 50000)
     good = db_to_bytes(reference)
 
     corrupted_magic = b"XXXX" + good[4:]

@@ -1,149 +1,130 @@
-"""Encoder tests: ten-bit codes, five-bit majorities, gene sequences."""
+"""Encoder tests: the ten-bit stage, the five-bit majorities and the packed
+rows, all through ``encode_matrix`` against the per-amplitude reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bicsi.encoding import (
-    ENCODER_OVERFLOW,
-    GeneMatrix,
-    GeneSequence,
-    encode10,
-    encode_matrix,
-    encode_row,
-    majority5,
-    reencode2,
-)
-
+from bicsi.encoding import ENCODER_OVERFLOW, GeneMatrix, encode_matrix
 from bicsi.errors import EmptyInputError, LengthMismatchError
+from bicsi.fingerprint import windows
 from bicsi.ingest import AmplitudeMatrix
 
-from conftest import gs
+from conftest import (
+    gs,
+    reference_code,
+    reference_encoding,
+    rows_of,
+    unpack_independently,
+    unpack_rows,
+)
 
 
-def bits_str(code) -> str:
-    return "".join(str(b) for b in code)
+def encoded(amplitudes) -> list:
+    """Bits of one packet row of amplitudes, encoded as a one-row matrix."""
+    return unpack_independently(encode_matrix(np.array([amplitudes], dtype=np.int64)))
 
 
 class TestEncode10:
+    """The ten-bit stage: base 2 below the cutoff, all zeros at or past it."""
+
     def test_small_value(self):
-        assert bits_str(encode10(5)) == "0000000101"
+        # 5 = 00000 00101, 7 = 00000 00111 and 7 << 5 = 00111 00000
+        assert encoded([5, 7, 7 << 5]) == [0, 0, 0, 1, 1, 0]
 
     def test_overflow_collapses_to_zero(self):
-        assert bits_str(encode10(1024)) == "0000000000"
-        assert bits_str(encode10(5000)) == "0000000000"
+        # 2047 would read (1, 1) if the code kept its low ten bits
+        assert encoded([1024, 5000, 2047]) == [0] * 6
 
     def test_max_in_range(self):
-        assert bits_str(encode10(1023)) == "1111111111"
+        assert encoded([1023]) == [1, 1]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            encode10(-1)
+            encode_matrix(np.array([[0, -1]]))
 
     def test_non_integer_rejected(self):
-        with pytest.raises(TypeError):
-            encode10(1.5)
+        with pytest.raises(ValueError):
+            encode_matrix(np.array([[1.5]]))
 
     def test_exhaustive_branch_rule(self):
-        for ap in range(2048):
-            expected = format(ap, "010b") if ap < ENCODER_OVERFLOW else "0" * 10
-            assert bits_str(encode10(ap)) == expected
-
-    def test_decode_round_trip(self):
-        for ap in range(2048):
-            decoded = int(bits_str(encode10(ap)), 2)
-            assert decoded == (ap if ap < ENCODER_OVERFLOW else 0)
+        amplitudes = np.arange(2048, dtype=np.int64)[:, None]
+        at_zero = np.where(amplitudes < ENCODER_OVERFLOW, amplitudes, 0)
+        assert encode_matrix(amplitudes) == encode_matrix(at_zero)
 
 
 class TestMajority5:
+    """The vote over each five-bit half, seen in the half's own bit."""
+
     def test_two_ones_is_zero(self):
-        assert majority5((0, 0, 1, 0, 1)) == 0
+        assert encoded([0b00101 << 5, 0b00101]) == [0, 0, 0, 0]
 
     def test_three_ones_is_one(self):
-        assert majority5((1, 1, 1, 0, 0)) == 1
+        assert encoded([0b11100 << 5, 0b11100]) == [1, 0, 0, 1]
 
     def test_all_zero(self):
-        assert majority5((0, 0, 0, 0, 0)) == 0
-
-    def test_wrong_arity(self):
-        with pytest.raises(ValueError):
-            majority5((1, 0, 1))
-
-    def test_non_binary(self):
-        with pytest.raises(ValueError):
-            majority5((0, 2, 0, 0, 0))
+        assert encoded([0]) == [0, 0]
 
     def test_monotone_exhaustive(self):
-        # flipping any 0 to 1 never drops the vote
-        for value in range(32):
-            bits = [(value >> (4 - i)) & 1 for i in range(5)]
-            before = majority5(bits)
-            for i in range(5):
-                if bits[i] == 0:
-                    flipped = list(bits)
-                    flipped[i] = 1
-                    assert majority5(flipped) >= before
+        # flipping any 0 to 1 in either half never drops that half's vote
+        votes = unpack_rows(encode_matrix(np.arange(1024, dtype=np.int64)[:, None]))
+        for value in range(1024):
+            for bit in range(10):
+                if not value >> bit & 1:
+                    half = 0 if bit >= 5 else 1
+                    assert votes[value | 1 << bit, half] >= votes[value, half]
 
 
 class TestReencode2:
     def test_sparse_halves(self):
-        assert reencode2(encode10(5)) == (0, 0)
+        assert encoded([5]) == [0, 0]
 
     def test_both_halves_majority(self):
-        assert reencode2((1, 1, 1, 0, 0, 0, 0, 1, 1, 1)) == (1, 1)
+        assert encoded([0b1110000111]) == [1, 1]
 
     def test_all_ones(self):
-        assert reencode2((1,) * 10) == (1, 1)
-
-    def test_wrong_arity(self):
-        with pytest.raises(ValueError):
-            reencode2((1, 0, 1))
+        assert encoded([1023]) == [1, 1]
 
 
 class TestEncodeRow:
     def test_extremes(self):
-        assert encode_row([1023, 0]).bits().tolist() == [1, 1, 0, 0]
+        assert encoded([1023, 0]) == [1, 1, 0, 0]
 
     def test_all_overflow_row(self):
-        seq = encode_row([1024] * 7)
-        assert seq.bits().tolist() == [0] * 14
+        assert encoded([1024] * 7) == [0] * 14
 
     def test_forty(self):
         # 40 = 0000101000; each half holds one set bit
-        assert encode_row([40]).bits().tolist() == [0, 0]
+        assert encoded([40]) == [0, 0]
 
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError):
-            encode_row([])
+            encode_matrix(np.zeros((1, 0), dtype=np.int64))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            encode_row([3, -1])
+            encode_matrix(np.array([[3, -1]]))
 
     @given(st.lists(st.integers(0, 2047), min_size=1, max_size=40))
     def test_matches_scalar_composition(self, amplitudes):
-        vectorized = encode_row(np.asarray(amplitudes)).bits().tolist()
-        scalar = []
-        for ap in amplitudes:
-            scalar.extend(reencode2(encode10(ap)))
-        assert vectorized == scalar
+        assert encoded(amplitudes) == reference_encoding(amplitudes)
 
     def test_matches_scalar_composition_exhaustive(self):
-        for ap in range(2048):
-            assert tuple(encode_row([ap]).bits().tolist()) == reencode2(encode10(ap))
+        bits = unpack_rows(encode_matrix(np.arange(2048, dtype=np.int64)[:, None]))
+        assert bits.tolist() == [reference_code(ap) for ap in range(2048)]
 
 
 class TestEncodeMatrix:
     def test_shape_contract(self):
-        seqs = encode_matrix(np.zeros((3, 5), dtype=np.int64))
-        assert len(seqs) == 3
-        assert all(s.bit_length == 10 for s in seqs)
+        gm = encode_matrix(np.zeros((3, 5), dtype=np.int64))
+        assert len(gm) == 3 and gm.bit_length == 10
+        assert all(len(row) == 1 and row.bit_length == 10 for row in gm)
 
     def test_identical_rows_identical_sequences(self):
         m = np.tile(np.arange(8, dtype=np.int64), (4, 1))
-        seqs = encode_matrix(m)
-        assert len({s.packed for s in seqs}) == 1
+        gm = encode_matrix(m)
+        assert len({row.packed.tobytes() for row in gm}) == 1
 
     def test_overflow_values_collapse_alike(self):
         a = np.array([[1024, 33, 700]], dtype=np.int64)
@@ -152,9 +133,7 @@ class TestEncodeMatrix:
 
     def test_deterministic(self):
         m = np.arange(24, dtype=np.int64).reshape(4, 6) * 37 % 1100
-        first = [s.packed for s in encode_matrix(m)]
-        second = [s.packed for s in encode_matrix(m)]
-        assert first == second
+        assert encode_matrix(m) == encode_matrix(m)
 
     @given(st.integers(1, 12).flatmap(lambda k: st.lists(
         st.lists(st.integers(0, 2047), min_size=k, max_size=k), min_size=1, max_size=20)))
@@ -163,9 +142,8 @@ class TestEncodeMatrix:
         gm = encode_matrix(m)
         assert len(gm) == len(m)
         for i in range(len(m)):
-            assert gm[i] == encode_row(m[i])
-            scalar = [b for ap in rows[i] for b in reencode2(encode10(ap))]
-            assert gm[i].bits().tolist() == scalar
+            assert gm[i] == encode_matrix(m[i:i + 1])
+            assert unpack_independently(gm[i]) == reference_encoding(rows[i])
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint16, np.int32, np.uint64])
     def test_integer_dtypes_agree(self, dtype):
@@ -182,8 +160,7 @@ class TestEncodeMatrix:
         a = np.array([values, values[::-1]], dtype=dtype)
         trusted = encode_matrix(AmplitudeMatrix(a, range(len(values))))
         assert np.array_equal(trusted.packed, encode_matrix(a).packed)
-        expected = [b for v in values for b in reencode2(encode10(v))]
-        assert trusted[0].bits().tolist() == expected
+        assert unpack_independently(trusted[0]) == reference_encoding(values)
 
     @pytest.mark.parametrize("raw", [
         np.array([[3, -1]]),
@@ -216,12 +193,16 @@ class TestGeneMatrix:
     def test_index_and_slice(self):
         gm = self.gm()
         rows = list(gm)
-        assert gm[-1] == rows[4]
+        assert len(rows) == 5
+        assert all(isinstance(row, GeneMatrix) and len(row) == 1 for row in rows)
+        assert gm[-1] == rows[4] == GeneMatrix(gm.packed[4:], 3)
+        assert gm[np.int64(2)] == rows[2]
         tail = gm[1:4]
         assert isinstance(tail, GeneMatrix)
         assert list(tail) == rows[1:4]
-        with pytest.raises(IndexError):
-            gm[5]
+        for index in (5, -6):
+            with pytest.raises(IndexError):
+                gm[index]
 
     def test_read_only(self):
         with pytest.raises(ValueError):
@@ -235,18 +216,20 @@ class TestGeneMatrix:
         assert GeneMatrix(np.zeros((1, 1), np.uint8), 3) != GeneMatrix(np.zeros((1, 1), np.uint8), 4)
         assert gm != "gm"
 
-    def test_from_sequences_round_trip(self):
+    def test_concat_round_trip(self):
         gm = self.gm()
-        assert GeneMatrix.from_sequences(gm) is gm
-        packed = GeneMatrix.from_sequences(list(gm))
-        assert np.array_equal(packed.packed, gm.packed)
-        assert packed.subcarrier_count == gm.subcarrier_count
+        assert GeneMatrix.concat(list(gm)) == gm
+        assert GeneMatrix.concat([gm[3:], gm[:1], gm[1:3]]).packed.tolist() == (
+            gm.packed[[3, 4, 0, 1, 2]].tolist())
+        empty = gm[:0]
+        assert GeneMatrix.concat([empty, gm, empty]) == gm
 
-    def test_from_sequences_checks(self):
-        with pytest.raises(LengthMismatchError, match="sequence 1"):
-            GeneMatrix.from_sequences([gs("01"), gs("0101")])
-        with pytest.raises(EmptyInputError):
-            GeneMatrix.from_sequences([])
+    def test_concat_checks(self):
+        # one byte holds 2 and 6 bits alike: the bit lengths, not the widths, must agree
+        with pytest.raises(LengthMismatchError, match="^different bit lengths: \\[2, 6\\]$"):
+            GeneMatrix.concat([gs("01"), gs("010101"), gs("01")])
+        with pytest.raises(EmptyInputError, match="^no rows to join$"):
+            GeneMatrix.concat([])
 
     @pytest.mark.parametrize("packed,k", [
         (np.zeros((2, 2), dtype=np.uint8), 3),      # 6 bits need 1 byte
@@ -261,32 +244,27 @@ class TestGeneMatrix:
 
 
 class TestGeneSequence:
+    """One packet's gene sequence: a one-row GeneMatrix."""
+
     def test_from_bits_round_trip(self):
         bits = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]
-        assert GeneSequence.from_bits(bits).bits().tolist() == bits
-
-    def test_rejects_odd_length(self):
-        with pytest.raises(ValueError):
-            GeneSequence.from_bits([1, 0, 1])
+        row = rows_of(bits)
+        assert unpack_independently(row) == bits
+        assert windows(row, 1) == row  # unpacked to counts and packed again
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            GeneSequence.from_bits([])
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            GeneSequence.from_bits([0, 2])
+            GeneMatrix(np.zeros((1, 0), dtype=np.uint8), 0)
 
     def test_rejects_bad_packed_length(self):
         with pytest.raises(ValueError):
-            GeneSequence(packed=b"\x00\x00", subcarrier_count=1)
+            GeneMatrix(np.zeros((1, 2), dtype=np.uint8), 1)
 
     def test_rejects_dirty_padding(self):
         # 2 bits used, 6 padding bits must stay zero
         with pytest.raises(ValueError):
-            GeneSequence(packed=b"\x01", subcarrier_count=1)
+            GeneMatrix(np.array([[0x01]], dtype=np.uint8), 1)
 
     def test_packed_density(self):
         for k in (1, 3, 4, 7, 230):
-            seq = gs("10" * k)
-            assert len(seq.packed) == (2 * k + 7) // 8
+            assert gs("10" * k).packed.shape == (1, (2 * k + 7) // 8)

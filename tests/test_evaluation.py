@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicsi.encoding import GeneMatrix, GeneSequence, encode_matrix
+from bicsi.encoding import GeneMatrix, encode_matrix
 from bicsi.errors import (
     ConfigError,
     EmptyInputError,
@@ -49,7 +49,14 @@ from bicsi.ingest import AmplitudeMatrix
 from bicsi.matcher import MatchResult, match_trace
 from bicsi.similarity import MetricKind
 
-from conftest import fingerprint_db, gs, random_sequences, reference_hamming, reference_report
+from conftest import (
+    fingerprint_db,
+    gs,
+    random_sequences,
+    reference_hamming,
+    reference_report,
+    rows_of,
+)
 
 
 def result(coord, label="x", index=0):
@@ -113,21 +120,21 @@ def separated_training(rng, count, k, flip=False):
     pattern = rng.integers(0, 2, size=2 * k, dtype=np.uint8)
     if flip:
         pattern = 1 - pattern
-    return [GeneSequence.from_bits(pattern) for _ in range(count)]
+    return rows_of(np.tile(pattern, (count, 1)))
 
 
 class TestThresholdSweep:
     def test_fully_distinct_dominant_bits(self):
         k = 4
-        ones = [GeneSequence.from_bits([1] * (2 * k)) for _ in range(50)]
-        zeros = [GeneSequence.from_bits([0] * (2 * k)) for _ in range(50)]
+        ones = rows_of(np.ones((50, 2 * k)))
+        zeros = rows_of(np.zeros((50, 2 * k)))
         rows = threshold_sweep([ones, zeros], [0.0])
         assert rows == [(0.0, 8.0)]
 
     def test_identical_training_data_zero_everywhere(self):
         rng = np.random.default_rng(3)
         training = random_sequences(rng, 40, 3)
-        rows = threshold_sweep([training, list(training), list(training)],
+        rows = threshold_sweep([training, training[:], GeneMatrix.concat(training)],
                                [0.0, 0.25, 0.5, 1.0])
         assert all(mean == 0.0 for _, mean in rows)
 
@@ -139,14 +146,14 @@ class TestThresholdSweep:
 
     def test_needs_two_positions(self):
         with pytest.raises(EmptyInputError):
-            threshold_sweep([[gs("01")]], [0.0])
+            threshold_sweep([gs("01")], [0.0])
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 6),
            st.lists(st.integers(0, 1_200_000), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_equals_pair_loop(self, seed, positions, k, micros):
         rng = np.random.default_rng(seed)
-        sets_ = [list(biased_matrix(rng, int(rng.integers(1, 40)), k)) for _ in range(positions)]
+        sets_ = [biased_matrix(rng, int(rng.integers(1, 40)), k) for _ in range(positions)]
         fractions = [m / 1_000_000 for m in micros]
         assert threshold_sweep(sets_, fractions) == pair_loop_sweep(sets_, fractions)
 
@@ -303,7 +310,7 @@ class TestReportFold:
         # 1.0 + 2**-53 rounds back to 1.0 at every step; a pairwise or
         # compensated sum keeps some of the 200 small errors
         pattern = gs("0110")
-        db = build_db([("p", (0.0, 0.0), [pattern] * 3)])
+        db = build_db([("p", (0.0, 0.0), GeneMatrix.concat([pattern] * 3))])
         coords = ((1.0, 0.0),) + ((2.0 ** -53, 0.0),) * 200
         test = LabeledWindows((pattern,) * 201, ("p",) * 201, coords)
         report = evaluate_windows(db, test)
@@ -326,6 +333,20 @@ class TestLabeledWindows:
         labeled = LabeledWindows(rows, ("a", "b", "c"), ((0, 0), (1, 0), (2, 0)))
         assert isinstance(labeled.parents, GeneMatrix)
         assert list(labeled.parents) == list(rows)
+
+    def test_one_row_windows_equal_the_matrix_built_in_one_piece(self):
+        # the benchmark probe's contract: the first window of each in-memory
+        # block, a one-row GeneMatrix, joined by the constructor
+        rng = np.random.default_rng(8)
+        blocks = rng.integers(0, 1100, size=(4, 120, 6))
+        mask = tuple(range(6))
+        rows = tuple(windows(encode_matrix(AmplitudeMatrix(b, mask)))[0] for b in blocks)
+        labels, coords = ("a", "b", "a", "c"), ((0, 0), (1, 0), (0, 0), (2, 1))
+        whole = windows(encode_matrix(AmplitudeMatrix(blocks.reshape(-1, 6), mask)))
+        assert LabeledWindows(rows, labels, coords) == LabeledWindows(whole, labels, coords)
+        assert whole[-1] == rows[-1]
+        with pytest.raises(IndexError):
+            whole[len(whole)]
 
     def test_concat_joins_rows(self):
         traces = make_fixture(positions=3)
@@ -402,7 +423,7 @@ def make_sessions(count, seed=0, drift=False):
             trace = LabeledTrace(matrix=matrix, true_label=label,
                                  true_coord=(float(i), 0.0))
             training.append(TrainingSet(label=label, coord=(float(i), 0.0),
-                                        sequences=tuple(encode_matrix(matrix))))
+                                        sequences=encode_matrix(matrix)))
             traces.append(trace)
         sessions.append(Session(training=tuple(training),
                                 test=LabeledWindows.from_traces(traces, 120)))
@@ -438,6 +459,10 @@ class TestTemporalEval:
         sessions = make_sessions(3)
         curve = temporal_eval(sessions)
         assert curve[-1][0] == len(sessions) - 1
+
+    def test_empty_training_set_is_named(self):
+        with pytest.raises(EmptyInputError, match="^position 'a': no training sequences$"):
+            TrainingSet("a", (0.0, 0.0), gs("01")[:0])
 
     def test_needs_two_sessions(self):
         with pytest.raises(EmptyInputError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicsi.encoding import GeneMatrix, GeneSequence
+from bicsi.encoding import GeneMatrix
 from bicsi.errors import (
     ConfigError,
     DbLengthError,
@@ -21,7 +21,6 @@ from bicsi.fingerprint import (
     db_from_bytes,
     db_to_bytes,
     derive_ancestors,
-    derive_parent,
     fraction_to_micro,
     load_db,
     save_db,
@@ -31,14 +30,24 @@ from bicsi.fingerprint import (
     windows,
 )
 
-from conftest import fingerprint_db, gs, random_sequences, unpack_independently, unpack_rows
+from conftest import (
+    fingerprint_db,
+    gs,
+    random_sequences,
+    rows_of,
+    unpack_independently,
+    unpack_rows,
+)
 
 
-def column_training(ones: int, zeros: int) -> list:
+def column_training(ones: int, zeros: int) -> GeneMatrix:
     """Single-column training set (k=1, the second bit always 0)."""
-    rows = [GeneSequence.from_bits([1, 0]) for _ in range(ones)]
-    rows += [GeneSequence.from_bits([0, 0]) for _ in range(zeros)]
-    return rows
+    return rows_of([[1, 0]] * ones + [[0, 0]] * zeros)
+
+
+def repeated(bit_string: str, count: int) -> GeneMatrix:
+    """``count`` rows of one literal like "01"."""
+    return rows_of(np.tile([int(c) for c in bit_string], (count, 1)))
 
 
 class TestThresholdMaterialization:
@@ -67,42 +76,43 @@ class TestThresholdMaterialization:
 class TestDeriveAncestors:
     def test_dominant_zeros(self):
         as1, as2 = derive_ancestors(column_training(ones=20, zeros=80), tr=5)
-        assert as1.bits()[0] == 0
-        assert as2.bits()[0] == 0
+        assert unpack_independently(as1)[0] == 0
+        assert unpack_independently(as2)[0] == 0
 
     def test_balanced_column_keeps_both(self):
         as1, as2 = derive_ancestors(column_training(ones=49, zeros=51), tr=5)
-        assert as1.bits()[0] == 1
-        assert as2.bits()[0] == 0
+        assert unpack_independently(as1)[0] == 1
+        assert unpack_independently(as2)[0] == 0
 
     def test_tie_with_zero_threshold_gives_one(self):
         as1, as2 = derive_ancestors(column_training(ones=50, zeros=50), tr=0)
-        assert as1.bits()[0] == 1
-        assert as2.bits()[0] == 1
+        assert unpack_independently(as1)[0] == 1
+        assert unpack_independently(as2)[0] == 1
 
     def test_threshold_above_training_size_degenerates(self):
         training = random_sequences(np.random.default_rng(0), 30, 4)
         as1, as2 = derive_ancestors(training, tr=31)
-        assert as1.bits().tolist() == [1] * 8
-        assert as2.bits().tolist() == [0] * 8
+        assert unpack_independently(as1) == [1] * 8
+        assert unpack_independently(as2) == [0] * 8
 
     def test_threshold_past_int64_degenerates(self):
         training = random_sequences(np.random.default_rng(0), 30, 4)
         as1, as2 = derive_ancestors(training, tr=2**70)
-        assert as1.bits().tolist() == [1] * 8
-        assert as2.bits().tolist() == [0] * 8
+        assert unpack_independently(as1) == [1] * 8
+        assert unpack_independently(as2) == [0] * 8
 
     def test_empty_training(self):
         with pytest.raises(EmptyInputError):
-            derive_ancestors([], tr=0)
+            derive_ancestors(gs("01")[:0], tr=0)
 
     def test_mixed_lengths(self):
+        # a training set of mixed lengths cannot be assembled in the first place
         with pytest.raises(LengthMismatchError):
-            derive_ancestors([gs("01"), gs("0101")], tr=0)
+            derive_ancestors(GeneMatrix.concat([gs("01"), gs("0101")]), tr=0)
 
     def test_negative_threshold(self):
         with pytest.raises(ConfigError):
-            derive_ancestors([gs("01")], tr=-1)
+            derive_ancestors(gs("01"), tr=-1)
 
     @given(st.integers(0, 2**32), st.integers(1, 60), st.integers(1, 6))
     @settings(max_examples=40)
@@ -120,46 +130,48 @@ class TestDeriveAncestors:
         low = derive_ancestors(training, tr_lo)
         high = derive_ancestors(training, tr_hi)
         for as1, as2 in (low, high):
-            assert np.all(as1.bits() >= as2.bits())
+            assert len(as1) == len(as2) == 1
+            assert np.all(unpack_rows(as1) >= unpack_rows(as2))
         # a column decided (equal bits) at the higher threshold stays decided
-        decided_low = low[0].bits() == low[1].bits()
-        decided_high = high[0].bits() == high[1].bits()
+        decided_low = unpack_rows(low[0]) == unpack_rows(low[1])
+        decided_high = unpack_rows(high[0]) == unpack_rows(high[1])
         assert np.all(decided_high <= decided_low)
 
 
 class TestDeriveParent:
+    """The parent of one window: ``windows`` over a trace one window long."""
+
     def test_simple_majority(self):
         window = column_training(ones=70, zeros=50)
-        assert derive_parent(window).bits()[0] == 1
+        assert unpack_independently(windows(window, len(window)))[0] == 1
 
     def test_exact_tie_gives_one(self):
         window = column_training(ones=60, zeros=60)
-        assert derive_parent(window).bits()[0] == 1
+        assert unpack_independently(windows(window, len(window)))[0] == 1
 
     def test_unanimous_window_returns_member(self):
         seq = gs("011010")
-        assert derive_parent([seq] * 120) == seq
+        assert windows(GeneMatrix.concat([seq] * 120), 120) == seq
 
     def test_empty_window(self):
-        with pytest.raises(EmptyInputError):
-            derive_parent([])
+        assert len(windows(gs("01")[:0], 120)) == 0
 
 
 class TestWindows:
     def test_full_trace_window_count(self):
-        parents = windows([gs("01")] * 24000, size=120)
+        parents = windows(repeated("01", 24000), size=120)
         assert len(parents) == 200
         assert isinstance(parents, GeneMatrix) and parents.subcarrier_count == 1
 
     def test_small_remainder_dropped(self):
-        assert len(windows([gs("01")] * 125, size=120)) == 1
+        assert len(windows(repeated("01", 125), size=120)) == 1
 
     def test_half_remainder_kept(self):
-        assert len(windows([gs("01")] * 180, size=120)) == 2
+        assert len(windows(repeated("01", 180), size=120)) == 2
 
     def test_exact_half_boundary(self):
-        assert len(windows([gs("01")] * 59, size=120)) == 0
-        assert len(windows([gs("01")] * 60, size=120)) == 1
+        assert len(windows(repeated("01", 59), size=120)) == 0
+        assert len(windows(repeated("01", 60), size=120)) == 1
 
     def test_bad_size(self):
         with pytest.raises(ConfigError):
@@ -172,8 +184,7 @@ class TestWindows:
         gm = GeneMatrix(np.packbits(bits, axis=1), k)
         parents = windows(gm, size)
         slices = window_slices(count, size)
-        assert list(parents) == [derive_parent([gm[i] for i in range(lo, hi)])
-                                 for lo, hi in slices]
+        assert list(parents) == [windows(gm[lo:hi], hi - lo) for lo, hi in slices]
         for parent, (lo, hi) in zip(parents, slices):
             ones = unpack_rows(gm[lo:hi]).sum(axis=0)
             assert unpack_independently(parent) == (2 * ones >= hi - lo).tolist()
@@ -278,7 +289,7 @@ def fingerprint_dbs(draw):
         for _ in range(draw(st.integers(1, 3))):
             bits = draw(st.lists(st.integers(0, 1), min_size=2 * k, max_size=2 * k))
             bits2 = draw(st.lists(st.integers(0, 1), min_size=2 * k, max_size=2 * k))
-            sets.append((GeneSequence.from_bits(bits), GeneSequence.from_bits(bits2)))
+            sets.append((rows_of(bits), rows_of(bits2)))
         entries.append((label, (draw(coords), draw(coords)), sets))
     return fingerprint_db(k, entries, draw(st.integers(0, 0xFFFFFFFF)))
 
@@ -304,7 +315,7 @@ class TestDbRoundTrip:
         entries = []
         for i in range(10):
             bits = rng.integers(0, 2, size=460, dtype=np.uint8)
-            pair = (GeneSequence.from_bits(bits), GeneSequence.from_bits(1 - bits))
+            pair = (rows_of(bits), rows_of(1 - bits))
             entries.append((f"pos{i:02d}", (float(i), 0.0), [pair]))
         db = fingerprint_db(230, entries, 50000)
         path = tmp_path / "fp.db"
@@ -447,5 +458,5 @@ class TestFingerprintDbRecord:
         db = build_db(positions, 0.2)
         rows = [anc for _, _, seqs in positions
                 for anc in derive_ancestors(seqs, threshold_count(200000, 20))]
-        assert db.ancestors == GeneMatrix.from_sequences(rows)
+        assert db.ancestors == GeneMatrix.concat(rows)
         assert db.set_counts == (1, 1, 1) and db.starts.tolist() == [0, 2, 4]

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicsi.encoding import GeneMatrix, GeneSequence
+from bicsi.encoding import GeneMatrix
 from bicsi.errors import EmptyInputError, LengthMismatchError
 from bicsi.fingerprint import db_to_bytes
-from bicsi.matcher import match_one, match_trace
+from bicsi.matcher import match_trace
 from bicsi.similarity import MetricKind
 
-from conftest import fingerprint_db, gs, reference_distance
+from conftest import fingerprint_db, gs, reference_distance, rows_of
 
 
 def entry(label, coord, *pairs):
@@ -55,13 +55,15 @@ def brute_force_match(ps, entries, kind=MetricKind.HAMMING):
 
 
 class TestMatchOne:
+    """One window, a one-row GeneMatrix, against a database."""
+
     def test_exact_match_wins(self):
         db = db_of(
             2,
             entry("far", (0, 0), (gs("0000"), gs("0001"))),
             entry("hit", (1, 0), (gs("1011"), gs("1111"))),
         )
-        result = match_one(gs("1011"), db)
+        result = match_trace(gs("1011"), db)[0]
         assert result.predicted_label == "hit"
         assert result.best_distance == 0.0
         assert result.predicted_coord == (1.0, 0.0)
@@ -73,7 +75,7 @@ class TestMatchOne:
             entry("second", (1, 0), (gs("11"), gs("11"))),
         )
         # target at distance 1 from both entries
-        result = match_one(gs("01"), db)
+        result = match_trace(gs("01"), db)[0]
         assert result.predicted_label == "first"
         assert result.runner_up_margin == 0.0
 
@@ -88,37 +90,37 @@ class TestMatchOne:
             entry("b", (1, 0), (near1, near1)),
             entry("c", (2, 0), (far7, far7)),
         )
-        result = match_one(target, db)
+        result = match_trace(target, db)[0]
         assert result.predicted_label == "b"
         assert result.best_distance == 1.0
         assert result.runner_up_margin == 3.0
 
     def test_min_over_both_ancestors_and_all_sets(self):
         db = db_of(2, entry("only", (0, 0), (gs("0000"), gs("0011")), (gs("1110"), gs("1111"))))
-        result = match_one(gs("1111"), db)
+        result = match_trace(gs("1111"), db)[0]
         assert result.best_distance == 0.0
         assert result.runner_up_margin == math.inf
 
     def test_empty_db(self):
         db = db_of(1)
         with pytest.raises(EmptyInputError):
-            match_one(gs("01"), db)
+            match_trace(gs("01"), db)
 
     def test_length_mismatch(self):
         db = db_of(2, entry("a", (0, 0), (gs("0000"), gs("0000"))))
         with pytest.raises(LengthMismatchError):
-            match_one(gs("01"), db)
+            match_trace(gs("01"), db)
 
     def test_adding_a_set_never_hurts_that_entry(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             k = int(rng.integers(1, 8))
-            bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+            bits = lambda: rows_of(rng.integers(0, 2, 2 * k, dtype=np.uint8))
             a, b = entry("a", (0, 0), (bits(), bits())), entry("b", (1, 0), (bits(), bits()))
             ps = bits()
-            before = match_one(ps, db_of(k, a, b))
+            before = match_trace(ps, db_of(k, a, b))[0]
             grown = db_of(k, a, entry("b", (1, 0), *b[2], (bits(), bits())))
-            after = match_one(ps, grown)
+            after = match_trace(ps, grown)[0]
             if before.predicted_label == "b":
                 assert after.best_distance <= before.best_distance
 
@@ -129,7 +131,7 @@ class TestMetricEquivalence:
     def test_distance_metrics_predict_identically(self, seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 10))
-        bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+        bits = lambda: rows_of(rng.integers(0, 2, 2 * k, dtype=np.uint8))
         entries = [
             entry(f"e{i}", (float(i), 0.0), (bits(), bits()))
             for i in range(int(rng.integers(2, 6)))
@@ -137,7 +139,7 @@ class TestMetricEquivalence:
         db = db_of(k, *entries)
         ps = bits()
         outcomes = {
-            kind: match_one(ps, db, kind).predicted_label
+            kind: match_trace(ps, db, kind)[0].predicted_label
             for kind in (MetricKind.HAMMING, MetricKind.MANHATTAN, MetricKind.EUCLIDEAN)
         }
         assert len(set(outcomes.values())) == 1
@@ -149,7 +151,7 @@ class TestBruteForceAgreement:
     def test_agrees_with_exhaustive_scan(self, seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 9))
-        bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+        bits = lambda: rows_of(rng.integers(0, 2, 2 * k, dtype=np.uint8))
         entries = []
         for i in range(int(rng.integers(1, 9))):
             pairs = tuple(
@@ -159,7 +161,7 @@ class TestBruteForceAgreement:
         db = db_of(k, *entries)
         ps = bits()
         for kind in MetricKind:
-            result = match_one(ps, db, kind)
+            result = match_trace(ps, db, kind)[0]
             label, dist, margin = brute_force_match(ps, entries, kind)
             assert result.predicted_label == label, kind
             assert result.best_distance == dist, kind
@@ -170,32 +172,25 @@ class TestMatchTrace:
     def test_order_preserved(self):
         db = db_of(1, entry("a", (0, 0), (gs("00"), gs("00"))),
                    entry("b", (1, 0), (gs("11"), gs("11"))))
-        parents = [gs("11"), gs("00"), gs("11")]
+        parents = gs("11", "00", "11")
         results = match_trace(parents, db)
         assert [r.predicted_label for r in results] == ["b", "a", "b"]
         assert [r.window_index for r in results] == [0, 1, 2]
 
     def test_empty_input(self):
         db = db_of(1, entry("a", (0, 0), (gs("00"), gs("00"))))
-        assert match_trace([], db) == []
+        assert match_trace(gs("00")[:0], db) == []
 
     def test_identical_parents_identical_results(self):
         db = db_of(1, entry("a", (0, 0), (gs("00"), gs("00"))),
                    entry("b", (1, 0), (gs("11"), gs("11"))))
-        parents = [gs("10")] * 5
+        parents = gs(*["10"] * 5)
         results = match_trace(parents, db)
         assert len({(r.predicted_label, r.best_distance) for r in results}) == 1
 
-    def test_failure_names_window(self):
-        db = db_of(2, entry("a", (0, 0), (gs("0000"), gs("0000"))))
-        parents = [gs("0000"), gs("01")]
-        # rows of different lengths cannot pack into one matrix; the error names the row
-        with pytest.raises(LengthMismatchError, match="^sequence 1: 2 bits, expected 4$"):
-            match_trace(parents, db)
-
     def test_one_entry_db_margin_is_infinite(self):
         db = db_of(2, entry("only", (3, 4), (gs("0011"), gs("0001"))))
-        results = match_trace([gs("0011"), gs("1100")], db)
+        results = match_trace(gs("0011", "1100"), db)
         assert [r.runner_up_margin for r in results] == [math.inf, math.inf]
         assert [r.best_distance for r in results] == [0.0, 3.0]
 
@@ -204,7 +199,7 @@ class TestMatchTrace:
                    entry("b", (1, 0), (gs("0101"), gs("0110"))))
         # per entry, per set: the first ancestor, then the second, as the file stores them
         rows = ["0001", "0010", "0011", "0100", "0101", "0110"]
-        assert db.ancestors.packed.tobytes() == b"".join(gs(bits).packed for bits in rows)
+        assert db.ancestors.packed.tobytes() == gs(*rows).packed.tobytes()
         # the payload: a 15-byte header, then per entry a u16 label length, the
         # label, two f64, a u16 set count and the rows (a at 36:40, b at 61:63)
         payload = db_to_bytes(db)
@@ -220,10 +215,10 @@ class TestMatchTrace:
         # one check per call: every row of a matrix has the same length
         with pytest.raises(LengthMismatchError,
                            match="^parent sequences have 2 bits, database stores 4$"):
-            match_one(gs("01"), db)
+            match_trace(gs("01"), db)
         empty = db_of(1)
         with pytest.raises(EmptyInputError, match="^fingerprint database has no entries$"):
-            match_one(gs("01"), empty)
+            match_trace(gs("01"), empty)
 
 
 class TestBatchEqualsPerWindow:
@@ -233,11 +228,12 @@ class TestBatchEqualsPerWindow:
     def test_match_trace_equals_match_one(self, kind, seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 6))
-        bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+        bits = lambda: rows_of(rng.integers(0, 2, 2 * k, dtype=np.uint8))
         db = db_of(k, *random_entries(rng, bits))
-        parents = [bits() for _ in range(int(rng.integers(0, 7)))]
+        parents = rows_of(rng.integers(0, 2, (int(rng.integers(0, 7)), 2 * k), dtype=np.uint8))
         assert match_trace(parents, db, kind) == [
-            replace(match_one(ps, db, kind), window_index=row) for row, ps in enumerate(parents)]
+            replace(match_trace(ps, db, kind)[0], window_index=row)
+            for row, ps in enumerate(parents)]
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     @given(seed=st.integers(0, 2**32))
@@ -245,14 +241,15 @@ class TestBatchEqualsPerWindow:
     def test_matrix_equals_its_rows(self, kind, seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 12))
-        bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+        bits = lambda: rows_of(rng.integers(0, 2, 2 * k, dtype=np.uint8))
         db = db_of(k, *(entry(f"e{i}", (float(i), 1.0), (bits(), bits()))
                         for i in range(int(rng.integers(1, 5)))))
         gm = GeneMatrix(np.packbits(rng.integers(0, 2, (int(rng.integers(0, 9)), 2 * k),
                                                  dtype=np.uint8), axis=1), k)
         results = match_trace(gm, db, kind)
         assert [r.window_index for r in results] == list(range(len(gm)))
-        assert results == match_trace([gm[i] for i in range(len(gm))], db, kind)
+        assert [replace(r, window_index=0) for r in results] == [
+            match_trace(gm[i], db, kind)[0] for i in range(len(gm))]
 
 
 class TestWithinEntryOrder:
@@ -262,12 +259,12 @@ class TestWithinEntryOrder:
     def test_permuted_sets_and_swapped_ancestors_match_alike(self, kind, seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 6))
-        bits = lambda: GeneSequence.from_bits(rng.integers(0, 2, 2 * k, dtype=np.uint8))
+        bits = lambda: rows_of(rng.integers(0, 2, 2 * k, dtype=np.uint8))
         entries = random_entries(rng, bits)
         shuffled = []  # each entry's sets reordered, each set's ancestors swapped
         for label, coord, sets in entries:
             order = rng.permutation(len(sets))
             shuffled.append(entry(label, coord, *((sets[j][1], sets[j][0]) for j in order)))
-        parents = [bits() for _ in range(int(rng.integers(1, 7)))]
+        parents = GeneMatrix.concat(bits() for _ in range(int(rng.integers(1, 7))))
         assert (match_trace(parents, db_of(k, *entries), kind)
                 == match_trace(parents, db_of(k, *shuffled), kind))
