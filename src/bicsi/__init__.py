@@ -23,8 +23,6 @@ from .evaluation import (
     LabeledWindows,
     RawBaselineDb,
     RawWindowSet,
-    Session,
-    TrainingSet,
     accuracy,
     evaluate_windows,
     mae,

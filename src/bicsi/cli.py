@@ -21,8 +21,7 @@ from .errors import BicsiError, ConfigError, EmptyInputError, TraceParseError
 from .evaluation import (
     LabeledTrace,
     LabeledWindows,
-    Session,
-    TrainingSet,
+    check_session_positions,
     evaluate_windows,
     format_comparison_table,
     format_report_table,
@@ -339,14 +338,26 @@ def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, filter_f
         d for d in Path(sessions_dir).iterdir()
         if d.is_dir() and (d / "train" / "manifest.csv").is_file()
     )
-    sessions = []
-    for d in session_dirs:
-        training = [TrainingSet(label=label, coord=coord, sequences=encode_matrix(matrix))
-                    for label, coord, matrix in _load_traces(
-                        d / "train" / "manifest.csv", fmt, flt, unique_labels=True)]
-        test_traces = _load_labeled_traces(d / "test" / "manifest.csv", fmt, flt)
-        sessions.append(Session(training, LabeledWindows.from_traces(test_traces, window)))
-    curve = temporal_eval(sessions, threshold_fraction, MetricKind.parse(metric))
+    if len(session_dirs) < 2:
+        raise EmptyInputError("temporal evaluation needs at least two sessions")
+    dbs, tests = [], []
+    for s, d in enumerate(session_dirs, 1):
+        train_manifest, test_manifest = d / "train" / "manifest.csv", d / "test" / "manifest.csv"
+        # the last session never trains and the first never tests: every
+        # manifest is checked, but only the traces in use are opened
+        if s < len(session_dirs):
+            dbs.append(build_db(((label, coord, encode_matrix(matrix)) for label, coord, matrix
+                                 in _load_traces(train_manifest, fmt, flt, unique_labels=True)),
+                                threshold_fraction))
+        else:
+            rows = _read_manifest(train_manifest, unique_labels=True)
+            check_session_positions(s, [(label, coord) for label, coord, _ in rows], dbs[0])
+        if s == 1:
+            _read_manifest(test_manifest)
+        else:
+            tests.append(LabeledWindows.from_traces(
+                _load_labeled_traces(test_manifest, fmt, flt), window))
+    curve = temporal_eval(dbs, tests, MetricKind.parse(metric))
     atomic_write_text(out_csv, temporal_to_csv(curve))
     for m, acc in curve:
         click.echo(f"sets_used {m}: accuracy {acc:g}")

@@ -22,11 +22,9 @@ from .errors import (
     UnknownLabelError,
 )
 from .fingerprint import (
-    DEFAULT_THRESHOLD_FRACTION,
     DEFAULT_WINDOW_SIZE,
     FingerprintDb,
     ancestor_matrices,
-    build_db,
     finite_coord,
     fraction_to_micro,
     threshold_count,
@@ -78,12 +76,14 @@ class LabeledWindows:
 
     @classmethod
     def from_traces(cls, traces, window_size: int = DEFAULT_WINDOW_SIZE) -> "LabeledWindows":
-        sets = []
+        parents, labels, coords = [], [], []
         for trace in traces:
-            parents = windows(encode_matrix(trace.matrix), window_size)
-            sets.append(cls(parents, (trace.true_label,) * len(parents),
-                            (trace.true_coord,) * len(parents)))
-        return cls.concat(sets)
+            parents.append(windows(encode_matrix(trace.matrix), window_size))
+            labels += [trace.true_label] * len(parents[-1])
+            coords += [trace.true_coord] * len(parents[-1])
+        if not parents:
+            raise EmptyInputError("no test windows")
+        return cls(tuple(parents), tuple(labels), tuple(coords))
 
     @classmethod
     def concat(cls, window_sets) -> "LabeledWindows":
@@ -241,65 +241,46 @@ def threshold_sweep(training_sets, fractions) -> list[tuple[float, float]]:
     return rows
 
 
-@dataclass(frozen=True)
-class TrainingSet:
-    """One position's training sequences within a session, one
-    :class:`~bicsi.encoding.GeneMatrix` row per packet."""
-
-    label: str
-    coord: tuple
-    sequences: GeneMatrix
-
-    def __post_init__(self):
-        if not len(self.sequences):
-            raise EmptyInputError(f"position {self.label!r}: no training sequences")
+def check_session_positions(session: int, positions, first: FingerprintDb) -> None:
+    """Raise :class:`SessionMismatchError` unless ``positions``, (label,
+    (x, y)) pairs in order, are session 1's, whose database is ``first``."""
+    if list(positions) != list(zip(first.labels, first.coords)):
+        raise SessionMismatchError(f"session {session} lists different positions than session 1")
 
 
-@dataclass(frozen=True)
-class Session:
-    """Training data plus labeled test windows for one collection session."""
-
-    training: tuple
-    test: LabeledWindows
-
-    def __post_init__(self):
-        object.__setattr__(self, "training", tuple(self.training))
-        if not self.training:
-            raise EmptyInputError("session has no training positions")
-
-
-def temporal_eval(sessions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION,
-                  kind: MetricKind = MetricKind.HAMMING) -> list[tuple[int, float]]:
+def temporal_eval(dbs, tests, kind: MetricKind = MetricKind.HAMMING) -> list[tuple[int, float]]:
     """Accuracy as a function of how many leading sessions train the database.
 
-    For each m in 1..S-1 the database carries the first m sessions' ancestor
-    sets (one pair per position per session) and is evaluated on every later
-    session's test windows. The curve is returned as (m, accuracy) rows even
-    when it is not monotone.
+    ``dbs`` holds one database per training session, in session order, each
+    with one ancestor set per position as :func:`~bicsi.fingerprint.build_db`
+    writes it (the threshold is applied there). ``tests`` holds the labeled
+    windows of each later session: ``tests[i]`` belongs to session i + 2.
+    For each m in 1..len(dbs) the database joins the first m sets of every
+    position, in session order, and is evaluated on ``tests[m-1:]``. The
+    curve is returned as (m, accuracy) rows even when it is not monotone.
     """
-    sessions = list(sessions)
-    if len(sessions) < 2:
+    dbs, tests = list(dbs), list(tests)
+    if not dbs:
         raise EmptyInputError("temporal evaluation needs at least two sessions")
-    reference = [(t.label, t.coord) for t in sessions[0].training]
-    for s, session in enumerate(sessions[1:], 2):
-        if [(t.label, t.coord) for t in session.training] != reference:
-            raise SessionMismatchError(f"session {s} lists different positions than session 1")
-
-    # one database per training session; the one for m joins the first m per entry
-    dbs = [build_db([(t.label, t.coord, t.sequences) for t in session.training],
-                    threshold_fraction) for session in sessions[:-1]]
-    for s, db in enumerate(dbs[1:], 2):
-        if db.subcarrier_count != dbs[0].subcarrier_count:
+    if len(dbs) != len(tests):
+        raise LengthMismatchError(f"{len(dbs)} training databases vs {len(tests)} test sessions")
+    first = dbs[0]
+    for s, db in enumerate(dbs, 1):
+        check_session_positions(s, zip(db.labels, db.coords), first)
+        if db.subcarrier_count != first.subcarrier_count:
             raise LengthMismatchError(f"session {s} trains on {db.subcarrier_count} subcarriers, "
-                                      f"session 1 on {dbs[0].subcarrier_count}")
+                                      f"session 1 on {first.subcarrier_count}")
+        if any(count != 1 for count in db.set_counts):
+            raise ValueError(f"session {s}: the database holds more than one ancestor set "
+                             "per position; temporal evaluation needs one")
     # (positions, sessions, 2 ancestors, bytes): a position's sets in session order
-    sets = np.stack([db.ancestors.packed.reshape(len(reference), 2, -1) for db in dbs], axis=1)
+    positions, width = len(first.labels), first.ancestors.packed.shape[1]
+    sets = np.stack([db.ancestors.packed.reshape(positions, 2, width) for db in dbs], axis=1)
     curve = []
-    for m in range(1, len(sessions)):
-        ancestors = GeneMatrix(sets[:, :m].reshape(-1, sets.shape[-1]), dbs[0].subcarrier_count)
-        db = replace(dbs[0], set_counts=(m,) * len(reference), ancestors=ancestors)
-        test = LabeledWindows.concat(session.test for session in sessions[m:])
-        curve.append((m, evaluate_windows(db, test, kind).accuracy))
+    for m in range(1, len(dbs) + 1):
+        ancestors = GeneMatrix(sets[:, :m].reshape(-1, width), first.subcarrier_count)
+        db = replace(first, set_counts=(m,) * positions, ancestors=ancestors)
+        curve.append((m, evaluate_windows(db, LabeledWindows.concat(tests[m - 1:]), kind).accuracy))
     return curve
 
 

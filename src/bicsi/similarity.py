@@ -42,38 +42,30 @@ def bit_counts(a: np.ndarray, b: np.ndarray) -> tuple:
             np.add.reduce(np.bitwise_count(a & b), axis=-1, dtype=np.int64))
 
 
-def _measure(kind: MetricKind, na, nb, m11, n: int):
-    """Each kind's own value from the counts: a count for Hamming and
-    Manhattan, a norm for Euclidean, a similarity for the other three."""
+def distances(kind: MetricKind, a: np.ndarray, b: np.ndarray, bit_length: int) -> np.ndarray:
+    """Lower-is-better float64 distances between packed rows (see :func:`bit_counts`).
+
+    Hamming and Manhattan are the differing-bit count and Euclidean its
+    square root; similarities map as 1 - cosine, 1 - jaccard and
+    (1 - pearson) / 2, so zero always means a perfect match and all outputs
+    are non-negative.
+    """
+    na, nb, m11 = bit_counts(a, b)
+    n = bit_length
     if kind in (MetricKind.HAMMING, MetricKind.MANHATTAN, MetricKind.EUCLIDEAN):
-        differ = na + nb - 2 * m11
-        return np.sqrt(differ.astype(np.float64)) if kind is MetricKind.EUCLIDEAN else differ
+        differ = np.asarray(na + nb - 2 * m11, dtype=np.float64)
+        return np.sqrt(differ) if kind is MetricKind.EUCLIDEAN else differ
     if not isinstance(kind, MetricKind):
         raise ConfigError(f"unsupported metric kind: {kind!r}")
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where replaced
         if kind is MetricKind.COSINE:
             # with an all-zero side the score is 1 only when both sides are all-zero
-            return np.where(na * nb == 0, np.where(na == nb, 1.0, 0.0), m11 / np.sqrt(na * nb))
+            return 1.0 - np.where(na * nb == 0, np.where(na == nb, 1.0, 0.0),
+                                  m11 / np.sqrt(na * nb))
         if kind is MetricKind.PEARSON:
             # exact in uint64 up to k**4 for k <= 65535 subcarriers
             var = (na * (n - na)).astype(np.uint64) * (nb * (n - nb)).astype(np.uint64)
             value = np.where(var == 0, 0.0, (n * m11 - na * nb) / np.sqrt(var))
-            return np.where((na == m11) & (nb == m11), 1.0, value)
+            return (1.0 - np.where((na == m11) & (nb == m11), 1.0, value)) / 2.0
         union = na + nb - m11
-        return np.where(union == 0, 1.0, m11 / union)
-
-
-def distances(kind: MetricKind, a: np.ndarray, b: np.ndarray, bit_length: int) -> np.ndarray:
-    """Lower-is-better float64 distances between packed rows (see :func:`bit_counts`).
-
-    Distances pass through unchanged; similarities map as 1 - cosine,
-    1 - jaccard and (1 - pearson) / 2, so zero always means a perfect match
-    and all outputs are non-negative.
-    """
-    value = _measure(kind, *bit_counts(a, b), bit_length)
-    if kind is MetricKind.PEARSON:
-        return (1.0 - value) / 2.0
-    if kind in (MetricKind.COSINE, MetricKind.JACCARD):
-        return 1.0 - value
-    return np.asarray(value, dtype=np.float64)
-
+        return 1.0 - np.where(union == 0, 1.0, m11 / union)

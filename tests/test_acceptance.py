@@ -23,8 +23,6 @@ from bicsi.errors import (
 from bicsi.evaluation import (
     LabeledTrace,
     LabeledWindows,
-    Session,
-    TrainingSet,
     accuracy,
     evaluate_windows,
     mae,
@@ -267,14 +265,12 @@ def test_end_to_end_matching(cfg, expected, flip_lo, flip_hi, label):
 
 def test_temporal_multi_set_trend():
     start = time.perf_counter()
-    sessions = []
+    dbs, tests = [], []
     for dataset in drift_sessions(TEMPORAL_CFG, 7):
         positions, test_traces = split_fixture(dataset, TEMPORAL_TRAIN, TEMPORAL_TEST)
-        training = tuple(TrainingSet(label=label, coord=coord, sequences=seqs)
-                         for label, coord, seqs in positions)
-        sessions.append(Session(training=training,
-                                test=LabeledWindows.from_traces(test_traces, 120)))
-    curve = temporal_eval(sessions, 0.05, MetricKind.HAMMING)
+        dbs.append(build_db(positions, 0.05))
+        tests.append(LabeledWindows.from_traces(test_traces, 120))
+    curve = temporal_eval(dbs[:-1], tests[1:], MetricKind.HAMMING)
     assert curve == TEMPORAL_EXPECTED
     by_m = dict(curve)
     assert by_m[3] >= by_m[1]

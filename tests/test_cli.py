@@ -443,6 +443,33 @@ class TestTemporal:
                         "--out-csv", tmp_path / "c.csv")
         assert result.exit_code == 1
 
+    def test_one_session_fails_before_reading_traces(self, runner, tmp_path):
+        out_dir = tmp_path / "sessions"
+        invoke(runner, *SYNTH_ARGS, "--out-dir", out_dir, "--sessions", 2)
+        (out_dir / "session_02" / "train" / "manifest.csv").unlink()
+        for trace in (out_dir / "session_01").glob("*/p*.csv"):
+            trace.unlink()
+        result = invoke(runner, "temporal", "--sessions-dir", out_dir,
+                        "--out-csv", tmp_path / "c.csv")
+        assert result.exit_code == 1
+        assert "temporal evaluation needs at least two sessions" in result.output
+
+    def test_opens_only_the_traces_it_evaluates(self, runner, tmp_path):
+        # the last session never trains and the first never tests
+        out_dir = tmp_path / "sessions"
+        invoke(runner, *SYNTH_ARGS, "--out-dir", out_dir, "--sessions", 3, "--drift-sigma", 3.0)
+        full, trimmed = tmp_path / "full.csv", tmp_path / "trimmed.csv"
+        result = invoke(runner, "temporal", "--sessions-dir", out_dir, "--window", 40,
+                        "--out-csv", full)
+        assert result.exit_code == 0, result.output
+        for unused in (out_dir / "session_01" / "test", out_dir / "session_03" / "train"):
+            for trace in unused.glob("p*.csv"):
+                trace.unlink()
+        result = invoke(runner, "temporal", "--sessions-dir", out_dir, "--window", 40,
+                        "--out-csv", trimmed)
+        assert result.exit_code == 0, result.output
+        assert trimmed.read_bytes() == full.read_bytes()
+
 
 class TestManifestRows:
     """A bad manifest row fails with exit 1 and one line naming it, never a traceback."""

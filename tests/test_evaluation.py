@@ -1,6 +1,7 @@
 """Evaluation tests: indicators, sweeps, temporal study, raw baselines."""
 
 import json
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -21,8 +22,6 @@ from bicsi.evaluation import (
     LabeledWindows,
     RawBaselineDb,
     RawWindowSet,
-    Session,
-    TrainingSet,
     _cosine_real,
     _pearson_real,
     accuracy,
@@ -408,7 +407,9 @@ class TestMetricComparison:
 
 
 def make_sessions(count, seed=0, drift=False):
-    """Identical (or mildly perturbed) sessions over two positions."""
+    """Identical (or mildly perturbed) sessions over two positions, each a
+    (training positions, test windows) pair; a training position is
+    (label, coord, GeneMatrix) as build_db takes it."""
     rng = np.random.default_rng(seed)
     base = {label: rng.integers(50, 900, size=8) for label in ("a", "b")}
     sessions = []
@@ -422,12 +423,17 @@ def make_sessions(count, seed=0, drift=False):
             matrix = AmplitudeMatrix(data=data, subcarrier_mask=tuple(range(8)))
             trace = LabeledTrace(matrix=matrix, true_label=label,
                                  true_coord=(float(i), 0.0))
-            training.append(TrainingSet(label=label, coord=(float(i), 0.0),
-                                        sequences=encode_matrix(matrix)))
+            training.append((label, (float(i), 0.0), encode_matrix(matrix)))
             traces.append(trace)
-        sessions.append(Session(training=tuple(training),
-                                test=LabeledWindows.from_traces(traces, 120)))
+        sessions.append((training, LabeledWindows.from_traces(traces, 120)))
     return sessions
+
+
+def temporal_of(sessions, fraction=0.05, kind=MetricKind.HAMMING) -> list:
+    """temporal_eval with one build_db per training session (all but the
+    last) and the test windows of every session after the first."""
+    return temporal_eval([build_db(training, fraction) for training, _ in sessions[:-1]],
+                         [test for _, test in sessions[1:]], kind)
 
 
 def hand_built_temporal(sessions, fraction, kind) -> list:
@@ -435,55 +441,68 @@ def hand_built_temporal(sessions, fraction, kind) -> list:
     sets are derive_ancestors of its training in each of the first m
     sessions, in session order."""
     micro = fraction_to_micro(fraction)
-    k = sessions[0].training[0].sequences.subcarrier_count
+    first = sessions[0][0]
+    k = first[0][2].subcarrier_count
     curve = []
     for m in range(1, len(sessions)):
         db = fingerprint_db(k, [
-            (t.label, t.coord,
-             [derive_ancestors(s.training[j].sequences,
-                               threshold_count(micro, len(s.training[j].sequences)))
-              for s in sessions[:m]])
-            for j, t in enumerate(sessions[0].training)], micro)
-        test = LabeledWindows.concat(session.test for session in sessions[m:])
+            (label, coord,
+             [derive_ancestors(training[j][2], threshold_count(micro, len(training[j][2])))
+              for training, _ in sessions[:m]])
+            for j, (label, coord, _) in enumerate(first)], micro)
+        test = LabeledWindows.concat(test for _, test in sessions[m:])
         curve.append((m, evaluate_windows(db, test, kind).accuracy))
     return curve
 
 
 class TestTemporalEval:
     def test_identical_sessions_flat_curve(self):
-        curve = temporal_eval(make_sessions(4))
+        curve = temporal_of(make_sessions(4))
         assert [m for m, _ in curve] == [1, 2, 3]
         assert len({acc for _, acc in curve}) == 1
 
     def test_boundary_uses_all_but_last(self):
         sessions = make_sessions(3)
-        curve = temporal_eval(sessions)
+        curve = temporal_of(sessions)
         assert curve[-1][0] == len(sessions) - 1
 
-    def test_empty_training_set_is_named(self):
-        with pytest.raises(EmptyInputError, match="^position 'a': no training sequences$"):
-            TrainingSet("a", (0.0, 0.0), gs("01")[:0])
-
     def test_needs_two_sessions(self):
-        with pytest.raises(EmptyInputError):
-            temporal_eval(make_sessions(1))
+        with pytest.raises(EmptyInputError, match="needs at least two sessions"):
+            temporal_of(make_sessions(1))
+
+    def test_databases_and_tests_must_align(self):
+        sessions = make_sessions(3)
+        dbs = [build_db(training) for training, _ in sessions]
+        with pytest.raises(LengthMismatchError,
+                           match="^3 training databases vs 2 test sessions$"):
+            temporal_eval(dbs, [test for _, test in sessions[1:]])
 
     def test_mismatched_positions_rejected(self):
-        sessions = make_sessions(2)
-        bad = Session(training=(sessions[1].training[0],), test=sessions[1].test)
+        sessions = make_sessions(4)
+        dbs = [build_db(training) for training, _ in sessions[:-1]]
+        dbs[2] = build_db(sessions[2][0][:1])
         # a data error, not a usage error; sessions count from 1
         with pytest.raises(SessionMismatchError,
                            match="session 3 lists different positions than session 1"):
-            temporal_eval([sessions[0], sessions[1], bad])
+            temporal_eval(dbs, [test for _, test in sessions[1:]])
 
     def test_training_widths_must_agree(self):
         sessions = make_sessions(3)
-        narrow = tuple(TrainingSet(t.label, t.coord, GeneMatrix(t.sequences.packed[:, :1], 4))
-                       for t in sessions[1].training)
-        sessions[1] = Session(training=narrow, test=sessions[1].test)
+        dbs = [build_db(training) for training, _ in sessions[:-1]]
+        dbs[1] = build_db([(label, coord, GeneMatrix(seqs.packed[:, :1], 4))
+                           for label, coord, seqs in sessions[1][0]])
         with pytest.raises(LengthMismatchError,
                            match="^session 2 trains on 4 subcarriers, session 1 on 8$"):
-            temporal_eval(sessions)
+            temporal_eval(dbs, [test for _, test in sessions[1:]])
+
+    def test_multi_set_database_rejected(self):
+        sessions = make_sessions(3)
+        dbs = [build_db(training) for training, _ in sessions[:-1]]
+        dbs[1] = replace(dbs[1], set_counts=(2, 2),
+                         ancestors=GeneMatrix.concat([dbs[1].ancestors] * 2))
+        with pytest.raises(ValueError, match="^session 2: the database holds more than one "
+                                             "ancestor set per position"):
+            temporal_eval(dbs, [test for _, test in sessions[1:]])
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 4),
            st.integers(1, 5), st.sampled_from(list(MetricKind)), st.integers(0, 1_200_000))
@@ -493,16 +512,15 @@ class TestTemporalEval:
         labels = [f"p{i}" for i in range(positions)]
         sessions = []
         for _ in range(count):
-            training = [TrainingSet(label, (float(i), 0.0),
-                                    biased_matrix(rng, int(rng.integers(1, 30)), k))
+            training = [(label, (float(i), 0.0), biased_matrix(rng, int(rng.integers(1, 30)), k))
                         for i, label in enumerate(labels)]
             truth = rng.integers(0, positions, size=int(rng.integers(1, 6)))
             test = LabeledWindows(biased_matrix(rng, len(truth), k),
                                   tuple(labels[i] for i in truth),
                                   tuple((float(i), 0.0) for i in truth))
-            sessions.append(Session(training=training, test=test))
+            sessions.append((training, test))
         fraction = micro / 1_000_000
-        assert temporal_eval(sessions, fraction, kind) == hand_built_temporal(sessions, fraction, kind)
+        assert temporal_of(sessions, fraction, kind) == hand_built_temporal(sessions, fraction, kind)
 
     def test_csv_layout(self):
         text = temporal_to_csv([(1, 0.85), (2, 0.91)])

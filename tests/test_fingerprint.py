@@ -265,6 +265,10 @@ class TestBuildDb:
         with pytest.raises(EmptyInputError):
             build_db([])
 
+    def test_empty_training_set_is_named(self):
+        with pytest.raises(EmptyInputError, match="^position 'a': no training sequences$"):
+            build_db([("a", (0.0, 0.0), gs("01")[:0])])
+
     def test_two_widths_name_the_position(self):
         rng = np.random.default_rng(2)
         positions = [("a", (0, 0), random_sequences(rng, 5, 4)),
