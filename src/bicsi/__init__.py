@@ -23,9 +23,7 @@ from .evaluation import (
     LabeledWindows,
     RawBaselineDb,
     RawWindowSet,
-    accuracy,
     evaluate_windows,
-    mae,
     metric_comparison,
     raw_baseline,
     temporal_eval,
@@ -34,7 +32,6 @@ from .evaluation import (
 from .fingerprint import (
     FingerprintDb,
     build_db,
-    derive_ancestors,
     fraction_to_micro,
     load_db,
     save_db,

@@ -37,6 +37,7 @@ from .fingerprint import (
     DEFAULT_THRESHOLD_FRACTION,
     DEFAULT_WINDOW_SIZE,
     MICRO_UNITS,
+    _too_short,
     build_db,
     fraction_to_micro,
     load_db,
@@ -128,6 +129,13 @@ def _load_traces(manifest: Path, fmt: str, flt: SubcarrierFilter, unique_labels:
         yield label, coord, build_matrix(load_trace(trace_path, fmt), flt)
 
 
+def _load_positions(manifest: Path, fmt: str, flt: SubcarrierFilter):
+    """Yield the training rows (label, (x, y), GeneMatrix) of a training
+    manifest, as build_db and threshold_sweep take them."""
+    for label, coord, matrix in _load_traces(manifest, fmt, flt, unique_labels=True):
+        yield label, coord, encode_matrix(matrix)
+
+
 def _load_labeled_traces(manifest: Path, fmt: str, flt: SubcarrierFilter):
     for label, coord, matrix in _load_traces(manifest, fmt, flt):
         yield LabeledTrace(matrix=matrix, true_label=label, true_coord=coord)
@@ -197,8 +205,7 @@ def train(manifest, out_db, threshold_fraction, filter_file, fmt):
     fraction_to_micro(threshold_fraction)  # a bad fraction fails before any trace is read
     flt = _filter_from(filter_file)
     positions = []
-    for label, coord, matrix in _load_traces(manifest, fmt, flt, unique_labels=True):
-        seqs = encode_matrix(matrix)
+    for label, coord, seqs in _load_positions(manifest, fmt, flt):
         positions.append((label, coord, seqs))
         click.echo(f"{label}: {len(seqs)} training packets")
     db = build_db(positions, threshold_fraction)
@@ -237,10 +244,7 @@ def match(db_path, trace, metric, out_json, window, filter_file, fmt):
     matrix = build_matrix(load_trace(trace, fmt), _filter_from(filter_file))
     parents = windows(encode_matrix(matrix), window)
     if not parents:
-        raise EmptyInputError(
-            f"{trace}: {matrix.packet_count} packets, too few for one {window}-packet window "
-            f"(a window needs at least half its size)"
-        )
+        raise _too_short(str(trace), matrix.packet_count, window)
     results = match_trace(parents, db, MetricKind.parse(metric))
     atomic_write_text(out_json, json.dumps([_result_dict(r) for r in results], indent=2) + "\n")
     click.echo(f"matched {len(results)} windows -> {out_json}")
@@ -282,9 +286,7 @@ def eval_cmd(db_path, manifest, metric, out_path, window, filter_file, fmt):
 def sweep(manifest, fractions, out_csv, filter_file, fmt):
     """Sweep the ancestor threshold and report mean fingerprint distances."""
     grid = _parse_fraction_range(fractions)
-    training_sets = [encode_matrix(matrix) for _, _, matrix in _load_traces(
-        manifest, fmt, _filter_from(filter_file), unique_labels=True)]
-    rows = threshold_sweep(training_sets, grid)
+    rows = threshold_sweep(_load_positions(manifest, fmt, _filter_from(filter_file)), grid)
     atomic_write_text(out_csv, sweep_to_csv(rows))
     for fraction, mean in rows:
         click.echo(f"tr_fraction {fraction:g}: mean hamming {mean:g}")
@@ -334,21 +336,19 @@ def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, filter_f
     """Accuracy versus the number of training sessions' ancestor sets."""
     fraction_to_micro(threshold_fraction)  # a bad fraction fails before any trace is read
     flt = _filter_from(filter_file)
-    session_dirs = sorted(
-        d for d in Path(sessions_dir).iterdir()
-        if d.is_dir() and (d / "train" / "manifest.csv").is_file()
-    )
+    session_dirs = sorted(d for d in Path(sessions_dir).glob("session_*") if d.is_dir())
     if len(session_dirs) < 2:
         raise EmptyInputError("temporal evaluation needs at least two sessions")
+    for manifest in (d / part / "manifest.csv" for d in session_dirs for part in ("train", "test")):
+        if not manifest.is_file():
+            raise FileNotFoundError(f"{manifest}: session manifest not found")
     dbs, tests = [], []
     for s, d in enumerate(session_dirs, 1):
         train_manifest, test_manifest = d / "train" / "manifest.csv", d / "test" / "manifest.csv"
         # the last session never trains and the first never tests: every
         # manifest is checked, but only the traces in use are opened
         if s < len(session_dirs):
-            dbs.append(build_db(((label, coord, encode_matrix(matrix)) for label, coord, matrix
-                                 in _load_traces(train_manifest, fmt, flt, unique_labels=True)),
-                                threshold_fraction))
+            dbs.append(build_db(_load_positions(train_manifest, fmt, flt), threshold_fraction))
         else:
             rows = _read_manifest(train_manifest, unique_labels=True)
             check_session_positions(s, [(label, coord) for label, coord, _ in rows], dbs[0])

@@ -24,6 +24,7 @@ from .errors import (
 from .fingerprint import (
     DEFAULT_WINDOW_SIZE,
     FingerprintDb,
+    _too_short,
     ancestor_matrices,
     finite_coord,
     fraction_to_micro,
@@ -79,6 +80,9 @@ class LabeledWindows:
         parents, labels, coords = [], [], []
         for trace in traces:
             parents.append(windows(encode_matrix(trace.matrix), window_size))
+            if not parents[-1]:
+                raise _too_short(f"trace {trace.true_label!r}", trace.matrix.packet_count,
+                                 window_size)
             labels += [trace.true_label] * len(parents[-1])
             coords += [trace.true_coord] * len(parents[-1])
         if not parents:
@@ -94,41 +98,6 @@ class LabeledWindows:
         return cls(tuple(ws.parents for ws in window_sets),
                    tuple(chain.from_iterable(ws.labels for ws in window_sets)),
                    tuple(chain.from_iterable(ws.coords for ws in window_sets)))
-
-
-def _aligned(results, truths, what: str) -> tuple:
-    results, truths = list(results), list(truths)
-    if len(results) != len(truths):
-        raise LengthMismatchError(f"{len(results)} predictions vs {len(truths)} truths")
-    if not results:
-        raise EmptyInputError(f"{what} needs at least one prediction")
-    return results, truths
-
-
-def _coord_errors(predicted, truths) -> tuple:
-    """Per-window |dx| + |dy| in meters, and the MAE: their sum in window
-    order over 2n, covering the horizontal and vertical components.
-
-    ``np.cumsum`` adds strictly left to right; ``np.sum`` (pairwise) or a
-    compensated sum would change the last bit.
-    """
-    gap = np.abs(np.asarray(predicted, dtype=float) - np.asarray(truths, dtype=float))
-    err = gap[:, 0] + gap[:, 1]
-    return err, float(np.cumsum(err)[-1]) / (2 * len(err))
-
-
-def mae(results, truths) -> float:
-    """Mean absolute coordinate error in meters: the window-order sum of
-    |dx| + |dy| over 2n, the rule every report uses."""
-    results, truths = _aligned(results, truths, "mae")
-    return _coord_errors([res.predicted_coord for res in results], truths)[1]
-
-
-def accuracy(results, truths) -> float:
-    """Fraction of predictions whose label matches the truth."""
-    results, truths = _aligned(results, truths, "accuracy")
-    correct = sum(1 for res, truth in zip(results, truths) if res.predicted_label == truth)
-    return correct / len(results)
 
 
 @dataclass(frozen=True)
@@ -172,14 +141,20 @@ def _assemble_report(metric: MetricKind, labels, coords, predicted, truth) -> Ev
     """Fold predicted entry indices into a report. ``labels`` and ``coords``
     are the database's, in entry order; ``truth`` (labeled windows or a raw
     window set) holds a label and a coordinate per prediction. The confusion
-    matrix is the only count."""
+    matrix is the only count, and this fold the only place MAE, per-position
+    MAE and accuracy are defined."""
     index = {label: i for i, label in enumerate(labels)}
     unknown = sorted(set(truth.labels) - index.keys())
     if unknown:
         raise UnknownLabelError(f"test labels not present in the database: {unknown}")
     true_idx = np.array([index[label] for label in truth.labels], dtype=np.intp)
     predicted = np.asarray(predicted, dtype=np.intp)
-    err, mae_m = _coord_errors(np.asarray(coords, dtype=float)[predicted], truth.coords)
+    # per-window |dx| + |dy| in meters; the MAE is their sum in window order
+    # over 2n, covering the horizontal and vertical components. np.cumsum adds
+    # strictly left to right; np.sum (pairwise) or a compensated sum would
+    # change the last bit.
+    gap = np.abs(np.asarray(coords, dtype=float)[predicted] - np.asarray(truth.coords, float))
+    err = gap[:, 0] + gap[:, 1]
     p = len(labels)
     confusion = np.bincount(true_idx * p + predicted, minlength=p * p).reshape(p, p)
     pos_n, correct = confusion.sum(axis=1).tolist(), confusion.diagonal().tolist()
@@ -188,7 +163,7 @@ def _assemble_report(metric: MetricKind, labels, coords, predicted, truth) -> Ev
     return EvalReport(
         metric=metric,
         n=len(true_idx),
-        mae_m=mae_m,
+        mae_m=float(np.cumsum(err)[-1]) / (2 * len(err)),
         accuracy=sum(correct) / len(true_idx),
         per_position=tuple(
             PositionBreakdown(label, n, c, e / (2 * n) if n else 0.0)
@@ -215,19 +190,20 @@ def metric_comparison(db: FingerprintDb, labeled: LabeledWindows, kinds) -> list
     return [evaluate_windows(db, labeled, kind) for kind in kinds]
 
 
-def threshold_sweep(training_sets, fractions) -> list[tuple[float, float]]:
+def threshold_sweep(positions, fractions) -> list[tuple[float, float]]:
     """Mean pairwise fingerprint Hamming distance per threshold fraction.
 
-    For each fraction, ancestors are derived per position (threshold =
-    ceil(fraction * that position's training size)); the distances between
-    first ancestors and between second ancestors are averaged over all
-    unordered position pairs.
+    ``positions`` yields (label, (x, y), training GeneMatrix) as
+    :func:`~bicsi.fingerprint.build_db` takes it. For each fraction,
+    ancestors are derived per position (threshold = ceil(fraction * that
+    position's training size)); the distances between first ancestors and
+    between second ancestors are averaged over all unordered position pairs.
     """
-    training_sets = list(training_sets)
-    if len(training_sets) < 2:
+    positions = list(positions)
+    if len(positions) < 2:
         raise EmptyInputError("threshold sweep needs at least two positions")
     # column one-counts do not depend on the threshold: count once
-    sizes, ones = training_counts((f"training set {i}", s) for i, s in enumerate(training_sets))
+    sizes, ones = training_counts(positions)
     pairs = len(sizes) * (len(sizes) - 1) // 2  # unordered position pairs
     rows = []
     for fraction in fractions:
@@ -341,7 +317,10 @@ class RawWindowSet:
         means, labels, coords = [], [], []
         for trace in traces:
             data = trace.matrix.data
-            for lo, hi in window_slices(data.shape[0], window_size):
+            slices = window_slices(data.shape[0], window_size)
+            if not slices:
+                raise _too_short(f"trace {trace.true_label!r}", data.shape[0], window_size)
+            for lo, hi in slices:
                 means.append(data[lo:hi].mean(axis=0))
                 labels.append(trace.true_label)
                 coords.append(trace.true_coord)

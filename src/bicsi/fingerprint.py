@@ -151,11 +151,12 @@ def _column_counts(gm: GeneMatrix, size: int) -> np.ndarray:
     return counts[:, : gm.bit_length]
 
 
-def training_counts(named_sets) -> tuple:
+def training_counts(positions) -> tuple:
     """Sizes ``(P,)`` and bit-column one-counts ``(P, 2k)`` of P training
-    sets given as (name, GeneMatrix); an empty set or one whose bit length
-    differs from the first raises an error naming it."""
-    sets = list(named_sets)
+    positions given as (label, (x, y), GeneMatrix), as :func:`build_db` takes
+    them; an empty set or one whose bit length differs from the first raises
+    an error naming its position."""
+    sets = [(f"position {label!r}", gm) for label, _, gm in positions]
     for name, gm in sets:
         if not len(gm):
             raise EmptyInputError(f"{name}: no training sequences")
@@ -183,15 +184,6 @@ def ancestor_matrices(sizes, ones, trs) -> tuple:
     return GeneMatrix._pack(majority | ~decided), GeneMatrix._pack(majority & decided)
 
 
-def derive_ancestors(training, tr: int) -> tuple:
-    """First and second ancestor of one training GeneMatrix at integer
-    threshold ``tr``, two one-row GeneMatrix: the one-position case of
-    :func:`ancestor_matrices`."""
-    sizes, ones = training_counts([("training set", training)])
-    # any tr above n decides nothing; capping it keeps the count within int64
-    return ancestor_matrices(sizes, ones, min(tr, int(sizes[0]) + 1))
-
-
 def window_slices(total: int, size: int) -> list[tuple[int, int]]:
     """Consecutive non-overlapping (start, stop) windows over ``total`` items.
 
@@ -206,6 +198,12 @@ def window_slices(total: int, size: int) -> list[tuple[int, int]]:
     if rem and 2 * rem >= size:
         slices.append((full * size, total))
     return slices
+
+
+def _too_short(owner: str, packets: int, size: int) -> EmptyInputError:
+    """The error for a trace of ``packets`` that gives no ``size``-packet window."""
+    return EmptyInputError(f"{owner}: {packets} packets, too few for one {size}-packet window "
+                           "(a window needs at least half its size)")
 
 
 def windows(gm: GeneMatrix, size: int = DEFAULT_WINDOW_SIZE) -> GeneMatrix:
@@ -230,7 +228,7 @@ def build_db(positions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) 
     positions = list(positions)
     if not positions:
         raise EmptyInputError("no positions to train on")
-    sizes, ones = training_counts((f"position {label!r}", seqs) for label, _, seqs in positions)
+    sizes, ones = training_counts(positions)
     as1, as2 = ancestor_matrices(sizes, ones, [threshold_count(micro, n) for n in sizes])
     labels, coords, _ = zip(*positions)
     rows = np.stack([as1.packed, as2.packed], axis=1).reshape(-1, as1.packed.shape[1])

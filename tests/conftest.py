@@ -1,7 +1,8 @@
 """Shared test helpers: bit-literal rows, databases built from ancestor
 pairs, hypothesis strategies, the per-amplitude encoder reference, per-pair
-reference measures computed without the library's count kernel and a
-per-window reference report fold."""
+reference measures computed without the library's count kernel, a
+per-column ancestor reference, a per-window reference report fold and
+reports of windows that replay chosen database entries."""
 
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from bicsi.encoding import GeneMatrix
 from bicsi.errors import UnknownLabelError
-from bicsi.evaluation import EvalReport, PositionBreakdown
+from bicsi.evaluation import EvalReport, LabeledWindows, PositionBreakdown, evaluate_windows
 from bicsi.fingerprint import FingerprintDb
 from bicsi.similarity import MetricKind
 
@@ -145,6 +146,24 @@ def unpack_rows(gm: GeneMatrix) -> np.ndarray:
     return bits.reshape(len(gm), -1)[:, : gm.bit_length]
 
 
+def reference_ancestors(training: GeneMatrix, tr: int) -> tuple:
+    """First and second ancestor of one training GeneMatrix at integer
+    threshold ``tr``, two one-row GeneMatrix, column by column from
+    unpack_rows counts in Python ints: a column with |n - 2 N1| >= tr takes
+    its majority bit in both (ties give 1); any other keeps (1, 0)."""
+    bits = unpack_rows(training)
+    n = len(bits)
+    first, second = [], []
+    for ones in bits.sum(axis=0).tolist():
+        if abs(n - 2 * ones) >= tr:
+            first.append(int(2 * ones >= n))
+            second.append(first[-1])
+        else:
+            first.append(1)
+            second.append(0)
+    return rows_of(first), rows_of(second)
+
+
 def bit_vectors(length: int):
     return st.lists(st.integers(0, 1), min_size=length, max_size=length)
 
@@ -217,3 +236,37 @@ def reference_report(metric, db_labels, predicted_labels, predicted_coords,
         per_position=breakdown,
         confusion=tuple(tuple(row) for row in confusion),
     )
+
+
+def replay_report(predicted, truths) -> EvalReport:
+    """evaluate_windows over one window per (predicted, truth) pair, each a
+    (label, (x, y)) pair. The database holds every predicted position at its
+    coordinate, and any other true label at the origin, each with its own
+    one-hot pattern; each window replays its predicted position's pattern
+    exactly, so the matcher predicts that position."""
+    entries = dict(predicted)
+    assert all(entries[label] == coord for label, coord in predicted)
+    for label, _ in truths:
+        entries.setdefault(label, (0.0, 0.0))
+    onehot = dict(zip(entries, np.eye(2 * len(entries), dtype=np.uint8)))
+    db = fingerprint_db(len(entries), [(label, coord, [(rows_of(onehot[label]),) * 2])
+                                       for label, coord in entries.items()])
+    windows = LabeledWindows(rows_of([onehot[label] for label, _ in predicted]),
+                             tuple(label for label, _ in truths),
+                             tuple(coord for _, coord in truths))
+    return evaluate_windows(db, windows)
+
+
+def replay_mae(predicted, truths) -> float:
+    """Report MAE of windows predicting the coordinates ``predicted``
+    against the true coordinates ``truths``, one position per window."""
+    labels = [f"e{i}" for i in range(len(predicted))]
+    return replay_report(list(zip(labels, predicted)), list(zip(labels, truths))).mae_m
+
+
+def replay_accuracy(predicted, truths) -> float:
+    """Report accuracy of windows predicting the labels ``predicted``
+    against the true labels ``truths``."""
+    origin = (0.0, 0.0)
+    return replay_report([(label, origin) for label in predicted],
+                         [(label, origin) for label in truths]).accuracy

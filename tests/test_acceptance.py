@@ -23,9 +23,7 @@ from bicsi.errors import (
 from bicsi.evaluation import (
     LabeledTrace,
     LabeledWindows,
-    accuracy,
     evaluate_windows,
-    mae,
     temporal_eval,
     threshold_sweep,
 )
@@ -33,19 +31,21 @@ from bicsi.fingerprint import (
     build_db,
     db_from_bytes,
     db_to_bytes,
-    derive_ancestors,
     save_db,
 )
 from bicsi.ingest import AmplitudeMatrix
-from bicsi.matcher import MatchResult, match_trace
+from bicsi.matcher import match_trace
 from bicsi.similarity import MetricKind, distances
 from bicsi.synth import SynthConfig, drift_sessions, generate
 
 from conftest import (
     fingerprint_db,
+    reference_ancestors,
     reference_code,
     reference_euclidean,
     reference_manhattan,
+    replay_accuracy,
+    replay_mae,
     rows_of,
     unpack_independently,
     unpack_rows,
@@ -181,25 +181,27 @@ def test_ancestor_derivation_limits():
         count = int(rng.integers(1, 80))
         k = int(rng.integers(1, 12))
         seqs = rows_of(rng.integers(0, 2, size=(count, 2 * k), dtype=np.uint8))
-        as1, as2 = derive_ancestors(seqs, tr=0)
-        assert as1 == as2
+        as1, as2 = build_db([("p", (0.0, 0.0), seqs)], 0.0).ancestors
+        assert as1 == as2 == reference_ancestors(seqs, 0)[0]
 
     # threshold above the training size degenerates every position alike
-    training_sets = []
-    for _ in range(4):
-        training_sets.append(rows_of(rng.integers(0, 2, size=(50, 32), dtype=np.uint8)))
-    pairs = [derive_ancestors(s, tr=51) for s in training_sets]
-    for as1, as2 in pairs:
+    positions = [(f"p{i}", (float(i), 0.0),
+                  rows_of(rng.integers(0, 2, size=(50, 32), dtype=np.uint8))) for i in range(4)]
+    db = build_db(positions, 1.02)  # ceil -> tr = 51 > 50
+    for i, (_, _, seqs) in enumerate(positions):
+        as1, as2 = db.ancestors[2 * i], db.ancestors[2 * i + 1]
+        assert (as1, as2) == reference_ancestors(seqs, 51)
         assert unpack_independently(as1) == [1] * 32
         assert unpack_independently(as2) == [0] * 32
-    degenerate = threshold_sweep(training_sets, [1.02])  # ceil -> tr = 51 > 50
+    degenerate = threshold_sweep(positions, [1.02])
     assert degenerate[0][1] == 0.0
 
     # frozen sweep fixtures: curve non-increasing across the whole grid
     for seed in SWEEP_SEEDS:
         dataset = generate(SynthConfig(seed=seed, **SWEEP_CFG))
-        sets_ = [encode_matrix(t.matrix) for t in dataset.traces]
-        values = [mean for _, mean in threshold_sweep(sets_, SWEEP_FRACTIONS)]
+        positions = [(t.true_label, t.true_coord, encode_matrix(t.matrix))
+                     for t in dataset.traces]
+        values = [mean for _, mean in threshold_sweep(positions, SWEEP_FRACTIONS)]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier
 
@@ -285,20 +287,16 @@ def test_temporal_multi_set_trend():
 def test_error_indicator_hand_cases():
     start = time.perf_counter()
 
-    def res(coord, label="x"):
-        return MatchResult(window_index=0, predicted_label=label,
-                           predicted_coord=coord, best_distance=0.0,
-                           runner_up_margin=0.0)
+    # through evaluate_windows: each window replays the database entry it predicts
+    assert replay_mae([(1.0, 1.0)], [(0.0, 0.0)]) == 1.0
+    assert replay_mae([(2.0, 5.0), (-1.0, 0.0)], [(2.0, 5.0), (-1.0, 0.0)]) == 0.0
+    assert replay_mae([(0.0, 3.0), (1.0, 3.0)], [(0.0, 3.0), (-1.0, 3.0)]) == 0.5
+    assert replay_mae([(0.5, -0.25)], [(0.0, 0.0)]) == 0.375
 
-    assert mae([res((1.0, 1.0))], [(0.0, 0.0)]) == 1.0
-    assert mae([res((2.0, 5.0)), res((-1.0, 0.0))], [(2.0, 5.0), (-1.0, 0.0)]) == 0.0
-    assert mae([res((0.0, 3.0)), res((1.0, 3.0))], [(0.0, 3.0), (-1.0, 3.0)]) == 0.5
-    assert mae([res((0.5, -0.25))], [(0.0, 0.0)]) == 0.375
-
-    labeled = [res((0, 0), lab) for lab in ("a", "b", "c", "d")]
-    assert accuracy(labeled, ["a", "b", "c", "x"]) == 0.75
-    assert accuracy(labeled, ["a", "b", "c", "d"]) == 1.0
-    assert accuracy(labeled, ["z", "z", "z", "z"]) == 0.0
+    labeled = ["a", "b", "c", "d"]
+    assert replay_accuracy(labeled, ["a", "b", "c", "x"]) == 0.75
+    assert replay_accuracy(labeled, ["a", "b", "c", "d"]) == 1.0
+    assert replay_accuracy(labeled, ["z", "z", "z", "z"]) == 0.0
 
     elapsed = time.perf_counter() - start
     report_pass("error indicators match hand-computed cases exactly", elapsed)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,21 @@ def trained(tmp_path, runner, dataset):
                     "--out-db", db)
     assert result.exit_code == 0, result.output
     return db
+
+
+def keep_packets(trace: Path, packets: int) -> None:
+    """Cut a trace file to its first ``packets`` data rows."""
+    lines = trace.read_text().splitlines()
+    comments = [r for r in lines if r.startswith("#")]
+    rows = [r for r in lines if not r.startswith("#")]
+    trace.write_text("\n".join(comments + rows[:packets]) + "\n")
+
+
+def narrow_copy(trace: Path, out: Path) -> Path:
+    """``trace`` cut to its first 8 subcarrier columns, written to ``out``."""
+    rows = [r for r in trace.read_text().splitlines() if not r.startswith("#")]
+    out.write_text("\n".join(",".join(r.split(",")[:8]) for r in rows) + "\n")
+    return out
 
 
 class TestSynth:
@@ -275,10 +291,7 @@ class TestEval:
                                "per_position", "confusion"}
 
     def test_traces_of_two_widths_exit_1(self, runner, tmp_path, dataset, trained):
-        rows = (dataset / "test" / "p02.csv").read_text().splitlines()
-        narrow = tmp_path / "narrow.csv"
-        narrow.write_text("\n".join(",".join(r.split(",")[:8]) for r in rows
-                                    if not r.startswith("#")) + "\n")
+        narrow = narrow_copy(dataset / "test" / "p02.csv", tmp_path / "narrow.csv")
         manifest = tmp_path / "mixed.csv"
         manifest.write_text(f"label,x,y,file\np01,0,0,{dataset / 'test' / 'p01.csv'}\n"
                             f"p02,1,0,{narrow}\n")
@@ -286,6 +299,16 @@ class TestEval:
         result = invoke(runner, "eval", "--db", trained, "--manifest", manifest, "--out", out)
         assert result.exit_code == 1
         assert "different bit lengths: [16, 24]" in result.output
+        assert not out.exists()
+
+    def test_trace_too_short_for_a_window_exits_1(self, runner, tmp_path, dataset, trained):
+        keep_packets(dataset / "test" / "p02.csv", 39)
+        out = tmp_path / "r.json"
+        result = invoke(runner, "eval", "--db", trained, "--manifest",
+                        dataset / "test" / "manifest.csv", "--out", out)
+        assert result.exit_code == 1
+        assert result.output == ("Error: trace 'p02': 39 packets, too few for one 120-packet "
+                                 "window (a window needs at least half its size)\n")
         assert not out.exists()
 
 
@@ -344,13 +367,22 @@ class TestSweep:
         assert "missing.csv" not in result.output
         assert not out.exists()
 
+    def test_bad_width_names_the_position_as_train_does(self, runner, tmp_path, dataset):
+        narrow_copy(dataset / "train" / "p03.csv", dataset / "train" / "p03.csv")
+        manifest = dataset / "train" / "manifest.csv"
+        message = "Error: position 'p03': 16 bits, expected 24\n"
+        result = invoke(runner, "train", "--manifest", manifest, "--out-db", tmp_path / "fp.db")
+        assert result.exit_code == 1 and result.output.endswith(message)
+        out = tmp_path / "s.csv"
+        result = invoke(runner, "sweep", "--manifest", manifest, "--out-csv", out)
+        assert result.exit_code == 1 and result.output == message
+        assert not out.exists()
+
     def test_single_position_exits_1(self, runner, tmp_path, dataset):
         manifest = tmp_path / "one.csv"
         src = (dataset / "train" / "manifest.csv").read_text().splitlines()
         manifest.write_text("\n".join(src[:2]) + "\n")
         # trace paths are relative to the manifest; keep them resolvable
-        import shutil
-
         shutil.copy(dataset / "train" / "p01.csv", tmp_path / "p01.csv")
         result = invoke(runner, "sweep", "--manifest", manifest,
                         "--fractions", "0:0.2:0.1", "--out-csv", tmp_path / "s.csv")
@@ -385,6 +417,15 @@ class TestCompareMetrics:
         assert result.exit_code == 2
         assert "--metrics" in result.output and "names no metric" in result.output
         assert not (tmp_path / "c.json").exists()
+
+    def test_trace_too_short_for_a_window_exits_1(self, runner, tmp_path, dataset, trained):
+        keep_packets(dataset / "test" / "p02.csv", 39)
+        out = tmp_path / "cmp.json"
+        result = invoke(runner, "compare-metrics", "--db", trained, "--manifest",
+                        dataset / "test" / "manifest.csv", "--window", 100, "--out-json", out)
+        assert result.exit_code == 1
+        assert "trace 'p02': 39 packets, too few for one 100-packet window" in result.output
+        assert not out.exists()
 
     def test_unknown_metric_exits_2(self, runner, tmp_path, dataset, trained):
         result = invoke(runner, "compare-metrics", "--db", trained, "--manifest",
@@ -446,13 +487,39 @@ class TestTemporal:
     def test_one_session_fails_before_reading_traces(self, runner, tmp_path):
         out_dir = tmp_path / "sessions"
         invoke(runner, *SYNTH_ARGS, "--out-dir", out_dir, "--sessions", 2)
-        (out_dir / "session_02" / "train" / "manifest.csv").unlink()
+        shutil.rmtree(out_dir / "session_02")
+        (out_dir / "not_a_session").mkdir()  # only session_* directories count
         for trace in (out_dir / "session_01").glob("*/p*.csv"):
             trace.unlink()
         result = invoke(runner, "temporal", "--sessions-dir", out_dir,
                         "--out-csv", tmp_path / "c.csv")
         assert result.exit_code == 1
         assert "temporal evaluation needs at least two sessions" in result.output
+
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_missing_session_manifest_exits_1_before_reading_traces(self, runner, tmp_path,
+                                                                     part):
+        out_dir = tmp_path / "sessions"
+        invoke(runner, *SYNTH_ARGS, "--out-dir", out_dir, "--sessions", 3)
+        missing = out_dir / "session_02" / part / "manifest.csv"
+        missing.unlink()
+        for trace in out_dir.glob("session_*/*/p*.csv"):
+            trace.unlink()
+        out = tmp_path / "c.csv"
+        result = invoke(runner, "temporal", "--sessions-dir", out_dir, "--out-csv", out)
+        assert result.exit_code == 1
+        assert result.output == f"Error: {missing}: session manifest not found\n"
+        assert not out.exists()
+
+    def test_test_trace_too_short_for_a_window_exits_1(self, runner, tmp_path):
+        out_dir = tmp_path / "sessions"
+        invoke(runner, *SYNTH_ARGS, "--out-dir", out_dir, "--sessions", 2)
+        keep_packets(out_dir / "session_02" / "test" / "p02.csv", 39)
+        out = tmp_path / "c.csv"
+        result = invoke(runner, "temporal", "--sessions-dir", out_dir, "--out-csv", out)
+        assert result.exit_code == 1
+        assert "trace 'p02': 39 packets, too few for one 120-packet window" in result.output
+        assert not out.exists()
 
     def test_opens_only_the_traces_it_evaluates(self, runner, tmp_path):
         # the last session never trains and the first never tests

@@ -24,11 +24,9 @@ from bicsi.evaluation import (
     RawWindowSet,
     _cosine_real,
     _pearson_real,
-    accuracy,
     evaluate_windows,
     format_comparison_table,
     format_report_table,
-    mae,
     metric_comparison,
     raw_baseline,
     report_to_json,
@@ -39,79 +37,57 @@ from bicsi.evaluation import (
 )
 from bicsi.fingerprint import (
     build_db,
-    derive_ancestors,
     fraction_to_micro,
     threshold_count,
     windows,
 )
 from bicsi.ingest import AmplitudeMatrix
-from bicsi.matcher import MatchResult, match_trace
+from bicsi.matcher import match_trace
 from bicsi.similarity import MetricKind
 
 from conftest import (
     fingerprint_db,
     gs,
     random_sequences,
+    reference_ancestors,
     reference_hamming,
     reference_report,
+    replay_accuracy,
+    replay_mae,
     rows_of,
 )
 
 
-def result(coord, label="x", index=0):
-    return MatchResult(window_index=index, predicted_label=label,
-                       predicted_coord=coord, best_distance=0.0,
-                       runner_up_margin=1.0)
-
-
 class TestMae:
     def test_unit_offset(self):
-        assert mae([result((1.0, 1.0))], [(0.0, 0.0)]) == 1.0
+        assert replay_mae([(1.0, 1.0)], [(0.0, 0.0)]) == 1.0
 
     def test_exact_predictions(self):
-        results = [result((2.0, 3.0)), result((0.0, 0.0))]
-        assert mae(results, [(2.0, 3.0), (0.0, 0.0)]) == 0.0
+        assert replay_mae([(2.0, 3.0), (0.0, 0.0)], [(2.0, 3.0), (0.0, 0.0)]) == 0.0
 
     def test_hand_summed(self):
-        results = [result((0.0, 3.0)), result((1.0, 3.0))]
-        truths = [(0.0, 3.0), (-1.0, 3.0)]
-        assert mae(results, truths) == 0.5
-
-    def test_empty(self):
-        with pytest.raises(EmptyInputError):
-            mae([], [])
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            mae([result((0, 0))], [])
+        assert replay_mae([(0.0, 3.0), (1.0, 3.0)], [(0.0, 3.0), (-1.0, 3.0)]) == 0.5
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     @settings(max_examples=25)
     def test_translation_invariant(self, dx, dy):
-        results = [result((1.0, 2.0)), result((-3.0, 0.5))]
+        predicted = [(1.0, 2.0), (-3.0, 0.5)]
         truths = [(0.0, 0.0), (1.5, 1.0)]
-        shifted_results = [result((r.predicted_coord[0] + dx, r.predicted_coord[1] + dy))
-                           for r in results]
+        shifted_predicted = [(x + dx, y + dy) for x, y in predicted]
         shifted_truths = [(x + dx, y + dy) for x, y in truths]
-        assert mae(shifted_results, shifted_truths) == pytest.approx(mae(results, truths))
+        expected = replay_mae(predicted, truths)
+        assert replay_mae(shifted_predicted, shifted_truths) == pytest.approx(expected)
 
 
 class TestAccuracy:
     def test_three_of_four(self):
-        results = [result((0, 0), label) for label in ("a", "b", "c", "d")]
-        assert accuracy(results, ["a", "b", "c", "x"]) == 0.75
+        assert replay_accuracy(["a", "b", "c", "d"], ["a", "b", "c", "x"]) == 0.75
 
     def test_all_correct(self):
-        results = [result((0, 0), "a")] * 3
-        assert accuracy(results, ["a"] * 3) == 1.0
+        assert replay_accuracy(["a"] * 3, ["a"] * 3) == 1.0
 
     def test_none_correct(self):
-        results = [result((0, 0), "a")] * 2
-        assert accuracy(results, ["b", "c"]) == 0.0
-
-    def test_empty(self):
-        with pytest.raises(EmptyInputError):
-            accuracy([], [])
+        assert replay_accuracy(["a"] * 2, ["b", "c"]) == 0.0
 
 
 def separated_training(rng, count, k, flip=False):
@@ -122,30 +98,36 @@ def separated_training(rng, count, k, flip=False):
     return rows_of(np.tile(pattern, (count, 1)))
 
 
+def positions_of(training_sets) -> list:
+    """Training rows (label, (x, y), GeneMatrix) of the given sets, as
+    build_db and threshold_sweep take them."""
+    return [(f"p{i}", (float(i), 0.0), gm) for i, gm in enumerate(training_sets)]
+
+
 class TestThresholdSweep:
     def test_fully_distinct_dominant_bits(self):
         k = 4
         ones = rows_of(np.ones((50, 2 * k)))
         zeros = rows_of(np.zeros((50, 2 * k)))
-        rows = threshold_sweep([ones, zeros], [0.0])
+        rows = threshold_sweep(positions_of([ones, zeros]), [0.0])
         assert rows == [(0.0, 8.0)]
 
     def test_identical_training_data_zero_everywhere(self):
         rng = np.random.default_rng(3)
         training = random_sequences(rng, 40, 3)
-        rows = threshold_sweep([training, training[:], GeneMatrix.concat(training)],
+        rows = threshold_sweep(positions_of([training, training[:], GeneMatrix.concat(training)]),
                                [0.0, 0.25, 0.5, 1.0])
         assert all(mean == 0.0 for _, mean in rows)
 
     def test_huge_threshold_collapses_to_zero(self):
         rng = np.random.default_rng(4)
         sets_ = [random_sequences(rng, 30, 4) for _ in range(3)]
-        rows = threshold_sweep(sets_, [1.5])  # tr > training size everywhere
+        rows = threshold_sweep(positions_of(sets_), [1.5])  # tr > training size everywhere
         assert rows == [(1.5, 0.0)]
 
     def test_needs_two_positions(self):
         with pytest.raises(EmptyInputError):
-            threshold_sweep([gs("01")], [0.0])
+            threshold_sweep(positions_of([gs("01")]), [0.0])
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 6),
            st.lists(st.integers(0, 1_200_000), min_size=1, max_size=4))
@@ -154,7 +136,14 @@ class TestThresholdSweep:
         rng = np.random.default_rng(seed)
         sets_ = [biased_matrix(rng, int(rng.integers(1, 40)), k) for _ in range(positions)]
         fractions = [m / 1_000_000 for m in micros]
-        assert threshold_sweep(sets_, fractions) == pair_loop_sweep(sets_, fractions)
+        assert threshold_sweep(positions_of(sets_), fractions) == pair_loop_sweep(sets_, fractions)
+
+    def test_bad_width_names_the_position(self):
+        rng = np.random.default_rng(5)
+        positions = [("a", (0, 0), random_sequences(rng, 5, 4)),
+                     ("b", (1, 0), random_sequences(rng, 5, 6))]
+        with pytest.raises(LengthMismatchError, match="^position 'b': 12 bits, expected 8$"):
+            threshold_sweep(positions, [0.0])
 
     def test_csv_layout(self):
         text = sweep_to_csv([(0.0, 8.0), (0.05, 3.5)])
@@ -175,7 +164,7 @@ def pair_loop_sweep(training_sets, fractions) -> list:
     rows = []
     for fraction in fractions:
         micro = fraction_to_micro(fraction)
-        pairs = [derive_ancestors(s, threshold_count(micro, len(s))) for s in training_sets]
+        pairs = [reference_ancestors(s, threshold_count(micro, len(s))) for s in training_sets]
         totals = [reference_hamming(a[0], b[0]) + reference_hamming(a[1], b[1])
                   for a, b in combinations(pairs, 2)]
         rows.append((float(fraction), sum(totals) / 2 / len(totals)))
@@ -283,8 +272,6 @@ class TestReportFold:
         assert report == reference_report(
             kind, labels, [r.predicted_label for r in results],
             [r.predicted_coord for r in results], test.labels, test.coords)
-        assert report.mae_m == mae(results, test.coords)
-        assert report.accuracy == accuracy(results, test.labels)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
            st.integers(1, 40), st.sampled_from([MetricKind.COSINE, MetricKind.PEARSON]))
@@ -314,7 +301,6 @@ class TestReportFold:
         test = LabeledWindows((pattern,) * 201, ("p",) * 201, coords)
         report = evaluate_windows(db, test)
         assert report.mae_m == report.per_position[0].mae_m == 1.0 / 402
-        assert mae(match_trace(test.parents, db), coords) == 1.0 / 402
 
 
 class TestLabeledWindows:
@@ -362,6 +348,21 @@ class TestLabeledWindows:
     def test_truth_coordinates_are_checked(self, coord, message):
         with pytest.raises(ValueError, match=message):
             LabeledWindows([gs("01"), gs("10")], ("a", "a"), ((0.0, 0.0), coord))
+
+    def test_parents_labels_and_coords_must_align(self):
+        with pytest.raises(LengthMismatchError, match="^parents, labels and coords must align$"):
+            LabeledWindows(gs("01", "10"), ("a", "a"), ((0.0, 0.0),))
+
+    @pytest.mark.parametrize("packets", [0, 59])
+    def test_trace_too_short_for_a_window_is_named(self, packets):
+        traces = make_fixture(positions=3, packets=120)
+        traces[1] = noiseless_trace(np.random.default_rng(1), "p1", (1.0, 0.0), packets, 12)
+        message = (f"^trace 'p1': {packets} packets, too few for one 120-packet window "
+                   "\\(a window needs at least half its size\\)$")
+        with pytest.raises(EmptyInputError, match=message):
+            LabeledWindows.from_traces(traces, 120)
+        with pytest.raises(EmptyInputError, match=message):
+            RawWindowSet.from_traces(traces, 120)
 
     def test_traces_of_two_widths_rejected(self):
         traces = [make_fixture(seed=1, positions=1, k=12)[0],
@@ -438,7 +439,7 @@ def temporal_of(sessions, fraction=0.05, kind=MetricKind.HAMMING) -> list:
 
 def hand_built_temporal(sessions, fraction, kind) -> list:
     """Temporal curve with each database built by hand: every position's
-    sets are derive_ancestors of its training in each of the first m
+    sets are reference_ancestors of its training in each of the first m
     sessions, in session order."""
     micro = fraction_to_micro(fraction)
     first = sessions[0][0]
@@ -447,7 +448,7 @@ def hand_built_temporal(sessions, fraction, kind) -> list:
     for m in range(1, len(sessions)):
         db = fingerprint_db(k, [
             (label, coord,
-             [derive_ancestors(training[j][2], threshold_count(micro, len(training[j][2])))
+             [reference_ancestors(training[j][2], threshold_count(micro, len(training[j][2])))
               for training, _ in sessions[:m]])
             for j, (label, coord, _) in enumerate(first)], micro)
         test = LabeledWindows.concat(test for _, test in sessions[m:])

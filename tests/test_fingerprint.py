@@ -20,7 +20,6 @@ from bicsi.fingerprint import (
     build_db,
     db_from_bytes,
     db_to_bytes,
-    derive_ancestors,
     fraction_to_micro,
     load_db,
     save_db,
@@ -34,6 +33,7 @@ from conftest import (
     fingerprint_db,
     gs,
     random_sequences,
+    reference_ancestors,
     rows_of,
     unpack_independently,
     unpack_rows,
@@ -73,62 +73,70 @@ class TestThresholdMaterialization:
             fraction_to_micro(float("nan"))
 
 
+def ancestors_at(training: GeneMatrix, fraction: float) -> tuple:
+    """The ancestor pair build_db derives for one position trained on
+    ``training`` at ``fraction``, checked against reference_ancestors at the
+    threshold count that fraction gives."""
+    db = build_db([("p", (0.0, 0.0), training)], fraction)
+    as1, as2 = db.ancestors[0], db.ancestors[1]
+    tr = threshold_count(fraction_to_micro(fraction), len(training))
+    assert (as1, as2) == reference_ancestors(training, tr)
+    return as1, as2
+
+
 class TestDeriveAncestors:
+    """The ancestor rule, through build_db at the fraction giving each tr."""
+
     def test_dominant_zeros(self):
-        as1, as2 = derive_ancestors(column_training(ones=20, zeros=80), tr=5)
+        as1, as2 = ancestors_at(column_training(ones=20, zeros=80), 0.05)  # tr = 5
         assert unpack_independently(as1)[0] == 0
         assert unpack_independently(as2)[0] == 0
 
     def test_balanced_column_keeps_both(self):
-        as1, as2 = derive_ancestors(column_training(ones=49, zeros=51), tr=5)
+        as1, as2 = ancestors_at(column_training(ones=49, zeros=51), 0.05)  # tr = 5
         assert unpack_independently(as1)[0] == 1
         assert unpack_independently(as2)[0] == 0
 
     def test_tie_with_zero_threshold_gives_one(self):
-        as1, as2 = derive_ancestors(column_training(ones=50, zeros=50), tr=0)
+        as1, as2 = ancestors_at(column_training(ones=50, zeros=50), 0.0)
         assert unpack_independently(as1)[0] == 1
         assert unpack_independently(as2)[0] == 1
 
     def test_threshold_above_training_size_degenerates(self):
         training = random_sequences(np.random.default_rng(0), 30, 4)
-        as1, as2 = derive_ancestors(training, tr=31)
-        assert unpack_independently(as1) == [1] * 8
-        assert unpack_independently(as2) == [0] * 8
-
-    def test_threshold_past_int64_degenerates(self):
-        training = random_sequences(np.random.default_rng(0), 30, 4)
-        as1, as2 = derive_ancestors(training, tr=2**70)
+        assert threshold_count(fraction_to_micro(31 / 30), 30) == 31
+        as1, as2 = ancestors_at(training, 31 / 30)
         assert unpack_independently(as1) == [1] * 8
         assert unpack_independently(as2) == [0] * 8
 
     def test_empty_training(self):
         with pytest.raises(EmptyInputError):
-            derive_ancestors(gs("01")[:0], tr=0)
+            build_db([("p", (0.0, 0.0), gs("01")[:0])], 0.0)
 
     def test_mixed_lengths(self):
         # a training set of mixed lengths cannot be assembled in the first place
         with pytest.raises(LengthMismatchError):
-            derive_ancestors(GeneMatrix.concat([gs("01"), gs("0101")]), tr=0)
+            build_db([("p", (0.0, 0.0), GeneMatrix.concat([gs("01"), gs("0101")]))], 0.0)
 
     def test_negative_threshold(self):
         with pytest.raises(ConfigError):
-            derive_ancestors(gs("01"), tr=-1)
+            build_db([("p", (0.0, 0.0), gs("01"))], -0.01)
 
     @given(st.integers(0, 2**32), st.integers(1, 60), st.integers(1, 6))
     @settings(max_examples=40)
     def test_zero_threshold_collapses_pair(self, seed, count, k):
         training = random_sequences(np.random.default_rng(seed), count, k)
-        as1, as2 = derive_ancestors(training, tr=0)
+        as1, as2 = ancestors_at(training, 0.0)
         assert as1 == as2
 
     @given(st.integers(0, 2**32), st.integers(1, 60), st.integers(1, 6),
-           st.integers(0, 70), st.integers(0, 70))
+           st.integers(0, 1_200_000), st.integers(0, 1_200_000))
     @settings(max_examples=40)
-    def test_pair_order_and_threshold_monotonicity(self, seed, count, k, tr_lo, tr_hi):
-        tr_lo, tr_hi = min(tr_lo, tr_hi), max(tr_lo, tr_hi)
+    def test_pair_order_and_threshold_monotonicity(self, seed, count, k, micro_lo, micro_hi):
+        micro_lo, micro_hi = min(micro_lo, micro_hi), max(micro_lo, micro_hi)
         training = random_sequences(np.random.default_rng(seed), count, k)
-        low = derive_ancestors(training, tr_lo)
-        high = derive_ancestors(training, tr_hi)
+        low = ancestors_at(training, micro_lo / 1_000_000)
+        high = ancestors_at(training, micro_hi / 1_000_000)
         for as1, as2 in (low, high):
             assert len(as1) == len(as2) == 1
             assert np.all(unpack_rows(as1) >= unpack_rows(as2))
@@ -242,7 +250,7 @@ class TestTrainingCounts:
             bits = rng.integers(0, 2, (count, 10), np.uint8)
             bits[:, 0], bits[:, 3] = 1, 0
             sets.append(GeneMatrix(np.packbits(bits, axis=1), 5))
-        sizes, ones = training_counts((f"set {i}", gm) for i, gm in enumerate(sets))
+        sizes, ones = training_counts((f"set {i}", (0, 0), gm) for i, gm in enumerate(sets))
         assert sizes.tolist() == [256, 1, 700, 255, 511]
         assert ones.dtype == np.int64
         assert ones.tolist() == [unpack_rows(gm).sum(axis=0).tolist() for gm in sets]
@@ -461,6 +469,6 @@ class TestFingerprintDbRecord:
         positions = [(f"p{i}", (float(i), 0.0), random_sequences(rng, 20, 3)) for i in range(3)]
         db = build_db(positions, 0.2)
         rows = [anc for _, _, seqs in positions
-                for anc in derive_ancestors(seqs, threshold_count(200000, 20))]
+                for anc in reference_ancestors(seqs, threshold_count(200000, 20))]
         assert db.ancestors == GeneMatrix.concat(rows)
         assert db.set_counts == (1, 1, 1) and db.starts.tolist() == [0, 2, 4]
