@@ -123,22 +123,17 @@ def _read_manifest(path: Path, unique_labels: bool = False):
     return rows
 
 
-def _load_traces(manifest: Path, fmt: str, flt: SubcarrierFilter, unique_labels: bool = False):
-    """Yield (label, (x, y), AmplitudeMatrix) per manifest row, a trace at a time."""
-    for label, coord, trace_path in _read_manifest(manifest, unique_labels):
-        yield label, coord, build_matrix(load_trace(trace_path, fmt), flt)
-
-
 def _load_positions(manifest: Path, fmt: str, flt: SubcarrierFilter):
     """Yield the training rows (label, (x, y), GeneMatrix) of a training
-    manifest, as build_db and threshold_sweep take them."""
-    for label, coord, matrix in _load_traces(manifest, fmt, flt, unique_labels=True):
-        yield label, coord, encode_matrix(matrix)
+    manifest, as build_db and threshold_sweep take them, a trace at a time."""
+    for label, coord, trace_path in _read_manifest(manifest, unique_labels=True):
+        yield label, coord, encode_matrix(build_matrix(load_trace(trace_path, fmt), flt))
 
 
 def _load_labeled_traces(manifest: Path, fmt: str, flt: SubcarrierFilter):
-    for label, coord, matrix in _load_traces(manifest, fmt, flt):
-        yield LabeledTrace(matrix=matrix, true_label=label, true_coord=coord)
+    for label, coord, trace_path in _read_manifest(manifest):
+        yield LabeledTrace(matrix=build_matrix(load_trace(trace_path, fmt), flt),
+                           true_label=label, true_coord=coord, path=str(trace_path))
 
 
 def _parse_fraction_range(text: str):

@@ -40,15 +40,23 @@ from .similarity import MetricKind, distances
 
 @dataclass(frozen=True)
 class LabeledTrace:
-    """An amplitude matrix tagged with its ground-truth position."""
+    """An amplitude matrix tagged with its ground-truth position and, when
+    it was read from a file, that file's path."""
 
     matrix: AmplitudeMatrix
     true_label: str
     true_coord: tuple
+    path: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "true_coord",
                            finite_coord(self.true_coord, f"trace {self.true_label!r}"))
+
+    @property
+    def name(self) -> str:
+        """How errors name the trace: its file, when known, then its label."""
+        label = f"trace {self.true_label!r}"
+        return label if self.path is None else f"{self.path}: {label}"
 
 
 @dataclass(frozen=True)
@@ -81,8 +89,7 @@ class LabeledWindows:
         for trace in traces:
             parents.append(windows(encode_matrix(trace.matrix), window_size))
             if not parents[-1]:
-                raise _too_short(f"trace {trace.true_label!r}", trace.matrix.packet_count,
-                                 window_size)
+                raise _too_short(trace.name, trace.matrix.packet_count, window_size)
             labels += [trace.true_label] * len(parents[-1])
             coords += [trace.true_coord] * len(parents[-1])
         if not parents:
@@ -319,7 +326,7 @@ class RawWindowSet:
             data = trace.matrix.data
             slices = window_slices(data.shape[0], window_size)
             if not slices:
-                raise _too_short(f"trace {trace.true_label!r}", data.shape[0], window_size)
+                raise _too_short(trace.name, data.shape[0], window_size)
             for lo, hi in slices:
                 means.append(data[lo:hi].mean(axis=0))
                 labels.append(trace.true_label)

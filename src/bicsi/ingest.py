@@ -1,15 +1,15 @@
 """Loading CSI traces from CSV files and assembling integer amplitude matrices.
 
-A trace is parsed into one float array by vectorized ``loadtxt`` calls
-plus vectorized domain checks, in this order: the integer parser (traces
-are integer amplitudes or I/Q components, and it is about twice as fast),
-then the float parser, then the per-line validator. The validator runs only
-when both vectorized parses fail, a check fails or the text holds an ASCII
-separator 0x1c-0x1f (``loadtxt`` strips it, ``float()`` rejects it), so
-parse errors keep their line numbers without the common path paying for
-per-packet Python objects. Phase information is never used: I/Q inputs are
-reduced to their magnitude and floored to integers when the matrix is built,
-amplitude inputs are floored directly.
+A trace file is read once, as bytes, and parsed by the first of three tiers
+that takes it: integer text parses to int64 with ``np.fromstring``, which
+releases the GIL, so a large trace parses on two threads; other text goes to
+the float ``loadtxt``; the per-line validator runs only when both miss, a
+domain check fails or the text holds an ASCII separator 0x1c-0x1f
+(``loadtxt`` strips it, ``float()`` rejects it), so parse errors keep their
+line numbers without the common path paying for per-packet Python objects.
+Phase information is never used: I/Q inputs are reduced to their magnitude
+and floored to integers when the matrix is built, float amplitudes are
+floored and integer amplitudes kept as they are.
 Excluded subcarriers (pilots, invariant bins) are dropped by a configurable
 index filter; there is no built-in exclusion list because the indices are
 hardware-specific.
@@ -17,6 +17,8 @@ hardware-specific.
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,7 @@ from .errors import (
     LengthMismatchError,
     TraceParseError,
 )
-from .ioutil import read_lines
+from .ioutil import decode_lines, read_lines
 
 AMPLITUDE_CSV = "amplitude-csv"
 IQ_CSV = "iq-csv"
@@ -169,51 +171,140 @@ def _validate_lines(path, lines, format: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+# Tier 1 text: one integer row per line, nothing but ASCII digits and commas
+_INT_GRAMMAR = b"0123456789,\n"
+# Each line end becomes a -1 field, which tier-1 text cannot hold, so one
+# parse gives every row's field count: the rows check by their shape.
+_ROW_END = b",-1,"
+_INT64_MAX = np.iinfo(np.int64).max  # np.fromstring saturates an overflowing token here
+# Text this long parses on two threads when the process may use two CPUs; a
+# shorter trace pays more in thread start-up than the worker saves.
+_SPLIT_BYTES = 256 * 1024
+# The share of a split text the calling thread parses; it first checks the
+# grammar of all of it while the worker thread parses the rest. Shares of
+# 0.35-0.4 measured fastest on 2-vCPU Xeon VMs.
+_MAIN_SHARE = 0.35
+
+
+def _parse_ints(body: bytes, out: list) -> None:
+    """Set ``out[0]`` to the comma-separated integers of ``body``; a token
+    that does not parse leaves it None. ``np.fromstring`` releases the GIL."""
+    try:
+        out[0] = np.fromstring(body, dtype=np.int64, sep=",")
+    except ValueError:
+        pass
+
+
+def _cpus() -> int:
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else (os.cpu_count() or 1)
+
+
+def _int_tier(raw: bytes) -> np.ndarray | None:
+    """Tier 1 of :func:`load_trace`: the trace's integers as int64, or None.
+
+    It accepts only ASCII digits and commas in LF- or CRLF-ended rows of one
+    field count with no empty field; blank lines and lines starting with
+    '#' (UTF-8 text) are skipped. Anything else (a sign, a point, a space, a
+    lone CR) and a value at the int64 bound give None.
+    """
+    text = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    newline = np.frombuffer(text, dtype=np.uint8) == 10
+    if b"#" in text or newline[0] or bool((newline[1:] & newline[:-1]).any()):
+        if not raw.isascii():
+            try:
+                raw.decode("utf-8")  # only a comment can hold a non-ASCII byte
+            except UnicodeDecodeError:
+                return None
+        text = b"".join(line for line in text.splitlines(keepends=True)
+                        if line != b"\n" and not line.startswith(b"#"))
+    first = text[:text.find(b"\n")]
+    if first.translate(None, _INT_GRAMMAR):
+        return None  # most text outside the grammar shows it in its first row
+    fields = first.count(b",") + 1
+    body = text.replace(b"\n", _ROW_END)
+    head, tail = [None], [None]
+    cut, worker = len(body), None
+    if len(body) >= _SPLIT_BYTES and _cpus() >= 2:
+        cut = body.find(_ROW_END, int(len(body) * _MAIN_SHARE)) + len(_ROW_END)
+        worker = threading.Thread(target=_parse_ints, args=(body[cut:], tail))
+        worker.start()
+    try:
+        if text.translate(None, _INT_GRAMMAR):
+            return None
+        _parse_ints(body[:cut], head)
+    finally:
+        if worker is not None:
+            worker.join()
+    parts = []
+    for part in (head + tail) if worker is not None else head:
+        if part is None or part.size % (fields + 1):
+            return None
+        rows = part.reshape(-1, fields + 1)
+        if (rows[:, -1] != -1).any():
+            return None
+        parts.append(rows[:, :-1])
+    values = np.concatenate(parts)
+    if not values.size or values.max() == _INT64_MAX:
+        return None
+    return values
+
+
 def load_trace(path, format: str = AMPLITUDE_CSV) -> np.ndarray:
-    """Parse a trace CSV into a float array, one row per packet.
+    """Parse a trace CSV into an array, one row per packet.
 
     Grammar: UTF-8, comma-separated numeric fields; lines starting with '#'
     and blank lines are skipped; every data row must have the same field
     count. ``amplitude-csv`` returns shape (packets, subcarriers) of
     non-negative values. In ``iq-csv`` each row holds 2r fields read as
-    (I1, Q1, ..., Ir, Qr), returned as shape (packets, r, 2).
+    (I1, Q1, ..., Ir, Qr), returned as float64 of shape (packets, r, 2).
+
+    The file is read once, as bytes, and parsed by the first of three tiers
+    that takes it. Tier 1 takes integer text (ASCII digits, commas, LF or
+    CRLF, '#' comments and blank lines) and returns int64; a text of
+    256 KiB or more is split between the calling thread and one worker
+    thread when the process may use two CPUs. Tier 2 is the float
+    ``loadtxt`` parse and returns float64. Tier 3, the per-line validator,
+    runs when both miss or a domain check fails, and raises the first
+    line-numbered error or parses what ``float()`` reads and ``loadtxt``
+    does not.
     """
     if format not in TRACE_FORMATS:
         raise ConfigError(f"unknown trace format {format!r}; expected one of {TRACE_FORMATS}")
-    lines = read_lines(path, TraceParseError)
-    data = [text for text in map(str.strip, lines) if text and not text.startswith("#")]
-    if not data:
-        raise EmptyTraceError(f"{path}: no data rows")
-    arr = None
-    # loadtxt strips the separators \x1c-\x1f that float() rejects: validator only
-    vectorized = not any(sep in text for text in data for sep in "\x1c\x1d\x1e\x1f")
-    # comments=None: a trailing "# note" must fail the row, as it does per line
-    if vectorized and not any("-" in text for text in data):
-        # integer parsing is about twice as fast; the float64 cast equals
-        # float() on every int64 token except "-0", so any "-" skips it
-        try:
-            arr = np.loadtxt(data, delimiter=",", ndmin=2, comments=None,
-                             dtype=np.int64).astype(np.float64)
-        except ValueError:
-            pass
-    if vectorized and arr is None:
-        try:
-            arr = np.loadtxt(data, delimiter=",", ndmin=2, comments=None)
-        except ValueError:
-            pass
-    valid = (arr is not None and bool(np.isfinite(arr).all())
-             and (arr.shape[1] % 2 == 0 if format == IQ_CSV else not (arr < 0).any()))
-    if not valid:
-        # raises the line-numbered error, or returns the rows loadtxt cannot
-        # read but float() can (digit separators, non-ASCII digits)
-        arr = _validate_lines(path, lines, format)
-    return arr.reshape(len(arr), -1, 2) if format == IQ_CSV else arr
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    arr = _int_tier(raw)
+    if arr is None or (format == IQ_CSV and arr.shape[1] % 2):
+        lines = decode_lines(path, raw, TraceParseError)
+        data = [text for text in map(str.strip, lines) if text and not text.startswith("#")]
+        if not data:
+            raise EmptyTraceError(f"{path}: no data rows")
+        arr = None
+        # loadtxt strips the separators \x1c-\x1f that float() rejects: validator only
+        if not any(sep in text for text in data for sep in "\x1c\x1d\x1e\x1f"):
+            try:
+                # comments=None: a trailing "# note" must fail the row, as it does per line
+                arr = np.loadtxt(data, delimiter=",", ndmin=2, comments=None)
+            except ValueError:
+                pass
+        valid = (arr is not None and bool(np.isfinite(arr).all())
+                 and (arr.shape[1] % 2 == 0 if format == IQ_CSV else not (arr < 0).any()))
+        if not valid:
+            # raises the line-numbered error, or returns the rows loadtxt cannot
+            # read but float() can (digit separators, non-ASCII digits)
+            arr = _validate_lines(path, lines, format)
+    if format == IQ_CSV:
+        return arr.astype(np.float64, copy=False).reshape(len(arr), -1, 2)
+    return arr
 
 
 def _trace_array(trace) -> np.ndarray:
-    """``trace`` as a float array; ragged rows name the first bad packet."""
+    """``trace`` as an integer or float array; ragged rows name the first bad packet."""
     try:
-        return np.asarray(trace, dtype=float)
+        arr = np.asarray(trace)
+        return arr if arr.dtype.kind in "iu" else arr.astype(np.float64)
     except ValueError:
         rows = list(trace)
         width = len(rows[0])
@@ -229,9 +320,11 @@ def build_matrix(trace, subcarrier_filter: SubcarrierFilter | None = None) -> Am
     """Integer amplitude matrix with excluded raw columns removed.
 
     ``trace`` is a :func:`load_trace` array: (packets, subcarriers)
-    amplitudes, floored, or (packets, subcarriers, 2) I/Q pairs, each
-    reduced to the integer part of its magnitude, floor(hypot(i, q)).
-    Retained columns keep their original relative order.
+    amplitudes, or (packets, subcarriers, 2) I/Q pairs, each reduced to the
+    integer part of its magnitude, floor(hypot(i, q)). Integer amplitudes
+    are kept as they are (an int64 trace with every column kept is viewed,
+    not copied); float amplitudes are floored. Retained columns keep their
+    original relative order.
     """
     arr = _trace_array(trace)
     if arr.ndim and arr.shape[0] == 0:
@@ -253,17 +346,22 @@ def build_matrix(trace, subcarrier_filter: SubcarrierFilter | None = None) -> Am
     if not keep:
         raise ConfigError("filter excludes every subcarrier")
 
-    if not np.all(np.isfinite(arr)):
+    # finiteness and sign are checked over every raw column, the int64 bound
+    # over the kept ones; min and max are NaN when any value is
+    lo, hi = arr.min(), arr.max()
+    if arr.dtype.kind == "f" and not (math.isfinite(lo) and math.isfinite(hi)):
         raise DataDomainError("values must be finite")
     if iq:
-        amplitudes = np.floor(np.hypot(arr[..., 0], arr[..., 1]))
+        amplitudes = np.hypot(arr[..., 0], arr[..., 1])
     else:
-        if float(arr.min()) < 0:
+        if lo < 0:
             raise DataDomainError("negative amplitude")
-        amplitudes = np.floor(arr)
+        amplitudes = arr
     if len(keep) < width:  # keeping every column needs no copy
         amplitudes = amplitudes[:, keep]
-    if float(amplitudes.max()) >= 2.0**63:  # also catches an I/Q magnitude that overflows to inf
+    if iq or len(keep) < width:
+        hi = amplitudes.max()
+    if hi >= 2**63:  # also catches an I/Q magnitude that overflows to inf
         raise DataDomainError("amplitudes must be below 2**63, the int64 bound")
-    data = amplitudes.astype(np.int64)
-    return AmplitudeMatrix(data=data, subcarrier_mask=keep)
+    # the cast truncates, which is floor for non-negative amplitudes
+    return AmplitudeMatrix(data=amplitudes.astype(np.int64, copy=False), subcarrier_mask=keep)

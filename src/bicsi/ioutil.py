@@ -1,6 +1,7 @@
 """File access: atomic writes (temp file in the target directory, then
 rename) and UTF-8 line reads."""
 
+import io
 import os
 import tempfile
 
@@ -25,8 +26,14 @@ def atomic_write_text(path, text: str) -> None:
 
 def read_lines(path, error: type) -> list[str]:
     """Lines of a UTF-8 text file; undecodable bytes raise ``error`` naming it."""
+    with open(path, "rb") as fh:
+        return decode_lines(path, fh.read(), error)
+
+
+def decode_lines(path, raw: bytes, error: type) -> list[str]:
+    """The lines a text-mode read of ``path`` gives for its bytes ``raw``:
+    UTF-8, with LF, CRLF and CR line ends read as LF."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").readlines()
     except UnicodeDecodeError:
         raise error(f"{path}: not valid UTF-8 text") from None

@@ -307,8 +307,23 @@ class TestEval:
         result = invoke(runner, "eval", "--db", trained, "--manifest",
                         dataset / "test" / "manifest.csv", "--out", out)
         assert result.exit_code == 1
-        assert result.output == ("Error: trace 'p02': 39 packets, too few for one 120-packet "
-                                 "window (a window needs at least half its size)\n")
+        trace = dataset / "test" / "p02.csv"
+        assert result.output == (f"Error: {trace}: trace 'p02': 39 packets, too few for one "
+                                 "120-packet window (a window needs at least half its size)\n")
+        assert not out.exists()
+
+    def test_too_short_trace_of_a_repeated_label_names_its_file(self, runner, tmp_path, dataset,
+                                                                   trained):
+        short = tmp_path / "p02-short.csv"
+        short.write_bytes((dataset / "test" / "p02.csv").read_bytes())
+        keep_packets(short, 44)
+        manifest = tmp_path / "repeated.csv"
+        manifest.write_text(f"label,x,y,file\np02,1,0,{dataset / 'test' / 'p02.csv'}\n"
+                            f"p02,1,0,{short}\n")
+        out = tmp_path / "r.json"
+        result = invoke(runner, "eval", "--db", trained, "--manifest", manifest, "--out", out)
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {short}: trace 'p02': 44 packets, too few")
         assert not out.exists()
 
 
@@ -628,7 +643,12 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # only synth draws random numbers; loading numpy.random would slow every CLI start
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, bicsi.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    # nor would the thread pool and logging modules, which the two-thread
+    # trace parse does without
+    unwanted = ("numpy.random", "concurrent.futures", "logging")
+    code = ("import sys, bicsi.cli; "
+            f"print(sorted(m for m in sys.modules for p in {unwanted!r} "
+            "if m == p or m.startswith(p + '.')))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"

@@ -364,6 +364,17 @@ class TestLabeledWindows:
         with pytest.raises(EmptyInputError, match=message):
             RawWindowSet.from_traces(traces, 120)
 
+    def test_too_short_trace_with_a_path_is_named_by_it(self):
+        # a test manifest may list several traces of one position
+        traces = make_fixture(positions=2, packets=120)
+        short = noiseless_trace(np.random.default_rng(1), "p1", (1.0, 0.0), 44, 12)
+        traces.append(replace(short, path="test/p1-b.csv"))
+        message = "^test/p1-b.csv: trace 'p1': 44 packets, too few for one 120-packet window"
+        with pytest.raises(EmptyInputError, match=message):
+            LabeledWindows.from_traces(traces, 120)
+        with pytest.raises(EmptyInputError, match=message):
+            RawWindowSet.from_traces(traces, 120)
+
     def test_traces_of_two_widths_rejected(self):
         traces = [make_fixture(seed=1, positions=1, k=12)[0],
                   make_fixture(seed=2, positions=1, k=8)[0]]

@@ -1,7 +1,10 @@
 """Trace loading, I/Q magnitude extraction and matrix assembly tests."""
 
 import math
+import os
+import re
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from bicsi.errors import (
     LengthMismatchError,
     TraceParseError,
 )
+from bicsi import ingest
 from bicsi.encoding import GeneMatrix
 from bicsi.evaluation import RawBaselineDb, RawWindowSet
 from bicsi.ingest import (
@@ -29,6 +33,7 @@ from bicsi.ingest import (
     load_filter,
     load_trace,
 )
+from bicsi.ioutil import read_lines
 from bicsi.synth import SynthDataset
 
 # every magnitude stays below 2**63, the int64 bound build_matrix enforces
@@ -147,11 +152,11 @@ class TestLoadTrace:
         with pytest.raises(TraceParseError, match="line 2: non-numeric"):
             load_trace(path)
 
-    def test_integer_trace_returns_float64(self, tmp_path):
+    def test_integer_trace_returns_int64(self, tmp_path):
         path = write_trace(tmp_path, "0,7\n1023,4095\n")
         trace = load_trace(path)
-        assert trace.dtype == np.float64
-        assert trace.tolist() == [[0.0, 7.0], [1023.0, 4095.0]]
+        assert trace.dtype == np.int64
+        assert trace.tolist() == [[0, 7], [1023, 4095]]
 
 
 VALID_TOKENS = ["0", "7", "1023", "2.5", " 3 ", "+1", "1.", ".5", "1e3", "-0", "\t4"]
@@ -179,6 +184,19 @@ def trace_texts(draw):
             lines.append(",".join(fields) + (" # note" if draw(st.integers(0, 19)) == 0 else ""))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def integer_text(text: str) -> bool:
+    """Whether ``text`` is in the integer tier's grammar: rows of ASCII
+    digits and commas, one field count, LF or CRLF line ends, blank and
+    full-line '#' lines aside, and every value below the int64 maximum."""
+    if "\r" in text.replace("\r\n", ""):
+        return False
+    rows = [line for line in text.replace("\r\n", "\n").split("\n")
+            if line and not line.startswith("#")]
+    return (bool(rows) and all(re.fullmatch(r"[0-9]+(,[0-9]+)*", row) for row in rows)
+            and len({row.count(",") for row in rows}) == 1
+            and all(int(token) < 2**63 - 1 for row in rows for token in row.split(",")))
 
 
 def _outcome(fn):
@@ -214,8 +232,118 @@ def test_fast_parse_matches_per_line_validator(text, fmt):
         if fmt == IQ_CSV:
             expected = expected.reshape(len(expected), -1, 2)
         assert isinstance(actual, np.ndarray)
-        assert (actual.shape, actual.dtype) == (expected.shape, expected.dtype)
-        assert actual.tobytes() == expected.tobytes()  # bit-exact, -0.0 included
+        assert actual.shape == expected.shape
+        # integer text stays integer; its float64 cast is the validator's bits
+        assert (actual.dtype == np.int64) == (fmt == AMPLITUDE_CSV and integer_text(text))
+        assert actual.astype(np.float64).tobytes() == expected.tobytes()  # -0.0 included
+
+
+SPLIT_ROWS = 400  # 400 rows of 230 amplitudes are about 360 KB, past the split floor
+
+
+def split_trace_rows(seed=0) -> list:
+    rng = np.random.default_rng(seed)
+    return [",".join(map(str, row)).encode()
+            for row in rng.integers(0, 1024, size=(SPLIT_ROWS, 230)).tolist()]
+
+
+def _set_field(row: bytes, token: bytes, index: int = 5) -> bytes:
+    fields = row.split(b",")
+    fields[index] = token
+    return b",".join(fields)
+
+
+# defect -> (rows, i) -> trace bytes, the defect placed at row i
+SPLIT_DEFECTS = {
+    "ragged row": lambda rows, i: rows[:i] + [rows[i].rsplit(b",", 1)[0]] + rows[i + 1:],
+    "rows of two widths": lambda rows, i: (rows[:i] + [rows[i].rsplit(b",", 1)[0]]
+                                           + [rows[i + 1] + b",7"] + rows[i + 2:]),
+    "-0 token": lambda rows, i: rows[:i] + [_set_field(rows[i], b"-0")] + rows[i + 1:],
+    "19-digit token": lambda rows, i: (rows[:i] + [_set_field(rows[i], b"9999999999999999999")]
+                                       + rows[i + 1:]),
+    "int64 maximum": lambda rows, i: (rows[:i] + [_set_field(rows[i], b"9223372036854775807")]
+                                      + rows[i + 1:]),
+    "empty field": lambda rows, i: rows[:i] + [_set_field(rows[i], b"")] + rows[i + 1:],
+    "# comment": lambda rows, i: rows[:i] + [b"# a comment"] + rows[i:],
+    "blank line": lambda rows, i: rows[:i] + [b""] + rows[i:],
+    "CRLF": lambda rows, i: [row + b"\r" for row in rows],
+    "lone CR": lambda rows, i: rows[:i] + [rows[i] + b"\r" + rows[i + 1]] + rows[i + 2:],
+    "non-UTF-8 comment": lambda rows, i: rows[:i] + [b"# caf\xe9"] + rows[i:],
+}
+
+
+@pytest.fixture()
+def started_threads(monkeypatch):
+    """The threads load_trace starts, recorded as they start."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    return started
+
+
+def write_split_trace(tmp_path, rows) -> Path:
+    path = tmp_path / "large.csv"
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    assert path.stat().st_size >= ingest._SPLIT_BYTES
+    return path
+
+
+class TestSplitParse:
+    """Traces large enough for the integer tier to parse on two threads."""
+
+    def test_matches_loadtxt(self, tmp_path, started_threads):
+        path = write_split_trace(tmp_path, split_trace_rows())
+        trace = load_trace(path)
+        expected = np.loadtxt(path, delimiter=",", dtype=np.int64)
+        assert (trace.shape, trace.dtype) == (expected.shape, np.int64)
+        assert np.array_equal(trace, expected)
+        assert len(started_threads) == (2 <= len(os.sched_getaffinity(0)))
+
+    @pytest.mark.parametrize("where", ["main", "worker"])
+    @pytest.mark.parametrize("defect", sorted(SPLIT_DEFECTS))
+    def test_defect_gives_the_validators_outcome(self, tmp_path, started_threads, defect, where):
+        rows = split_trace_rows()
+        data = SPLIT_DEFECTS[defect](rows, 10 if where == "main" else SPLIT_ROWS - 10)
+        path = write_split_trace(tmp_path, data)
+        expected = _outcome(lambda: _validate_lines(path, read_lines(path, TraceParseError),
+                                                    AMPLITUDE_CSV))
+        actual = _outcome(lambda: load_trace(path))
+        assert not any(t.is_alive() for t in started_threads)
+        if isinstance(expected, tuple):
+            assert actual == expected
+            return
+        assert actual.shape == expected.shape
+        assert (actual.dtype == np.int64) == integer_text(path.read_bytes().decode())
+        assert actual.astype(np.float64).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(("defect", "row"), [
+        (None, 0),  # a success
+        ("-0 token", 10),  # a grammar miss, seen by the calling thread
+        ("empty field", SPLIT_ROWS - 10),  # a parse error in the worker's share
+    ])
+    def test_worker_is_joined(self, tmp_path, started_threads, defect, row):
+        rows = split_trace_rows()
+        path = write_split_trace(tmp_path, SPLIT_DEFECTS[defect](rows, row) if defect else rows)
+        baseline = threading.active_count()
+        _outcome(lambda: load_trace(path))
+        assert len(started_threads) == 1
+        assert not started_threads[0].is_alive()
+        assert threading.active_count() == baseline
+
+    def test_one_cpu_parses_on_the_calling_thread(self, tmp_path, started_threads, monkeypatch):
+        path = write_split_trace(tmp_path, split_trace_rows())
+        two = load_trace(path)
+        started_threads.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one = load_trace(path)
+        assert started_threads == []
+        assert one.dtype == two.dtype == np.int64
+        assert np.array_equal(one, two)
 
 
 def amp_rows(rows):
@@ -275,6 +403,32 @@ class TestBuildMatrix:
         trace = load_trace(write_trace(tmp_path, text), fmt)
         with pytest.raises(DataDomainError, match=r"2\*\*63"):
             build_matrix(trace)
+
+    @pytest.mark.parametrize(("rows", "excluded", "message"), [
+        ([[math.nan, -1.0]], (), "values must be finite"),
+        ([[-1.0, math.inf]], (), "values must be finite"),
+        ([[-math.inf, 1.0]], (), "values must be finite"),  # not "negative amplitude"
+        ([[1.0, math.nan]], (1,), "values must be finite"),  # checked over every raw column
+        ([[1.0, -1.0]], (1,), "negative amplitude"),  # checked over every raw column
+        ([[1e19, -1.0]], (), "negative amplitude"),  # before the int64 bound
+        ([[1.0, 1e19]], (), r"below 2\*\*63"),
+        (np.array([[1, -1]]), (1,), "negative amplitude"),  # the integer path
+        (np.array([[1, 2**63]], dtype=np.uint64), (), r"below 2\*\*63"),
+    ])
+    def test_domain_checks_keep_their_order(self, rows, excluded, message):
+        with pytest.raises(DataDomainError, match=message):
+            build_matrix(np.asarray(rows), SubcarrierFilter(frozenset(excluded)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint64])
+    def test_int64_bound_is_checked_over_kept_columns_only(self, dtype):
+        matrix = build_matrix(np.array([[3, 2**63]], dtype=dtype), SubcarrierFilter(frozenset({1})))
+        assert matrix.data.tolist() == [[3]]
+
+    def test_integer_trace_keeps_its_values(self):
+        trace = np.array([[2**53 + 1, 0], [7, 2**63 - 1]], dtype=np.int64)
+        matrix = build_matrix(trace)
+        assert matrix.data.dtype == np.int64
+        assert matrix.data.tolist() == trace.tolist()
 
     def test_iq_records_match_scalar_op(self):
         rng = np.random.default_rng(5)
