@@ -208,7 +208,11 @@ def _int_tier(raw: bytes) -> np.ndarray | None:
     '#' (UTF-8 text) are skipped. Anything else (a sign, a point, a space, a
     lone CR) and a value at the int64 bound give None.
     """
-    text = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
+    text = raw
+    if b"\r" in text:
+        if text.count(b"\r") != text.count(b"\r\n"):
+            return None  # a lone CR, which the text reader also takes as a line end
+        text = text.replace(b"\r\n", b"\n")
     if not text.endswith(b"\n"):
         text += b"\n"
     newline = np.frombuffer(text, dtype=np.uint8) == 10

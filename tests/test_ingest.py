@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bicsi import ingest
 from bicsi.errors import (
     BicsiError,
     ConfigError,
@@ -20,7 +21,6 @@ from bicsi.errors import (
     LengthMismatchError,
     TraceParseError,
 )
-from bicsi import ingest
 from bicsi.encoding import GeneMatrix
 from bicsi.evaluation import RawBaselineDb, RawWindowSet
 from bicsi.ingest import (
@@ -219,6 +219,7 @@ def _outcome(fn):
 @example("-3,-4\n0,-12\n", IQ_CSV)
 @example("5\x1c,1\n", AMPLITUDE_CSV)  # loadtxt strips the ASCII separators, float() does not
 @example("1,2\n3\x1f,4\n", IQ_CSV)
+@example("# a\r5,6\n1,2\n", AMPLITUDE_CSV)  # a lone CR ends a comment line for the reader
 def test_fast_parse_matches_per_line_validator(text, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
