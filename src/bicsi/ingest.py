@@ -251,7 +251,9 @@ def _int_tier(raw: bytes) -> np.ndarray | None:
             return None
         parts.append(rows[:, :-1])
     values = np.concatenate(parts)
-    if not values.size or values.max() == _INT64_MAX:
+    # tier-1 text holds no '-', so a -1 among the values is a line end that
+    # ragged rows moved off the end of its row
+    if not values.size or values.min() < 0 or values.max() == _INT64_MAX:
         return None
     return values
 

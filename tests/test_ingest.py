@@ -220,6 +220,8 @@ def _outcome(fn):
 @example("5\x1c,1\n", AMPLITUDE_CSV)  # loadtxt strips the ASCII separators, float() does not
 @example("1,2\n3\x1f,4\n", IQ_CSV)
 @example("# a\r5,6\n1,2\n", AMPLITUDE_CSV)  # a lone CR ends a comment line for the reader
+@example("1,2,3\n4\n5\n", AMPLITUDE_CSV)  # ragged rows whose line ends fill whole rows
+@example("1,2,3,4\n5\n6,7\n", IQ_CSV)
 def test_fast_parse_matches_per_line_validator(text, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
@@ -259,6 +261,10 @@ SPLIT_DEFECTS = {
     "ragged row": lambda rows, i: rows[:i] + [rows[i].rsplit(b",", 1)[0]] + rows[i + 1:],
     "rows of two widths": lambda rows, i: (rows[:i] + [rows[i].rsplit(b",", 1)[0]]
                                            + [rows[i + 1] + b",7"] + rows[i + 2:]),
+    # two short rows whose fields and line ends fill exactly one full row
+    "row split short": lambda rows, i: (rows[:i] + [b",".join(rows[i].split(b",")[:5]),
+                                                    b",".join(rows[i].split(b",")[5:-1])]
+                                        + rows[i + 1:]),
     "-0 token": lambda rows, i: rows[:i] + [_set_field(rows[i], b"-0")] + rows[i + 1:],
     "19-digit token": lambda rows, i: (rows[:i] + [_set_field(rows[i], b"9999999999999999999")]
                                        + rows[i + 1:]),
