@@ -8,7 +8,6 @@ overrides --seed.
 """
 
 import functools
-import json
 import math
 import os
 from dataclasses import asdict
@@ -39,6 +38,7 @@ from .fingerprint import (
     MICRO_UNITS,
     _too_short,
     build_db,
+    check_window_size,
     fraction_to_micro,
     load_db,
     save_db,
@@ -52,10 +52,9 @@ from .ingest import (
     load_filter,
     load_trace,
 )
-from .ioutil import atomic_write_text, read_lines
+from .ioutil import atomic_write_text, json_text, read_lines
 from .matcher import match_trace
 from .similarity import MetricKind
-from .synth import SynthConfig, drift_sessions, generate, write_dataset
 
 METRIC_NAMES = [m.value for m in MetricKind]
 
@@ -235,13 +234,14 @@ def _result_dict(result) -> dict:
 @_friendly
 def match(db_path, trace, metric, out_json, window, filter_file, fmt):
     """Match every window of a trace against the fingerprint database."""
+    check_window_size(window)  # a bad window fails before any file is read
     db = load_db(db_path)
     matrix = build_matrix(load_trace(trace, fmt), _filter_from(filter_file))
     parents = windows(encode_matrix(matrix), window)
     if not parents:
         raise _too_short(str(trace), matrix.packet_count, window)
     results = match_trace(parents, db, MetricKind.parse(metric))
-    atomic_write_text(out_json, json.dumps([_result_dict(r) for r in results], indent=2) + "\n")
+    atomic_write_text(out_json, json_text([_result_dict(r) for r in results]) + "\n")
     click.echo(f"matched {len(results)} windows -> {out_json}")
 
 
@@ -260,6 +260,7 @@ def match(db_path, trace, metric, out_json, window, filter_file, fmt):
 @_friendly
 def eval_cmd(db_path, manifest, metric, out_path, window, filter_file, fmt):
     """Evaluate labeled test traces and write the aggregate report."""
+    check_window_size(window)  # a bad window fails before any file is read
     db = load_db(db_path)
     traces = _load_labeled_traces(manifest, fmt, _filter_from(filter_file))
     labeled = LabeledWindows.from_traces(traces, window)
@@ -306,6 +307,7 @@ def compare_metrics(db_path, manifest, metrics, out_json, window, filter_file, f
     if not kinds:
         raise ConfigError(f"--metrics {metrics!r} names no metric; "
                           f"valid metrics: {', '.join(METRIC_NAMES)}")
+    check_window_size(window)  # a bad window fails before any file is read
     db = load_db(db_path)
     traces = _load_labeled_traces(manifest, fmt, _filter_from(filter_file))
     labeled = LabeledWindows.from_traces(traces, window)
@@ -330,6 +332,7 @@ def compare_metrics(db_path, manifest, metrics, out_json, window, filter_file, f
 def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, filter_file, fmt):
     """Accuracy versus the number of training sessions' ancestor sets."""
     fraction_to_micro(threshold_fraction)  # a bad fraction fails before any trace is read
+    check_window_size(window)  # a bad window fails before any file is read
     flt = _filter_from(filter_file)
     session_dirs = sorted(d for d in Path(sessions_dir).glob("session_*") if d.is_dir())
     if len(session_dirs) < 2:
@@ -382,6 +385,9 @@ def synth(out_dir, positions, subcarriers, train_packets, test_packets, amplitud
           amplitude_hi, profile_separation, noise_sigma, burst_rate, burst_magnitude,
           drift_sigma, sessions, seed, force):
     """Generate a seeded synthetic dataset with train/test manifests."""
+    # imported here, so that no other command loads the generator
+    from .synth import SynthConfig, drift_sessions, generate, write_dataset
+
     seed = _resolve_seed(seed)
     if sessions < 1:
         raise ConfigError("--sessions must be >= 1")
@@ -424,7 +430,7 @@ def synth(out_dir, positions, subcarriers, train_packets, test_packets, amplitud
         "test_packets": test_packets,
         "sessions": sessions,
     }
-    atomic_write_text(out_dir / "config.json", json.dumps(sidecar, indent=2) + "\n")
+    atomic_write_text(out_dir / "config.json", json_text(sidecar) + "\n")
     click.echo(f"wrote {out_dir}")
 
 

@@ -6,7 +6,6 @@ side-by-side metric comparisons, multi-session temporal evaluation, and the
 raw-amplitude cosine/Pearson baselines that bypass binary encoding.
 """
 
-import json
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -34,6 +33,7 @@ from .fingerprint import (
     windows,
 )
 from .ingest import AmplitudeMatrix
+from .ioutil import json_text
 from .matcher import match_trace
 from .similarity import MetricKind, distances
 
@@ -389,11 +389,11 @@ def raw_baseline(db: RawBaselineDb, window_set: RawWindowSet,
 
 
 def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2)
+    return json_text(report.to_json_dict())
 
 
 def reports_to_json(reports) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2)
+    return json_text([r.to_json_dict() for r in reports])
 
 
 def sweep_to_csv(rows) -> str:

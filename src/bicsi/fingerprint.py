@@ -184,14 +184,18 @@ def ancestor_matrices(sizes, ones, trs) -> tuple:
     return GeneMatrix._pack(majority | ~decided), GeneMatrix._pack(majority & decided)
 
 
+def check_window_size(size: int) -> None:
+    if size < 1:
+        raise ConfigError("window size must be >= 1")
+
+
 def window_slices(total: int, size: int) -> list[tuple[int, int]]:
     """Consecutive non-overlapping (start, stop) windows over ``total`` items.
 
     A trailing remainder at least half a window long is kept; anything
     shorter is dropped.
     """
-    if size < 1:
-        raise ConfigError("window size must be >= 1")
+    check_window_size(size)
     full = total // size
     slices = [(i * size, (i + 1) * size) for i in range(full)]
     rem = total - full * size

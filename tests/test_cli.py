@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from bicsi import cli
 from bicsi.cli import main
 
 
@@ -553,6 +554,33 @@ class TestTemporal:
         assert trimmed.read_bytes() == full.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["eval", "compare-metrics", "match", "temporal"])
+@pytest.mark.parametrize("window", [0, -3])
+def test_bad_window_fails_before_any_trace_is_read(runner, tmp_path, monkeypatch, command,
+                                                   window):
+    out = tmp_path / "sessions"
+    assert invoke(runner, *SYNTH_ARGS, "--sessions", 3, "--out-dir", out).exit_code == 0
+    session = out / "session_01"
+    train = invoke(runner, "train", "--manifest", session / "train" / "manifest.csv",
+                   "--out-db", tmp_path / "fp.db")
+    assert train.exit_code == 0, train.output
+    calls = []
+    monkeypatch.setattr(cli, "load_trace", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "load_db", lambda *args: calls.append(args))
+    db, test = ("--db", tmp_path / "fp.db"), ("--manifest", session / "test" / "manifest.csv")
+    args = {
+        "eval": ("eval", *db, *test, "--out", tmp_path / "r.json"),
+        "compare-metrics": ("compare-metrics", *db, *test, "--out-json", tmp_path / "c.json"),
+        "match": ("match", *db, "--trace", session / "test" / "p01.csv",
+                  "--out-json", tmp_path / "m.json"),
+        "temporal": ("temporal", "--sessions-dir", out, "--out-csv", tmp_path / "t.csv"),
+    }[command]
+    result = invoke(runner, *args, "--window", window)
+    assert result.exit_code == 2
+    assert "window size must be >= 1" in result.output
+    assert calls == []
+
+
 class TestManifestRows:
     """A bad manifest row fails with exit 1 and one line naming it, never a traceback."""
 
@@ -644,8 +672,8 @@ def test_cli_import_leaves_numpy_random_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     # nor would the thread pool and logging modules, which the two-thread
-    # trace parse does without
-    unwanted = ("numpy.random", "concurrent.futures", "logging")
+    # trace parse does without, or the generator, which only synth uses
+    unwanted = ("numpy.random", "concurrent.futures", "logging", "bicsi.synth")
     code = ("import sys, bicsi.cli; "
             f"print(sorted(m for m in sys.modules for p in {unwanted!r} "
             "if m == p or m.startswith(p + '.')))")

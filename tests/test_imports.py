@@ -1,12 +1,23 @@
-"""Static checks, with the standard library's ``ast``: every module of the
-package (``__init__.py`` aside, whose imports are its exports) uses each
-name it imports, and every module-level private definition is read by some
-module of the package."""
+"""Checks of the package's modules and of what ``import bicsi`` exports.
+
+Static checks, with the standard library's ``ast``: every module of the
+package (``__init__.py`` aside, which imports the online path's names to
+re-export them) uses each name it imports, every module-level private
+definition is read by some module of the package, and every entry of
+``__init__``'s lazy table names a module-level definition of its module.
+Then, by importing: ``import bicsi`` leaves the study harnesses unloaded,
+and each public name is one object however it is reached."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import bicsi
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bicsi"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -83,3 +94,132 @@ def test_finds_a_dead_private_helper():
 def test_every_private_helper_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert dead_private_helpers(sources) == []
+
+
+def lazy_table(source: str) -> dict:
+    """The ``_LAZY`` dict literal of ``__init__.py``: name -> module name."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_LAZY" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no _LAZY table")
+
+
+def module_level_names(source: str) -> set:
+    """Names a module defines at its top level: functions, classes, assignments."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def dead_lazy_entries(table: dict, sources: dict) -> list:
+    """'name -> module' for each entry that names no module of the package, or
+    no module-level definition of its module (a module's own name aside)."""
+    dead = []
+    for name, module in table.items():
+        source = sources.get(f"{module}.py")
+        if source is None or name != module and name not in module_level_names(source):
+            dead.append(f"{name} -> {module}")
+    return dead
+
+
+def test_finds_a_dead_lazy_entry():
+    sources = {"a.py": "X = 1\ndef f():\n    pass\nclass C:\n    pass\n"}
+    table = {"a": "a", "X": "a", "f": "a", "C": "a", "gone": "a", "b": "b", "Y": "b"}
+    assert dead_lazy_entries(table, sources) == ["gone -> a", "b -> b", "Y -> b"]
+
+
+def test_every_lazy_entry_names_a_definition():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    table = lazy_table(sources["__init__.py"])
+    assert set(table.values()) == {"evaluation", "synth"}
+    assert dead_lazy_entries(table, sources) == []
+
+
+# every public name ``bicsi/__init__.py`` exported when it imported all of
+# them eagerly, by the module that defines it
+PUBLIC = {
+    "encoding": ["GeneMatrix", "encode_matrix"],
+    "errors": ["BicsiError", "ConfigError", "DataDomainError", "DbFormatError", "DbLengthError",
+               "DbMagicError", "DbTruncatedError", "DbVersionError", "EmptyInputError",
+               "EmptyTraceError", "LengthMismatchError", "SessionMismatchError",
+               "TraceParseError", "UnknownLabelError"],
+    "evaluation": ["EvalReport", "LabeledTrace", "LabeledWindows", "RawBaselineDb",
+                   "RawWindowSet", "evaluate_windows", "metric_comparison", "raw_baseline",
+                   "temporal_eval", "threshold_sweep"],
+    "fingerprint": ["FingerprintDb", "build_db", "fraction_to_micro", "load_db", "save_db",
+                    "threshold_count", "windows"],
+    "ingest": ["AmplitudeMatrix", "SubcarrierFilter", "build_matrix", "load_filter",
+               "load_trace"],
+    "matcher": ["MatchResult", "match_trace"],
+    "similarity": ["MetricKind"],
+    "synth": ["SynthConfig", "SynthDataset", "drift_sessions", "generate"],
+}
+PUBLIC_NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+
+
+def run_python(code: str) -> str:
+    return subprocess.run([sys.executable, "-c", code], env=SUBPROCESS_ENV,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_import_leaves_the_study_harnesses_unloaded():
+    code = ("import sys, bicsi; "
+            "print(sorted(m for m in ('bicsi.evaluation', 'bicsi.synth', 'csv') "
+            "if m in sys.modules))")
+    assert run_python(code) == "[]"
+
+
+def test_lazy_names_load_on_first_use():
+    # each name is reached first through the package, in a process that has
+    # not loaded its module, then compared with the module's own
+    code = "\n".join([
+        "import importlib, sys, bicsi",
+        f"public = {PUBLIC_NAMES!r}",
+        "for i, (module, name) in enumerate(public):",
+        "    if i % 2:",
+        "        value = getattr(bicsi, name)",
+        "    else:",
+        "        space = {}",
+        "        exec(f'from bicsi import {name} as value', space)",
+        "        value = space['value']",
+        "    own = getattr(importlib.import_module(f'bicsi.{module}'), name)",
+        "    assert value is own is getattr(bicsi, name), name",
+        "    assert getattr(bicsi, module) is sys.modules[f'bicsi.{module}'], module",
+        "print('ok')",
+    ])
+    assert run_python(code) == "ok"
+
+
+@pytest.mark.parametrize("module,name", PUBLIC_NAMES)
+def test_public_name_is_one_object(module, name):
+    space = {}
+    exec(f"from bicsi import {name} as value", space)
+    own = getattr(importlib.import_module(f"bicsi.{module}"), name)
+    assert getattr(bicsi, name) is space["value"] is own
+
+
+def test_dir_lists_every_public_name():
+    listed = dir(bicsi)
+    assert {name for _, name in PUBLIC_NAMES} | set(PUBLIC) <= set(listed)
+    assert listed == sorted(listed)
+
+
+def test_star_import_binds_every_public_name():
+    space = {}
+    exec("from bicsi import *", space)
+    assert {name for _, name in PUBLIC_NAMES} | set(PUBLIC) <= set(space)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'bicsi' has no attribute 'no_such_name'"):
+        bicsi.no_such_name
+    with pytest.raises(ImportError):
+        exec("from bicsi import no_such_name", {})
