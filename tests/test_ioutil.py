@@ -51,6 +51,11 @@ def test_int_rows_equal_json_dumps(rows):
     assert json_text({"confusion": rows}) == dumps({"confusion": rows})
 
 
+def test_non_finite_floats_are_written_as_json_writes_them():
+    assert json_text([math.nan, math.inf, -math.inf, -0.0]) == (
+        "[\n  NaN,\n  Infinity,\n  -Infinity,\n  -0.0\n]")
+
+
 @pytest.mark.parametrize("obj", [
     {1: "int", 2.5: "float", True: "bool", None: "none", -0.0: "negative zero"},
     {math.nan: 1, math.inf: [2], -math.inf: {}},
