@@ -6,7 +6,6 @@ side-by-side metric comparisons, multi-session temporal evaluation, and the
 raw-amplitude cosine/Pearson baselines that bypass binary encoding.
 """
 
-import math
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -15,6 +14,7 @@ import numpy as np
 from .encoding import GeneMatrix, encode_matrix
 from .errors import (
     ConfigError,
+    DataDomainError,
     EmptyInputError,
     LengthMismatchError,
     SessionMismatchError,
@@ -32,7 +32,7 @@ from .fingerprint import (
     window_slices,
     windows,
 )
-from .ingest import AmplitudeMatrix
+from .ingest import _INT64_MAX, AmplitudeMatrix
 from .ioutil import json_text
 from .matcher import match_trace
 from .similarity import MetricKind, distances
@@ -267,100 +267,135 @@ def temporal_eval(dbs, tests, kind: MetricKind = MetricKind.HAMMING) -> list[tup
     return curve
 
 
-def _freeze_means(obj, rows: str) -> None:
-    """Normalize a frozen raw-vector record in place: ``means`` becomes a
-    read-only (``rows``, subcarriers) float view aligned with ``labels``
-    and ``coords``, each coordinate a finite (x, y) pair."""
-    means = np.asarray(obj.means, dtype=float).view()  # a view: the caller's array stays writable
-    if means.ndim != 2 or means.shape[0] != len(obj.labels):
-        raise ValueError(f"means must be a ({rows}, subcarriers) array")
+def _freeze_sums(obj, rows: str) -> None:
+    """Normalize a frozen raw-vector record in place: ``sums`` becomes a
+    read-only (``rows``, subcarriers) int64 array of non-negative amplitude
+    sums aligned with ``labels`` and ``coords``, each coordinate a finite
+    (x, y) pair."""
+    sums = np.asarray(obj.sums)
+    if sums.ndim != 2 or sums.shape[0] != len(obj.labels):
+        raise ValueError(f"sums must be a ({rows}, subcarriers) array")
+    if not np.can_cast(sums.dtype, np.int64):
+        raise ValueError("sums must have an integer dtype that int64 holds")
+    sums = sums.astype(np.int64, copy=False).view()  # a view: the caller's array stays writable
+    if sums.size and int(sums.min()) < 0:
+        raise DataDomainError("sums must be non-negative")
     if len(obj.coords) != len(obj.labels):
         raise LengthMismatchError("labels and coords must align")
-    means.setflags(write=False)
-    object.__setattr__(obj, "means", means)
+    sums.setflags(write=False)
+    object.__setattr__(obj, "sums", sums)
     object.__setattr__(obj, "labels", tuple(obj.labels))
     object.__setattr__(obj, "coords", tuple(finite_coord(c, f"{rows[:-1]} {i}")
                                             for i, c in enumerate(obj.coords)))
 
 
+def _trace_sums(traces, slices_of, none: str) -> tuple:
+    """(sums, labels, coords): each trace's int64 amplitude sums over the
+    (start, stop) slices ``slices_of(trace)`` gives, from one ``reduceat``
+    with the dropped tail cut off, and its truth per slice. No traces
+    (``none``), two widths, or sums that could pass the int64 bound raise
+    an error naming the trace."""
+    traces = list(traces)
+    if not traces:
+        raise EmptyInputError(none)
+    sums, labels, coords = [], [], []
+    for trace in traces:
+        width, first = trace.matrix.subcarrier_count, traces[0]
+        if width != first.matrix.subcarrier_count:
+            raise LengthMismatchError(f"{trace.name}: {width} subcarriers, "
+                                      f"{first.name}: {first.matrix.subcarrier_count}")
+        slices = slices_of(trace)
+        data = trace.matrix.data[:slices[-1][1]]
+        if len(data) * int(data.max(initial=0)) > _INT64_MAX:
+            raise DataDomainError(f"{trace.name}: amplitude sums could pass the int64 bound")
+        sums.append(np.add.reduceat(data, [lo for lo, _ in slices], axis=0, dtype=np.int64))
+        labels += [trace.true_label] * len(slices)
+        coords += [trace.true_coord] * len(slices)
+    return np.vstack(sums), tuple(labels), tuple(coords)
+
+
 @dataclass(frozen=True)
 class RawBaselineDb:
-    """Per-position mean raw amplitude vectors (no binary encoding), one per label."""
+    """Per-position raw amplitude sums over the training packets (no binary
+    encoding), one row per label."""
 
     labels: tuple
     coords: tuple
-    means: np.ndarray
+    sums: np.ndarray
 
     def __post_init__(self):
-        _freeze_means(self, "positions")
+        _freeze_sums(self, "positions")
         if len(set(self.labels)) < len(self.labels):
             raise ValueError("position labels must be unique")
 
     @classmethod
     def from_traces(cls, traces) -> "RawBaselineDb":
-        traces = list(traces)
-        if not traces:
-            raise EmptyInputError("no training traces")
-        return cls(
-            labels=tuple(t.true_label for t in traces),
-            coords=tuple(t.true_coord for t in traces),
-            means=np.vstack([t.matrix.data.mean(axis=0) for t in traces]),
-        )
+        def whole(trace):
+            if not trace.matrix.packet_count:
+                raise EmptyInputError(f"{trace.name}: no training packets")
+            return [(0, trace.matrix.packet_count)]
+
+        sums, labels, coords = _trace_sums(traces, whole, "no training traces")
+        return cls(labels, coords, sums)
 
 
 @dataclass(frozen=True)
 class RawWindowSet:
-    """Mean raw amplitude vector per packet window, with per-window truth."""
+    """Raw amplitude sums per packet window, with per-window truth."""
 
-    means: np.ndarray
+    sums: np.ndarray
     labels: tuple
     coords: tuple
 
     def __post_init__(self):
-        _freeze_means(self, "windows")
+        _freeze_sums(self, "windows")
 
     @classmethod
     def from_traces(cls, traces, window_size: int = DEFAULT_WINDOW_SIZE) -> "RawWindowSet":
-        means, labels, coords = [], [], []
-        for trace in traces:
-            data = trace.matrix.data
-            slices = window_slices(data.shape[0], window_size)
+        def windows_of(trace):
+            slices = window_slices(trace.matrix.packet_count, window_size)
             if not slices:
-                raise _too_short(trace.name, data.shape[0], window_size)
-            for lo, hi in slices:
-                means.append(data[lo:hi].mean(axis=0))
-                labels.append(trace.true_label)
-                coords.append(trace.true_coord)
-        if not means:
-            raise EmptyInputError("no test windows")
-        return cls(means=np.vstack(means), labels=tuple(labels), coords=tuple(coords))
+                raise _too_short(trace.name, trace.matrix.packet_count, window_size)
+            return slices
+
+        return cls(*_trace_sums(traces, windows_of, "no test windows"))
 
 
-def _cosine_real(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 and nv == 0.0:
-        return 1.0
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v)) / (nu * nv)
+def _exact_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b.mT`` of integer arrays, exactly: in int64 when k * max|a| *
+    max|b| bounds every partial sum, else in Python ints. An integer sum is
+    the same in any order, so it is the same on every platform, which a
+    float (BLAS) product does not promise."""
+    peak_a, peak_b = (int(np.abs(x).max(initial=0)) for x in (a, b))
+    if a.shape[-1] * peak_a * peak_b > _INT64_MAX:
+        a, b = a.astype(object), b.astype(object)
+    return a @ b.mT
 
 
-def _pearson_real(u: np.ndarray, v: np.ndarray) -> float:
-    if np.array_equal(u, v):
-        return 1.0
-    du = u - u.mean()
-    dv = v - v.mean()
-    var_u = float(np.dot(du, du))
-    var_v = float(np.dot(dv, dv))
-    if var_u == 0.0 or var_v == 0.0:
-        return 0.0
-    return float(np.dot(du, dv)) / math.sqrt(var_u * var_v)
+def _raw_similarity(windows: np.ndarray, positions: np.ndarray,
+                    kind: MetricKind) -> np.ndarray:
+    """(windows, positions) cosines of non-negative integer rows; Pearson is
+    the cosine of the rows centred as k·x − Σx. Scaling a row by a positive
+    number changes neither, so sums rank as means do. A zero row (Pearson:
+    a constant one) scores 1 against a zero row and 0 against any other.
+    Only correctly rounded float steps follow the exact dot products."""
+    rows = (windows, positions)
+    if kind is MetricKind.PEARSON:
+        k = windows.shape[1]
+        if k * max(int(r.max(initial=0)) for r in rows) > _INT64_MAX:  # bounds k·x and Σx
+            rows = tuple(r.astype(object) for r in rows)
+        rows = tuple(k * r - r.sum(axis=1, keepdims=True) for r in rows)
+    norm_w, norm_p = (np.sqrt(_exact_dot(r[:, None], r[:, None])[:, 0, 0].astype(float))
+                      for r in rows)
+    zero_w, zero_p = norm_w[:, None] == 0, norm_p == 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where replaced
+        cosine = _exact_dot(*rows).astype(float) / (norm_w[:, None] * norm_p)
+    return np.where(zero_w | zero_p, zero_w & zero_p, cosine)
 
 
 def raw_baseline(db: RawBaselineDb, window_set: RawWindowSet,
                  kind: MetricKind = MetricKind.COSINE) -> EvalReport:
-    """Match raw-amplitude window means against per-position mean vectors.
+    """Match raw-amplitude window sums against per-position sums.
 
     Only the correlation metrics make sense on raw vectors; each window
     predicts the position with the highest similarity, ties keeping the
@@ -368,23 +403,15 @@ def raw_baseline(db: RawBaselineDb, window_set: RawWindowSet,
     """
     if kind not in (MetricKind.COSINE, MetricKind.PEARSON):
         raise ConfigError("raw baseline supports only cosine and pearson")
-    if db.means.shape[1] != window_set.means.shape[1]:
+    if db.sums.shape[1] != window_set.sums.shape[1]:
         raise LengthMismatchError(
-            f"vector lengths differ: db {db.means.shape[1]}, windows {window_set.means.shape[1]}"
+            f"vector lengths differ: db {db.sums.shape[1]}, windows {window_set.sums.shape[1]}"
         )
     if not window_set.labels:
         raise EmptyInputError("no test windows to evaluate")
-    sim = _cosine_real if kind is MetricKind.COSINE else _pearson_real
-    predicted = []
-    for row in window_set.means:
-        best_idx = 0
-        best_sim = -math.inf
-        for i in range(db.means.shape[0]):
-            s = sim(db.means[i], row)
-            if s > best_sim:
-                best_sim = s
-                best_idx = i
-        predicted.append(best_idx)
+    if not db.labels:  # as the binary matcher: a pick needs a position
+        raise EmptyInputError("raw baseline database has no positions")
+    predicted = np.argmax(_raw_similarity(window_set.sums, db.sums, kind), axis=1)
     return _assemble_report(kind, db.labels, db.coords, predicted, window_set)
 
 

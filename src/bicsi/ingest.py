@@ -1,12 +1,12 @@
 """Loading CSI traces from CSV files and assembling integer amplitude matrices.
 
 A trace file is read once, as bytes, and parsed by the first of three tiers
-that takes it: integer text parses to int64 with ``np.fromstring``, which
-releases the GIL, so a large trace parses on two threads; other text goes to
-the float ``loadtxt``; the per-line validator runs only when both miss, a
-domain check fails or the text holds an ASCII separator 0x1c-0x1f
-(``loadtxt`` strips it, ``float()`` rejects it), so parse errors keep their
-line numbers without the common path paying for per-packet Python objects.
+that takes it: integer text parses to int64 with one ``np.fromstring``
+call; other text goes to the float ``loadtxt``; the per-line validator runs
+only when both miss, a domain check fails or the text holds an ASCII
+separator 0x1c-0x1f (``loadtxt`` strips it, ``float()`` rejects it), so
+parse errors keep their line numbers without the common path paying for
+per-packet Python objects.
 Phase information is never used: I/Q inputs are reduced to their magnitude
 and floored to integers when the matrix is built, float amplitudes are
 floored and integer amplitudes kept as they are.
@@ -17,8 +17,6 @@ hardware-specific.
 
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,28 +174,7 @@ _INT_GRAMMAR = b"0123456789,\n"
 # Each line end becomes a -1 field, which tier-1 text cannot hold, so one
 # parse gives every row's field count: the rows check by their shape.
 _ROW_END = b",-1,"
-_INT64_MAX = np.iinfo(np.int64).max  # np.fromstring saturates an overflowing token here
-# Text this long parses on two threads when the process may use two CPUs; a
-# shorter trace pays more in thread start-up than the worker saves.
-_SPLIT_BYTES = 256 * 1024
-# The share of a split text the calling thread parses; it first checks the
-# grammar of all of it while the worker thread parses the rest. Shares of
-# 0.35-0.4 measured fastest on 2-vCPU Xeon VMs.
-_MAIN_SHARE = 0.35
-
-
-def _parse_ints(body: bytes, out: list) -> None:
-    """Set ``out[0]`` to the comma-separated integers of ``body``; a token
-    that does not parse leaves it None. ``np.fromstring`` releases the GIL."""
-    try:
-        out[0] = np.fromstring(body, dtype=np.int64, sep=",")
-    except ValueError:
-        pass
-
-
-def _cpus() -> int:
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    return len(getaffinity(0)) if getaffinity else (os.cpu_count() or 1)
+_INT64_MAX = int(np.iinfo(np.int64).max)  # np.fromstring saturates an overflowing token here
 
 
 def _int_tier(raw: bytes) -> np.ndarray | None:
@@ -224,33 +201,19 @@ def _int_tier(raw: bytes) -> np.ndarray | None:
                 return None
         text = b"".join(line for line in text.splitlines(keepends=True)
                         if line != b"\n" and not line.startswith(b"#"))
-    first = text[:text.find(b"\n")]
-    if first.translate(None, _INT_GRAMMAR):
-        return None  # most text outside the grammar shows it in its first row
-    fields = first.count(b",") + 1
-    body = text.replace(b"\n", _ROW_END)
-    head, tail = [None], [None]
-    cut, worker = len(body), None
-    if len(body) >= _SPLIT_BYTES and _cpus() >= 2:
-        cut = body.find(_ROW_END, int(len(body) * _MAIN_SHARE)) + len(_ROW_END)
-        worker = threading.Thread(target=_parse_ints, args=(body[cut:], tail))
-        worker.start()
+    if text.translate(None, _INT_GRAMMAR):
+        return None
+    fields = text[:text.find(b"\n")].count(b",") + 1
     try:
-        if text.translate(None, _INT_GRAMMAR):
-            return None
-        _parse_ints(body[:cut], head)
-    finally:
-        if worker is not None:
-            worker.join()
-    parts = []
-    for part in (head + tail) if worker is not None else head:
-        if part is None or part.size % (fields + 1):
-            return None
-        rows = part.reshape(-1, fields + 1)
-        if (rows[:, -1] != -1).any():
-            return None
-        parts.append(rows[:, :-1])
-    values = np.concatenate(parts)
+        values = np.fromstring(text.replace(b"\n", _ROW_END), dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    if values.size % (fields + 1):
+        return None
+    rows = values.reshape(-1, fields + 1)
+    if (rows[:, -1] != -1).any():
+        return None
+    values = rows[:, :-1]
     # tier-1 text holds no '-', so a -1 among the values is a line end that
     # ragged rows moved off the end of its row
     if not values.size or values.min() < 0 or values.max() == _INT64_MAX:
@@ -269,9 +232,7 @@ def load_trace(path, format: str = AMPLITUDE_CSV) -> np.ndarray:
 
     The file is read once, as bytes, and parsed by the first of three tiers
     that takes it. Tier 1 takes integer text (ASCII digits, commas, LF or
-    CRLF, '#' comments and blank lines) and returns int64; a text of
-    256 KiB or more is split between the calling thread and one worker
-    thread when the process may use two CPUs. Tier 2 is the float
+    CRLF, '#' comments and blank lines) and returns int64. Tier 2 is the float
     ``loadtxt`` parse and returns float64. Tier 3, the per-line validator,
     runs when both miss or a domain check fails, and raises the first
     line-numbered error or parses what ``float()`` reads and ``loadtxt``

@@ -4,12 +4,10 @@ written as."""
 
 import functools
 import io
-import json
 import os
 import tempfile
 
 _CONTAINERS = (dict, list, tuple)
-_encode = json.JSONEncoder().encode  # the C encoder: scalars and empty containers
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -59,9 +57,13 @@ def json_text(obj) -> str:
 
 
 @functools.lru_cache(maxsize=16)
-def _items_encoder(inner: str):
+def _encoder(inner: str = ""):
     """The C encoder, writing ``inner`` (a line break and an indent) after the
-    comma between items, as ``indent=2`` does inside a container."""
+    comma between items, as ``indent=2`` does inside a container; no
+    separator reaches a scalar or an empty container. ``json`` loads here,
+    on the first JSON write: ``import bicsi`` does not need it."""
+    import json
+
     return json.JSONEncoder(separators=("," + inner, ": ")).encode
 
 
@@ -69,7 +71,7 @@ def _layout(obj, newline: str, out: list) -> None:
     """Append the text of ``obj`` to ``out``; ``newline`` is the line break
     and indent of the line ``obj`` ends on."""
     if not isinstance(obj, _CONTAINERS) or not obj:
-        out.append(_encode(obj))
+        out.append(_encoder()(obj))
         return
     inner = newline + "  "
     # the type test only skips a C call that would be thrown away; the text
@@ -80,7 +82,7 @@ def _layout(obj, newline: str, out: list) -> None:
     else:
         scalars = not isinstance(obj[0], _CONTAINERS)
     if scalars:
-        text = _items_encoder(inner)(obj)
+        text = _encoder(inner)(obj)
         if text.find("[", 1) < 0 and text.find("{", 1) < 0:
             out.append(text[0] + inner + text[1:-1] + newline + text[-1])
             return
@@ -105,5 +107,5 @@ def _key(key) -> str:
         if not (isinstance(key, (int, float)) or key is None):
             raise TypeError(f"keys must be str, int, float, bool or None, "
                             f"not {key.__class__.__name__}")
-        key = _encode(key)
-    return _encode(key)
+        key = _encoder()(key)
+    return _encoder()(key)

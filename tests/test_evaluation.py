@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bicsi.encoding import GeneMatrix, encode_matrix
 from bicsi.errors import (
     ConfigError,
+    DataDomainError,
     EmptyInputError,
     LengthMismatchError,
     SessionMismatchError,
@@ -22,8 +23,6 @@ from bicsi.evaluation import (
     LabeledWindows,
     RawBaselineDb,
     RawWindowSet,
-    _cosine_real,
-    _pearson_real,
     evaluate_windows,
     format_comparison_table,
     format_report_table,
@@ -51,6 +50,7 @@ from conftest import (
     random_sequences,
     reference_ancestors,
     reference_hamming,
+    reference_raw_picks,
     reference_report,
     replay_accuracy,
     replay_mae,
@@ -244,13 +244,14 @@ def random_coords(rng, count) -> list:
     return [tuple(row) for row in (rng.normal(size=(count, 2)) * scale).tolist()]
 
 
-def first_best(sims) -> int:
-    """Index of the highest similarity, the lowest index on a tie."""
-    best = 0
-    for i, s in enumerate(sims):
-        if s > sims[best]:
-            best = i
-    return best
+def raw_sums(rng, rows, k) -> np.ndarray:
+    """Integer sums of few distinct values, so that ties, zero rows and
+    constant rows occur, each row scaled by 0, a small factor or one large
+    enough that the exact kernel takes its Python-int path."""
+    values = rng.integers(0, 3, size=(rows, k))
+    constant = rng.random(rows) < 0.25
+    values[constant] = values[constant, :1]
+    return values * rng.choice([0, 1, 2, 3, 2**20, 2**61], size=(rows, 1))
 
 
 class TestReportFold:
@@ -275,19 +276,15 @@ class TestReportFold:
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
            st.integers(1, 40), st.sampled_from([MetricKind.COSINE, MetricKind.PEARSON]))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_raw_baseline_equals_reference(self, seed, positions, k, count, kind):
         rng = np.random.default_rng(seed)
         labels = [f"p{i}" for i in range(positions)]
-        # few distinct values: tied candidates and constant vectors occur
-        step = float(rng.choice([1.0, 0.1]))
-        db = RawBaselineDb(labels, random_coords(rng, positions),
-                           rng.integers(0, 3, size=(positions, k)) * step)
+        db = RawBaselineDb(labels, random_coords(rng, positions), raw_sums(rng, positions, k))
         truth = rng.integers(0, positions, size=count)
-        ws = RawWindowSet(rng.integers(0, 3, size=(count, k)) * step,
-                          tuple(labels[i] for i in truth), random_coords(rng, count))
-        sim = _cosine_real if kind is MetricKind.COSINE else _pearson_real
-        best = [first_best([sim(m, row) for m in db.means]) for row in ws.means]
+        ws = RawWindowSet(raw_sums(rng, count, k), tuple(labels[i] for i in truth),
+                          random_coords(rng, count))
+        best = reference_raw_picks(kind, db.sums, ws.sums)
         assert raw_baseline(db, ws, kind) == reference_report(
             kind, labels, [db.labels[i] for i in best], [db.coords[i] for i in best],
             ws.labels, ws.coords)
@@ -543,94 +540,146 @@ class TestTemporalEval:
 class TestRawBaseline:
     def test_hand_fixture_cosine(self):
         db = RawBaselineDb(labels=("p1", "p2"), coords=((0, 0), (1, 0)),
-                           means=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        windows = RawWindowSet(means=np.array([[0.9, 0.1]]), labels=("p1",),
+                           sums=np.array([[10, 0], [0, 10]]))
+        windows = RawWindowSet(sums=np.array([[9, 1]]), labels=("p1",),
                                coords=((0.0, 0.0),))
         report = raw_baseline(db, windows, MetricKind.COSINE)
         assert report.accuracy == 1.0
 
     def test_identical_means_tie_break(self):
         db = RawBaselineDb(labels=("first", "second"), coords=((0, 0), (1, 0)),
-                           means=np.array([[1.0, 2.0], [1.0, 2.0]]))
-        windows = RawWindowSet(means=np.array([[1.0, 2.0]]), labels=("first",),
+                           sums=np.array([[1, 2], [1, 2]]))
+        windows = RawWindowSet(sums=np.array([[1, 2]]), labels=("first",),
                                coords=((0.0, 0.0),))
         report = raw_baseline(db, windows, MetricKind.PEARSON)
         assert report.accuracy == 1.0  # lowest index wins the tie
 
     def test_exact_window_match(self):
         db = RawBaselineDb(labels=("p1", "p2"), coords=((0, 0), (3, 0)),
-                           means=np.array([[5.0, 1.0, 0.0], [0.0, 1.0, 5.0]]))
-        windows = RawWindowSet(means=np.array([[0.0, 1.0, 5.0]]), labels=("p2",),
+                           sums=np.array([[5, 1, 0], [0, 1, 5]]))
+        windows = RawWindowSet(sums=np.array([[0, 1, 5]]), labels=("p2",),
                                coords=((3.0, 0.0),))
         for kind in (MetricKind.COSINE, MetricKind.PEARSON):
             assert raw_baseline(db, windows, kind).accuracy == 1.0
 
     def test_rejects_distance_metrics(self):
-        db = RawBaselineDb(labels=("p1",), coords=((0, 0),),
-                           means=np.array([[1.0, 0.0]]))
-        windows = RawWindowSet(means=np.array([[1.0, 0.0]]), labels=("p1",),
+        db = RawBaselineDb(labels=("p1",), coords=((0, 0),), sums=np.array([[1, 0]]))
+        windows = RawWindowSet(sums=np.array([[1, 0]]), labels=("p1",),
                                coords=((0.0, 0.0),))
         with pytest.raises(ConfigError):
             raw_baseline(db, windows, MetricKind.HAMMING)
 
     def test_vector_length_mismatch(self):
-        db = RawBaselineDb(labels=("p1",), coords=((0, 0),),
-                           means=np.array([[1.0, 0.0]]))
-        windows = RawWindowSet(means=np.array([[1.0, 0.0, 3.0]]), labels=("p1",),
+        db = RawBaselineDb(labels=("p1",), coords=((0, 0),), sums=np.array([[1, 0]]))
+        windows = RawWindowSet(sums=np.array([[1, 0, 3]]), labels=("p1",),
                                coords=((0.0, 0.0),))
         with pytest.raises(LengthMismatchError):
             raw_baseline(db, windows, MetricKind.COSINE)
 
     def test_from_traces_window_means(self):
-        data = np.vstack([np.full((120, 2), 10), np.full((120, 2), 20)]).astype(np.int64)
-        matrix = AmplitudeMatrix(data=data, subcarrier_mask=(0, 1))
-        trace = LabeledTrace(matrix=matrix, true_label="p", true_coord=(0.0, 0.0))
-        ws = RawWindowSet.from_traces([trace], window_size=120)
-        assert ws.means.shape == (2, 2)
-        assert ws.means[0].tolist() == [10.0, 10.0]
-        assert ws.means[1].tolist() == [20.0, 20.0]
+        # 250 packets: two whole windows and a tail of 10, which is dropped;
+        # 190 packets: a whole window and a tail of 70, which is kept
+        def trace(*runs):
+            data = np.vstack([np.full((n, 2), value) for n, value in runs]).astype(np.int64)
+            return LabeledTrace(AmplitudeMatrix(data, (0, 1)), "p", (0.0, 0.0))
+
+        ws = RawWindowSet.from_traces([trace((120, 10), (120, 20), (10, 99)),
+                                       trace((120, 30), (70, 40))], window_size=120)
+        assert ws.sums.dtype == np.int64
+        assert ws.sums.tolist() == [[1200, 1200], [2400, 2400], [3600, 3600], [2800, 2800]]
+        means = ws.sums / np.array([[120], [120], [120], [70]])
+        assert means.tolist() == [[10.0, 10.0], [20.0, 20.0], [30.0, 30.0], [40.0, 40.0]]
 
     def test_shape_errors_name_the_rows(self):
-        with pytest.raises(ValueError, match=r"^means must be a \(positions, subcarriers\) array$"):
-            RawBaselineDb(labels=("p1", "p2"), coords=((0, 0), (1, 0)), means=np.ones((1, 2)))
-        with pytest.raises(ValueError, match=r"^means must be a \(windows, subcarriers\) array$"):
-            RawWindowSet(means=np.ones(2), labels=("p1",), coords=((0, 0),))
+        ones = np.ones((1, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match=r"^sums must be a \(positions, subcarriers\) array$"):
+            RawBaselineDb(labels=("p1", "p2"), coords=((0, 0), (1, 0)), sums=ones)
+        with pytest.raises(ValueError, match=r"^sums must be a \(windows, subcarriers\) array$"):
+            RawWindowSet(sums=ones[0], labels=("p1",), coords=((0, 0),))
         for cls in (RawBaselineDb, RawWindowSet):
             with pytest.raises(LengthMismatchError, match="^labels and coords must align$"):
-                cls(labels=("p1",), coords=(), means=np.ones((1, 2)))
-        ws = RawWindowSet(means=[[1, 2]], labels=["p1"], coords=[(0, 1)])
-        assert (ws.labels, ws.coords, ws.means.dtype) == (("p1",), ((0.0, 1.0),), np.float64)
-        assert not ws.means.flags.writeable
+                cls(labels=("p1",), coords=(), sums=ones)
+        ws = RawWindowSet(sums=[[1, 2]], labels=["p1"], coords=[(0, 1)])
+        assert (ws.labels, ws.coords, ws.sums.dtype) == (("p1",), ((0.0, 1.0),), np.int64)
+        assert not ws.sums.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint64, object])
+    def test_sums_must_be_int64_integers(self, dtype):
+        with pytest.raises(ValueError, match="^sums must have an integer dtype that int64 holds$"):
+            RawWindowSet(sums=np.ones((1, 2), dtype=dtype), labels=("p1",), coords=((0, 0),))
+        ws = RawWindowSet(sums=np.ones((1, 2), dtype=np.uint32), labels=("p1",),
+                          coords=((0, 0),))
+        assert ws.sums.dtype == np.int64
+
+    def test_negative_sums_rejected(self):
+        with pytest.raises(DataDomainError, match="^sums must be non-negative$"):
+            RawBaselineDb(labels=("p1",), coords=((0, 0),), sums=[[3, -1]])
 
     @pytest.mark.parametrize("coord", [(float("nan"), 0.0), (0.0, float("inf"))])
     def test_non_finite_coordinate_rejected(self, coord):
+        ones = np.ones((2, 2), dtype=np.int64)
         with pytest.raises(ValueError, match=r"^position 1: coordinates must be finite$"):
-            RawBaselineDb(labels=("p1", "p2"), coords=((0, 0), coord), means=np.ones((2, 2)))
+            RawBaselineDb(labels=("p1", "p2"), coords=((0, 0), coord), sums=ones)
         with pytest.raises(ValueError, match=r"^window 0: coordinates must be finite$"):
-            RawWindowSet(means=np.ones((1, 2)), labels=("p1",), coords=(coord,))
+            RawWindowSet(sums=ones[:1], labels=("p1",), coords=(coord,))
 
     @pytest.mark.parametrize("coord", [(0, 0, 9), (1,), 5])
     def test_coordinate_not_a_pair_rejected(self, coord):
+        ones = np.ones((2, 2), dtype=np.int64)
         with pytest.raises(ValueError, match=r"^window 1: coordinates must be an \(x, y\) pair$"):
-            RawWindowSet(means=np.ones((2, 2)), labels=("p1", "p1"), coords=((0, 0), coord))
+            RawWindowSet(sums=ones, labels=("p1", "p1"), coords=((0, 0), coord))
         with pytest.raises(ValueError, match=r"^position 0: coordinates must be an"):
-            RawBaselineDb(labels=("p1",), coords=(coord,), means=np.ones((1, 2)))
+            RawBaselineDb(labels=("p1",), coords=(coord,), sums=ones[:1])
         with pytest.raises(ValueError, match=r"^trace 'p1': coordinates must be an"):
             LabeledTrace(AmplitudeMatrix(np.ones((1, 2), dtype=np.int64), (0, 1)), "p1", coord)
 
     def test_repeated_position_label_rejected(self):
         with pytest.raises(ValueError, match="^position labels must be unique$"):
-            RawBaselineDb(labels=("p1", "p1"), coords=((0, 0), (1, 0)), means=np.ones((2, 2)))
+            RawBaselineDb(labels=("p1", "p1"), coords=((0, 0), (1, 0)),
+                          sums=np.ones((2, 2), dtype=np.int64))
 
     def test_no_windows_is_empty_input(self):
-        db = RawBaselineDb(labels=("p1",), coords=((0, 0),), means=np.ones((1, 2)))
-        windows = RawWindowSet(means=np.ones((0, 2)), labels=(), coords=())
+        db = RawBaselineDb(labels=("p1",), coords=((0, 0),), sums=np.ones((1, 2), dtype=np.int64))
+        windows = RawWindowSet(sums=np.zeros((0, 2), dtype=np.int64), labels=(), coords=())
         for kind in (MetricKind.COSINE, MetricKind.PEARSON):
             with pytest.raises(EmptyInputError, match="^no test windows to evaluate$"):
                 raw_baseline(db, windows, kind)
 
+    def test_no_positions_is_empty_input(self):
+        db = RawBaselineDb(labels=(), coords=(), sums=np.zeros((0, 2), dtype=np.int64))
+        windows = RawWindowSet(sums=np.ones((1, 2), dtype=np.int64), labels=("p1",),
+                               coords=((0, 0),))
+        with pytest.raises(EmptyInputError, match="^raw baseline database has no positions$"):
+            raw_baseline(db, windows)
+
     def test_baseline_db_from_traces(self):
         traces = make_fixture(seed=20, positions=2, packets=60, k=4)
         db = RawBaselineDb.from_traces(traces)
-        assert db.means.shape == (2, 4)
+        assert db.sums.tolist() == [(60 * t.matrix.data[0]).tolist() for t in traces]
         assert db.labels == ("p0", "p1")
+
+    def test_training_trace_without_packets_is_named(self):
+        traces = make_fixture(seed=20, positions=2, packets=60, k=4)
+        empty = noiseless_trace(np.random.default_rng(1), "p1", (1.0, 0.0), 0, 4)
+        traces[1] = replace(empty, path="train/p1.csv")
+        with pytest.raises(EmptyInputError,
+                           match="^train/p1.csv: trace 'p1': no training packets$"):
+            RawBaselineDb.from_traces(traces)
+
+    def test_traces_of_two_widths_are_named(self):
+        traces = [make_fixture(seed=1, positions=1, k=12)[0],
+                  replace(make_fixture(seed=2, positions=2, k=8)[1], path="b.csv")]
+        message = "^b.csv: trace 'p1': 8 subcarriers, trace 'p0': 12$"
+        with pytest.raises(LengthMismatchError, match=message):
+            RawBaselineDb.from_traces(traces)
+        with pytest.raises(LengthMismatchError, match=message):
+            RawWindowSet.from_traces(traces, 120)
+
+    def test_sums_that_could_pass_the_int64_bound_are_named(self):
+        data = np.full((2, 3), 2**62, dtype=np.int64)
+        trace = LabeledTrace(AmplitudeMatrix(data, (0, 1, 2)), "p1", (0.0, 0.0))
+        message = "^trace 'p1': amplitude sums could pass the int64 bound$"
+        with pytest.raises(DataDomainError, match=message):
+            RawBaselineDb.from_traces([trace])
+        with pytest.raises(DataDomainError, match=message):
+            RawWindowSet.from_traces([trace], 2)

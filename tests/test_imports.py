@@ -2,9 +2,10 @@
 
 Static checks, with the standard library's ``ast``: every module of the
 package (``__init__.py`` aside, which imports the online path's names to
-re-export them) uses each name it imports, every module-level private
-definition is read by some module of the package, and every entry of
-``__init__``'s lazy table names a module-level definition of its module.
+re-export them) uses each name it imports, no module computes a float dot
+product (``@`` only in the exact-integer product), every module-level
+private definition is read by some module of the package, and every entry
+of ``__init__``'s lazy table names a module-level definition of its module.
 Then, by importing: ``import bicsi`` leaves the study harnesses unloaded,
 and each public name is one object however it is reached."""
 
@@ -46,6 +47,50 @@ def test_modules_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+# numpy's float dot products: their sum order, and so their last bit, depends
+# on the BLAS build; a pick must not rest on one
+FLOAT_PRODUCTS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot", "linalg"}
+EXACT_PRODUCT = "_exact_dot"  # the exact-integer product, the one place ``@`` may appear
+
+
+def float_products(source: str) -> list:
+    """'line N: name' for each numpy float dot product (``np.linalg``
+    included) that a module reads or imports, and each ``@`` outside the
+    function named EXACT_PRODUCT."""
+    tree = ast.parse(source)
+    exact = {id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+             and f.name == EXACT_PRODUCT for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy") and node.attr in FLOAT_PRODUCTS):
+            found.append((node.lineno, f"np.{node.attr}"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            names = [f"{module}.{alias.name}".lstrip(".") for alias in node.names]
+            found += [(node.lineno, name) for name in names if name.split(".")[0] == "numpy"
+                      and FLOAT_PRODUCTS & set(name.split(".")[1:2])]
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+              and id(node) not in exact):
+            found.append((node.lineno, "@"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_finds_a_float_product():
+    source = ("import numpy as np\nimport numpy.linalg\nfrom numpy import dot, sum\n"
+              "def _exact_dot(a, b):\n    return a @ b\n"
+              "x = np.einsum('i,i', a, b) + np.linalg.norm(a)\ny = a @ b\nx @= b\n"
+              "z = np.add(a, b) + a.dot(b) + np.sum(a * b)\n")
+    assert float_products(source) == ["line 2: numpy.linalg", "line 3: numpy.dot",
+                                      "line 6: np.einsum", "line 6: np.linalg",
+                                      "line 7: @", "line 8: @"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_float_product_decides_a_pick(module):
+    assert float_products((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def private_definitions(source: str) -> list:
@@ -171,7 +216,7 @@ def run_python(code: str) -> str:
 
 def test_import_leaves_the_study_harnesses_unloaded():
     code = ("import sys, bicsi; "
-            "print(sorted(m for m in ('bicsi.evaluation', 'bicsi.synth', 'csv') "
+            "print(sorted(m for m in ('bicsi.evaluation', 'bicsi.synth', 'csv', 'json') "
             "if m in sys.modules))")
     assert run_python(code) == "[]"
 

@@ -1,10 +1,8 @@
 """Trace loading, I/Q magnitude extraction and matrix assembly tests."""
 
 import math
-import os
 import re
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bicsi import ingest
 from bicsi.errors import (
     BicsiError,
     ConfigError,
@@ -241,7 +238,7 @@ def test_fast_parse_matches_per_line_validator(text, fmt):
         assert actual.astype(np.float64).tobytes() == expected.tobytes()  # -0.0 included
 
 
-SPLIT_ROWS = 400  # 400 rows of 230 amplitudes are about 360 KB, past the split floor
+SPLIT_ROWS = 400  # 400 rows of 230 amplitudes are about 360 KB
 
 
 def split_trace_rows(seed=0) -> list:
@@ -279,78 +276,38 @@ SPLIT_DEFECTS = {
 }
 
 
-@pytest.fixture()
-def started_threads(monkeypatch):
-    """The threads load_trace starts, recorded as they start."""
-    started = []
-
-    class Recording(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Recording)
-    return started
-
-
 def write_split_trace(tmp_path, rows) -> Path:
     path = tmp_path / "large.csv"
     path.write_bytes(b"\n".join(rows) + b"\n")
-    assert path.stat().st_size >= ingest._SPLIT_BYTES
     return path
 
 
 class TestSplitParse:
-    """Traces large enough for the integer tier to parse on two threads."""
+    """Traces of some hundred KB, each parsed by one ``np.fromstring`` call."""
 
-    def test_matches_loadtxt(self, tmp_path, started_threads):
+    def test_matches_loadtxt(self, tmp_path):
         path = write_split_trace(tmp_path, split_trace_rows())
         trace = load_trace(path)
         expected = np.loadtxt(path, delimiter=",", dtype=np.int64)
         assert (trace.shape, trace.dtype) == (expected.shape, np.int64)
         assert np.array_equal(trace, expected)
-        assert len(started_threads) == (2 <= len(os.sched_getaffinity(0)))
 
+    # the defect sits near the start ("main") or near the end ("worker")
     @pytest.mark.parametrize("where", ["main", "worker"])
     @pytest.mark.parametrize("defect", sorted(SPLIT_DEFECTS))
-    def test_defect_gives_the_validators_outcome(self, tmp_path, started_threads, defect, where):
+    def test_defect_gives_the_validators_outcome(self, tmp_path, defect, where):
         rows = split_trace_rows()
         data = SPLIT_DEFECTS[defect](rows, 10 if where == "main" else SPLIT_ROWS - 10)
         path = write_split_trace(tmp_path, data)
         expected = _outcome(lambda: _validate_lines(path, read_lines(path, TraceParseError),
                                                     AMPLITUDE_CSV))
         actual = _outcome(lambda: load_trace(path))
-        assert not any(t.is_alive() for t in started_threads)
         if isinstance(expected, tuple):
             assert actual == expected
             return
         assert actual.shape == expected.shape
         assert (actual.dtype == np.int64) == integer_text(path.read_bytes().decode())
         assert actual.astype(np.float64).tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize(("defect", "row"), [
-        (None, 0),  # a success
-        ("-0 token", 10),  # a grammar miss, seen by the calling thread
-        ("empty field", SPLIT_ROWS - 10),  # a parse error in the worker's share
-    ])
-    def test_worker_is_joined(self, tmp_path, started_threads, defect, row):
-        rows = split_trace_rows()
-        path = write_split_trace(tmp_path, SPLIT_DEFECTS[defect](rows, row) if defect else rows)
-        baseline = threading.active_count()
-        _outcome(lambda: load_trace(path))
-        assert len(started_threads) == 1
-        assert not started_threads[0].is_alive()
-        assert threading.active_count() == baseline
-
-    def test_one_cpu_parses_on_the_calling_thread(self, tmp_path, started_threads, monkeypatch):
-        path = write_split_trace(tmp_path, split_trace_rows())
-        two = load_trace(path)
-        started_threads.clear()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        one = load_trace(path)
-        assert started_threads == []
-        assert one.dtype == two.dtype == np.int64
-        assert np.array_equal(one, two)
 
 
 def amp_rows(rows):
@@ -486,9 +443,9 @@ FROZEN_ARRAY_OWNERS = {
     "AmplitudeMatrix": (lambda a: AmplitudeMatrix(a, (0, 1)), "data", np.int64),
     "GeneMatrix": (lambda a: GeneMatrix(a, 1), "packed", np.uint8),
     "RawBaselineDb": (lambda a: RawBaselineDb(("p", "q"), ((0, 0), (1, 0)), a),
-                      "means", np.float64),
+                      "sums", np.int64),
     "RawWindowSet": (lambda a: RawWindowSet(a, ("p", "q"), ((0, 0), (1, 0))),
-                     "means", np.float64),
+                     "sums", np.int64),
     "SynthDataset": (lambda a: SynthDataset((), a, 0.0), "profiles", np.float64),
 }
 
