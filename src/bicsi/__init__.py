@@ -51,8 +51,6 @@ _LAZY = {
     "EvalReport": "evaluation",
     "LabeledTrace": "evaluation",
     "LabeledWindows": "evaluation",
-    "RawBaselineDb": "evaluation",
-    "RawWindowSet": "evaluation",
     "evaluate_windows": "evaluation",
     "metric_comparison": "evaluation",
     "raw_baseline": "evaluation",

@@ -25,6 +25,7 @@ from .fingerprint import (
     FingerprintDb,
     _too_short,
     ancestor_matrices,
+    check_window_size,
     finite_coord,
     fraction_to_micro,
     threshold_count,
@@ -144,23 +145,24 @@ class EvalReport:
         }
 
 
-def _assemble_report(metric: MetricKind, labels, coords, predicted, truth) -> EvalReport:
+def _assemble_report(metric: MetricKind, labels, coords, predicted,
+                     true_labels, true_coords) -> EvalReport:
     """Fold predicted entry indices into a report. ``labels`` and ``coords``
-    are the database's, in entry order; ``truth`` (labeled windows or a raw
-    window set) holds a label and a coordinate per prediction. The confusion
-    matrix is the only count, and this fold the only place MAE, per-position
-    MAE and accuracy are defined."""
+    are the database's, in entry order; ``true_labels`` and ``true_coords``
+    hold a label and a coordinate per prediction. The confusion matrix is
+    the only count, and this fold the only place MAE, per-position MAE and
+    accuracy are defined."""
     index = {label: i for i, label in enumerate(labels)}
-    unknown = sorted(set(truth.labels) - index.keys())
+    unknown = sorted(set(true_labels) - index.keys())
     if unknown:
         raise UnknownLabelError(f"test labels not present in the database: {unknown}")
-    true_idx = np.array([index[label] for label in truth.labels], dtype=np.intp)
+    true_idx = np.array([index[label] for label in true_labels], dtype=np.intp)
     predicted = np.asarray(predicted, dtype=np.intp)
     # per-window |dx| + |dy| in meters; the MAE is their sum in window order
     # over 2n, covering the horizontal and vertical components. np.cumsum adds
     # strictly left to right; np.sum (pairwise) or a compensated sum would
     # change the last bit.
-    gap = np.abs(np.asarray(coords, dtype=float)[predicted] - np.asarray(truth.coords, float))
+    gap = np.abs(np.asarray(coords, dtype=float)[predicted] - np.asarray(true_coords, float))
     err = gap[:, 0] + gap[:, 1]
     p = len(labels)
     confusion = np.bincount(true_idx * p + predicted, minlength=p * p).reshape(p, p)
@@ -186,7 +188,8 @@ def evaluate_windows(db: FingerprintDb, labeled: LabeledWindows,
         raise EmptyInputError("no test windows to evaluate")
     index = {label: i for i, label in enumerate(db.labels)}
     predicted = [index[r.predicted_label] for r in match_trace(labeled.parents, db, kind)]
-    return _assemble_report(kind, db.labels, db.coords, predicted, labeled)
+    return _assemble_report(kind, db.labels, db.coords, predicted, labeled.labels,
+                            labeled.coords)
 
 
 def metric_comparison(db: FingerprintDb, labeled: LabeledWindows, kinds) -> list[EvalReport]:
@@ -267,98 +270,17 @@ def temporal_eval(dbs, tests, kind: MetricKind = MetricKind.HAMMING) -> list[tup
     return curve
 
 
-def _freeze_sums(obj, rows: str) -> None:
-    """Normalize a frozen raw-vector record in place: ``sums`` becomes a
-    read-only (``rows``, subcarriers) int64 array of non-negative amplitude
-    sums aligned with ``labels`` and ``coords``, each coordinate a finite
-    (x, y) pair."""
-    sums = np.asarray(obj.sums)
-    if sums.ndim != 2 or sums.shape[0] != len(obj.labels):
-        raise ValueError(f"sums must be a ({rows}, subcarriers) array")
-    if not np.can_cast(sums.dtype, np.int64):
-        raise ValueError("sums must have an integer dtype that int64 holds")
-    sums = sums.astype(np.int64, copy=False).view()  # a view: the caller's array stays writable
-    if sums.size and int(sums.min()) < 0:
-        raise DataDomainError("sums must be non-negative")
-    if len(obj.coords) != len(obj.labels):
-        raise LengthMismatchError("labels and coords must align")
-    sums.setflags(write=False)
-    object.__setattr__(obj, "sums", sums)
-    object.__setattr__(obj, "labels", tuple(obj.labels))
-    object.__setattr__(obj, "coords", tuple(finite_coord(c, f"{rows[:-1]} {i}")
-                                            for i, c in enumerate(obj.coords)))
-
-
-def _trace_sums(traces, slices_of, none: str) -> tuple:
-    """(sums, labels, coords): each trace's int64 amplitude sums over the
-    (start, stop) slices ``slices_of(trace)`` gives, from one ``reduceat``
-    with the dropped tail cut off, and its truth per slice. No traces
-    (``none``), two widths, or sums that could pass the int64 bound raise
-    an error naming the trace."""
-    traces = list(traces)
-    if not traces:
-        raise EmptyInputError(none)
-    sums, labels, coords = [], [], []
-    for trace in traces:
-        width, first = trace.matrix.subcarrier_count, traces[0]
-        if width != first.matrix.subcarrier_count:
-            raise LengthMismatchError(f"{trace.name}: {width} subcarriers, "
-                                      f"{first.name}: {first.matrix.subcarrier_count}")
-        slices = slices_of(trace)
-        data = trace.matrix.data[:slices[-1][1]]
-        if len(data) * int(data.max(initial=0)) > _INT64_MAX:
-            raise DataDomainError(f"{trace.name}: amplitude sums could pass the int64 bound")
-        sums.append(np.add.reduceat(data, [lo for lo, _ in slices], axis=0, dtype=np.int64))
-        labels += [trace.true_label] * len(slices)
-        coords += [trace.true_coord] * len(slices)
-    return np.vstack(sums), tuple(labels), tuple(coords)
-
-
-@dataclass(frozen=True)
-class RawBaselineDb:
-    """Per-position raw amplitude sums over the training packets (no binary
-    encoding), one row per label."""
-
-    labels: tuple
-    coords: tuple
-    sums: np.ndarray
-
-    def __post_init__(self):
-        _freeze_sums(self, "positions")
-        if len(set(self.labels)) < len(self.labels):
-            raise ValueError("position labels must be unique")
-
-    @classmethod
-    def from_traces(cls, traces) -> "RawBaselineDb":
-        def whole(trace):
-            if not trace.matrix.packet_count:
-                raise EmptyInputError(f"{trace.name}: no training packets")
-            return [(0, trace.matrix.packet_count)]
-
-        sums, labels, coords = _trace_sums(traces, whole, "no training traces")
-        return cls(labels, coords, sums)
-
-
-@dataclass(frozen=True)
-class RawWindowSet:
-    """Raw amplitude sums per packet window, with per-window truth."""
-
-    sums: np.ndarray
-    labels: tuple
-    coords: tuple
-
-    def __post_init__(self):
-        _freeze_sums(self, "windows")
-
-    @classmethod
-    def from_traces(cls, traces, window_size: int = DEFAULT_WINDOW_SIZE) -> "RawWindowSet":
-        def windows_of(trace):
-            slices = window_slices(trace.matrix.packet_count, window_size)
-            if not slices:
-                raise _too_short(trace.name, trace.matrix.packet_count, window_size)
-            return slices
-
-        return cls(*_trace_sums(traces, windows_of, "no test windows"))
+def _window_sums(trace: LabeledTrace, size: int) -> np.ndarray:
+    """A trace's int64 amplitude sums, one row per ``size``-packet window and
+    one for the tail :func:`~bicsi.fingerprint.window_slices` keeps."""
+    kept = len(window_slices(trace.matrix.packet_count, size))
+    data, full = trace.matrix.data, trace.matrix.packet_count // size
+    if min(size, len(data)) * int(data.max(initial=0)) > _INT64_MAX:
+        raise DataDomainError(f"{trace.name}: amplitude sums could pass the int64 bound")
+    whole = data[:full * size].reshape(full, size, data.shape[1]).sum(axis=1, dtype=np.int64)
+    if kept == full:
+        return whole
+    return np.vstack([whole, data[full * size:].sum(axis=0, dtype=np.int64)])
 
 
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -393,26 +315,52 @@ def _raw_similarity(windows: np.ndarray, positions: np.ndarray,
     return np.where(zero_w | zero_p, zero_w & zero_p, cosine)
 
 
-def raw_baseline(db: RawBaselineDb, window_set: RawWindowSet,
-                 kind: MetricKind = MetricKind.COSINE) -> EvalReport:
-    """Match raw-amplitude window sums against per-position sums.
+def raw_baseline(training, tests, kind: MetricKind = MetricKind.COSINE,
+                 window_size: int = DEFAULT_WINDOW_SIZE) -> EvalReport:
+    """Match raw amplitude sums of test windows against per-position sums.
 
-    Only the correlation metrics make sense on raw vectors; each window
-    predicts the position with the highest similarity, ties keeping the
-    lowest entry index like the binary matcher.
+    ``training`` and ``tests`` are labeled traces. Each training trace is
+    one position, summed over all its packets, in entry order; each test
+    trace is summed per ``window_size``-packet window with the tail rule of
+    :func:`~bicsi.fingerprint.window_slices`. No binary encoding is made.
+    Only the correlation metrics make sense on raw vectors. Each window
+    predicts the position of highest float score, the lowest entry index
+    among equal float scores; entries whose exact scores tie (one sum a
+    multiple of another) may round to different floats, and then the
+    higher float wins, not the lower index.
     """
     if kind not in (MetricKind.COSINE, MetricKind.PEARSON):
         raise ConfigError("raw baseline supports only cosine and pearson")
-    if db.sums.shape[1] != window_set.sums.shape[1]:
-        raise LengthMismatchError(
-            f"vector lengths differ: db {db.sums.shape[1]}, windows {window_set.sums.shape[1]}"
-        )
-    if not window_set.labels:
-        raise EmptyInputError("no test windows to evaluate")
-    if not db.labels:  # as the binary matcher: a pick needs a position
-        raise EmptyInputError("raw baseline database has no positions")
-    predicted = np.argmax(_raw_similarity(window_set.sums, db.sums, kind), axis=1)
-    return _assemble_report(kind, db.labels, db.coords, predicted, window_set)
+    check_window_size(window_size)
+    training, tests = list(training), list(tests)
+    if not training:
+        raise EmptyInputError("no training traces")
+    if not tests:
+        raise EmptyInputError("no test windows")
+    first, entries = training[0], {}
+    for trace in chain(training, tests):
+        if trace.matrix.subcarrier_count != first.matrix.subcarrier_count:
+            raise LengthMismatchError(f"{trace.name}: {trace.matrix.subcarrier_count} subcarriers, "
+                                      f"{first.name}: {first.matrix.subcarrier_count}")
+    for trace in training:
+        if not trace.matrix.packet_count:
+            raise EmptyInputError(f"{trace.name}: no training packets")
+        earlier = entries.setdefault(trace.true_label, trace)
+        if earlier is not trace:
+            raise ValueError(f"{trace.name}: repeats the label of {earlier.name}")
+    sums, labels, coords = [], [], []
+    for trace in tests:
+        if trace.true_label not in entries:
+            raise UnknownLabelError(f"{trace.name}: no training trace has its label")
+        sums.append(_window_sums(trace, window_size))
+        if not len(sums[-1]):
+            raise _too_short(trace.name, trace.matrix.packet_count, window_size)
+        labels += [trace.true_label] * len(sums[-1])
+        coords += [trace.true_coord] * len(sums[-1])
+    positions = np.vstack([_window_sums(t, t.matrix.packet_count) for t in training])
+    predicted = np.argmax(_raw_similarity(np.vstack(sums), positions, kind), axis=1)
+    return _assemble_report(kind, list(entries), [t.true_coord for t in training],
+                            predicted, labels, coords)
 
 
 def report_to_json(report: EvalReport) -> str:

@@ -38,6 +38,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("profile_separation", "noise_sigma", "burst_rate", "burst_magnitude",
+                     "drift_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         lo, hi = self.base_amplitude_range
         if not (isinstance(lo, int) and isinstance(hi, int)):
             raise ConfigError("base_amplitude_range bounds must be integers")

@@ -138,6 +138,18 @@ class TestSynth:
                         "--profile-separation", 200)
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--noise-sigma", "--drift-sigma", "--burst-magnitude",
+                                      "--profile-separation", "--burst-rate"])
+    def test_non_finite_float_exits_2_before_writing(self, runner, tmp_path, flag, value):
+        out = tmp_path / "x"
+        result = invoke(runner, "synth", "--out-dir", out, "--positions", 2,
+                        "--subcarriers", 4, flag, value)
+        assert result.exit_code == 2
+        field = flag[2:].replace("-", "_")
+        assert f"Error: {field} must be finite, got {float(value)}" in result.output
+        assert not out.exists()
+
 
 class TestTrain:
     def test_summary_lines(self, runner, tmp_path, dataset):

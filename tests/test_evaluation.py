@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicsi.encoding import GeneMatrix, encode_matrix
@@ -21,8 +21,6 @@ from bicsi.errors import (
 from bicsi.evaluation import (
     LabeledTrace,
     LabeledWindows,
-    RawBaselineDb,
-    RawWindowSet,
     evaluate_windows,
     format_comparison_table,
     format_report_table,
@@ -254,6 +252,31 @@ def raw_sums(rng, rows, k) -> np.ndarray:
     return values * rng.choice([0, 1, 2, 3, 2**20, 2**61], size=(rows, 1))
 
 
+def raw_trace(label, coord, rows, path=None) -> LabeledTrace:
+    data = np.asarray(rows, dtype=np.int64)
+    return LabeledTrace(AmplitudeMatrix(data, tuple(range(data.shape[1]))), label, coord, path)
+
+
+def trace_rows(rng, packets, k) -> np.ndarray:
+    """(packets, k) amplitudes of a random, a constant-row or a zero trace,
+    of few values, scaled so that the exact kernel's Python-int path and
+    window sums near the int64 bound occur."""
+    style = rng.integers(0, 3)
+    values = rng.integers(0, 3, size=(packets, k)) * (style > 0)
+    if style == 1:
+        values[:] = values[:, :1]
+    return values * int(rng.choice([1, 3, 2**20, 2**56]))
+
+
+def python_window_sums(rows, size) -> list:
+    """Column sums in Python ints of each ``size``-row chunk, a last chunk
+    kept when it holds at least half a window."""
+    rows = [[int(v) for v in row] for row in rows]
+    chunks = [rows[lo:lo + size] for lo in range(0, len(rows), size)]
+    return [[sum(column) for column in zip(*chunk)] for chunk in chunks
+            if 2 * len(chunk) >= size]
+
+
 class TestReportFold:
     """Every report equals the per-window reference fold, field by field."""
 
@@ -278,16 +301,54 @@ class TestReportFold:
            st.integers(1, 40), st.sampled_from([MetricKind.COSINE, MetricKind.PEARSON]))
     @settings(max_examples=100, deadline=None)
     def test_raw_baseline_equals_reference(self, seed, positions, k, count, kind):
+        # one packet per position and per window, so the sums are the rows
         rng = np.random.default_rng(seed)
         labels = [f"p{i}" for i in range(positions)]
-        db = RawBaselineDb(labels, random_coords(rng, positions), raw_sums(rng, positions, k))
+        coords = random_coords(rng, positions)
+        position_sums, window_sums = raw_sums(rng, positions, k), raw_sums(rng, count, k)
         truth = rng.integers(0, positions, size=count)
-        ws = RawWindowSet(raw_sums(rng, count, k), tuple(labels[i] for i in truth),
-                          random_coords(rng, count))
-        best = reference_raw_picks(kind, db.sums, ws.sums)
-        assert raw_baseline(db, ws, kind) == reference_report(
-            kind, labels, [db.labels[i] for i in best], [db.coords[i] for i in best],
-            ws.labels, ws.coords)
+        test_coords = random_coords(rng, count)
+        training = [raw_trace(label, coord, [row])
+                    for label, coord, row in zip(labels, coords, position_sums)]
+        tests = [raw_trace(labels[i], coord, [row])
+                 for i, coord, row in zip(truth, test_coords, window_sums)]
+        best = reference_raw_picks(kind, position_sums, window_sums)
+        assert raw_baseline(training, tests, kind, window_size=1) == reference_report(
+            kind, labels, [labels[i] for i in best], [coords[i] for i in best],
+            [labels[i] for i in truth], test_coords)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6), st.integers(1, 9),
+           st.lists(st.tuples(st.integers(0, 3), st.floats(0, 1, exclude_max=True)),
+                    min_size=1, max_size=5),
+           st.sampled_from([MetricKind.COSINE, MetricKind.PEARSON]))
+    @settings(max_examples=100, deadline=None)
+    # tails at, below and above half a window, then whole windows only
+    @example(7, 2, 3, 4, [(0, 0.5), (1, 0.25), (1, 0.75), (2, 0.0)], MetricKind.COSINE)
+    @example(7, 2, 3, 4, [(0, 0.5), (1, 0.25), (1, 0.75), (2, 0.0)], MetricKind.PEARSON)
+    def test_window_sums_equal_python_sums(self, seed, positions, k, size, shapes, kind):
+        """Per test trace: ``full`` whole windows and a tail of ``share`` of a
+        window, so tails below, at and above half a window occur, and traces
+        of whole windows exactly; each trace is random, constant or zero."""
+        rng = np.random.default_rng(seed)
+        labels = [f"p{i}" for i in range(positions)]
+        coords = random_coords(rng, positions)
+        training = [raw_trace(label, coord, trace_rows(rng, int(rng.integers(1, 20)), k))
+                    for label, coord in zip(labels, coords)]
+        tests, window_sums, truth = [], [], []
+        for full, share in shapes:
+            tail = int(share * size)
+            full = max(full, int(2 * tail < size))  # at least one window
+            i = int(rng.integers(0, positions))
+            rows = trace_rows(rng, full * size + tail, k)
+            tests.append(raw_trace(labels[i], coords[i], rows))
+            window_sums += python_window_sums(rows, size)
+            truth += [i] * (len(window_sums) - len(truth))
+        position_sums = [python_window_sums(t.matrix.data, len(t.matrix.data))[0]
+                         for t in training]
+        best = reference_raw_picks(kind, position_sums, window_sums)
+        assert raw_baseline(training, tests, kind, window_size=size) == reference_report(
+            kind, labels, [labels[i] for i in best], [coords[i] for i in best],
+            [labels[i] for i in truth], [coords[i] for i in truth])
 
     def test_mae_sums_in_window_order(self):
         # 1.0 + 2**-53 rounds back to 1.0 at every step; a pairwise or
@@ -359,7 +420,7 @@ class TestLabeledWindows:
         with pytest.raises(EmptyInputError, match=message):
             LabeledWindows.from_traces(traces, 120)
         with pytest.raises(EmptyInputError, match=message):
-            RawWindowSet.from_traces(traces, 120)
+            raw_baseline(make_fixture(positions=3, packets=120), traces, window_size=120)
 
     def test_too_short_trace_with_a_path_is_named_by_it(self):
         # a test manifest may list several traces of one position
@@ -370,7 +431,7 @@ class TestLabeledWindows:
         with pytest.raises(EmptyInputError, match=message):
             LabeledWindows.from_traces(traces, 120)
         with pytest.raises(EmptyInputError, match=message):
-            RawWindowSet.from_traces(traces, 120)
+            raw_baseline(traces[:2], traces, window_size=120)
 
     def test_traces_of_two_widths_rejected(self):
         traces = [make_fixture(seed=1, positions=1, k=12)[0],
@@ -538,148 +599,149 @@ class TestTemporalEval:
 
 
 class TestRawBaseline:
+    """Traces of one packet per window unless a test says otherwise."""
+
     def test_hand_fixture_cosine(self):
-        db = RawBaselineDb(labels=("p1", "p2"), coords=((0, 0), (1, 0)),
-                           sums=np.array([[10, 0], [0, 10]]))
-        windows = RawWindowSet(sums=np.array([[9, 1]]), labels=("p1",),
-                               coords=((0.0, 0.0),))
-        report = raw_baseline(db, windows, MetricKind.COSINE)
+        training = [raw_trace("p1", (0, 0), [[10, 0]]), raw_trace("p2", (1, 0), [[0, 10]])]
+        tests = [raw_trace("p1", (0.0, 0.0), [[9, 1]])]
+        report = raw_baseline(training, tests, MetricKind.COSINE, window_size=1)
         assert report.accuracy == 1.0
 
     def test_identical_means_tie_break(self):
-        db = RawBaselineDb(labels=("first", "second"), coords=((0, 0), (1, 0)),
-                           sums=np.array([[1, 2], [1, 2]]))
-        windows = RawWindowSet(sums=np.array([[1, 2]]), labels=("first",),
-                               coords=((0.0, 0.0),))
-        report = raw_baseline(db, windows, MetricKind.PEARSON)
-        assert report.accuracy == 1.0  # lowest index wins the tie
+        training = [raw_trace("first", (0, 0), [[1, 2]]), raw_trace("second", (1, 0), [[1, 2]])]
+        tests = [raw_trace("first", (0.0, 0.0), [[1, 2]])]
+        report = raw_baseline(training, tests, MetricKind.PEARSON, window_size=1)
+        assert report.accuracy == 1.0  # equal float scores: the lowest index wins
 
     def test_exact_window_match(self):
-        db = RawBaselineDb(labels=("p1", "p2"), coords=((0, 0), (3, 0)),
-                           sums=np.array([[5, 1, 0], [0, 1, 5]]))
-        windows = RawWindowSet(sums=np.array([[0, 1, 5]]), labels=("p2",),
-                               coords=((3.0, 0.0),))
+        training = [raw_trace("p1", (0, 0), [[5, 1, 0]]), raw_trace("p2", (3, 0), [[0, 1, 5]])]
+        tests = [raw_trace("p2", (3.0, 0.0), [[0, 1, 5]])]
         for kind in (MetricKind.COSINE, MetricKind.PEARSON):
-            assert raw_baseline(db, windows, kind).accuracy == 1.0
+            assert raw_baseline(training, tests, kind, window_size=1).accuracy == 1.0
 
     def test_rejects_distance_metrics(self):
-        db = RawBaselineDb(labels=("p1",), coords=((0, 0),), sums=np.array([[1, 0]]))
-        windows = RawWindowSet(sums=np.array([[1, 0]]), labels=("p1",),
-                               coords=((0.0, 0.0),))
-        with pytest.raises(ConfigError):
-            raw_baseline(db, windows, MetricKind.HAMMING)
+        traces = [raw_trace("p1", (0, 0), [[1, 0]])]
+        with pytest.raises(ConfigError, match="^raw baseline supports only cosine and pearson$"):
+            raw_baseline(traces, traces, MetricKind.HAMMING, window_size=1)
+
+    def test_bad_window_size_fails_before_any_trace_is_read(self):
+        unknown = [raw_trace("p9", (0, 0), [[1, 1]])]
+        with pytest.raises(ConfigError, match="^window size must be >= 1$"):
+            raw_baseline([], unknown, window_size=0)
 
     def test_vector_length_mismatch(self):
-        db = RawBaselineDb(labels=("p1",), coords=((0, 0),), sums=np.array([[1, 0]]))
-        windows = RawWindowSet(sums=np.array([[1, 0, 3]]), labels=("p1",),
-                               coords=((0.0, 0.0),))
-        with pytest.raises(LengthMismatchError):
-            raw_baseline(db, windows, MetricKind.COSINE)
+        # training and test traces are held to one width, the first training trace's
+        training = [raw_trace("p1", (0, 0), [[1, 0]])]
+        tests = [raw_trace("p1", (0.0, 0.0), [[1, 0, 3]], path="test/p1.csv")]
+        message = "^test/p1.csv: trace 'p1': 3 subcarriers, trace 'p1': 2$"
+        with pytest.raises(LengthMismatchError, match=message):
+            raw_baseline(training, tests, MetricKind.COSINE, window_size=1)
 
     def test_from_traces_window_means(self):
         # 250 packets: two whole windows and a tail of 10, which is dropped;
-        # 190 packets: a whole window and a tail of 70, which is kept
+        # 190 packets: a whole window and a tail of 70, which is kept. Each
+        # window's sum is a multiple of one position's, which it picks.
         def trace(*runs):
-            data = np.vstack([np.full((n, 2), value) for n, value in runs]).astype(np.int64)
-            return LabeledTrace(AmplitudeMatrix(data, (0, 1)), "p", (0.0, 0.0))
+            return raw_trace("p0", (0.0, 0.0), np.vstack([np.full((n, 2), value)
+                                                           for n, value in runs]))
 
-        ws = RawWindowSet.from_traces([trace((120, 10), (120, 20), (10, 99)),
-                                       trace((120, 30), (70, 40))], window_size=120)
-        assert ws.sums.dtype == np.int64
-        assert ws.sums.tolist() == [[1200, 1200], [2400, 2400], [3600, 3600], [2800, 2800]]
-        means = ws.sums / np.array([[120], [120], [120], [70]])
-        assert means.tolist() == [[10.0, 10.0], [20.0, 20.0], [30.0, 30.0], [40.0, 40.0]]
-
-    def test_shape_errors_name_the_rows(self):
-        ones = np.ones((1, 2), dtype=np.int64)
-        with pytest.raises(ValueError, match=r"^sums must be a \(positions, subcarriers\) array$"):
-            RawBaselineDb(labels=("p1", "p2"), coords=((0, 0), (1, 0)), sums=ones)
-        with pytest.raises(ValueError, match=r"^sums must be a \(windows, subcarriers\) array$"):
-            RawWindowSet(sums=ones[0], labels=("p1",), coords=((0, 0),))
-        for cls in (RawBaselineDb, RawWindowSet):
-            with pytest.raises(LengthMismatchError, match="^labels and coords must align$"):
-                cls(labels=("p1",), coords=(), sums=ones)
-        ws = RawWindowSet(sums=[[1, 2]], labels=["p1"], coords=[(0, 1)])
-        assert (ws.labels, ws.coords, ws.sums.dtype) == (("p1",), ((0.0, 1.0),), np.int64)
-        assert not ws.sums.flags.writeable
+        training = [raw_trace(f"p{i}", (float(i), 0.0), [row])
+                    for i, row in enumerate([[1, 0], [0, 1], [1, 1], [1, 2], [1, 4]])]
+        tests = [trace((120, (3, 0)), (120, (0, 2)), (10, (1, 2))),
+                 trace((120, (1, 1)), (70, (2, 8)))]
+        report = raw_baseline(training, tests, window_size=120)
+        assert report.n == 4
+        assert report.confusion[0] == (1, 1, 1, 0, 1)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.uint64, object])
     def test_sums_must_be_int64_integers(self, dtype):
-        with pytest.raises(ValueError, match="^sums must have an integer dtype that int64 holds$"):
-            RawWindowSet(sums=np.ones((1, 2), dtype=dtype), labels=("p1",), coords=((0, 0),))
-        ws = RawWindowSet(sums=np.ones((1, 2), dtype=np.uint32), labels=("p1",),
-                          coords=((0, 0),))
-        assert ws.sums.dtype == np.int64
+        # the kernel sums integer amplitudes in int64: a trace holds no other
+        # dtype, and a uint64 amplitude past the int64 bound is named
+        def trace(value):
+            data = np.full((2, 2), value, dtype=dtype)
+            return LabeledTrace(AmplitudeMatrix(data, (0, 1)), "p1", (0.0, 0.0))
+
+        if dtype is not np.uint64:
+            with pytest.raises(ValueError, match="^amplitude data must have an integer dtype$"):
+                trace(1)
+            return
+        assert raw_baseline([trace(1)], [trace(3)], window_size=2).accuracy == 1.0
+        with pytest.raises(DataDomainError, match="amplitude sums could pass the int64 bound$"):
+            raw_baseline([trace(1)], [trace(2**63)], window_size=1)
 
     def test_negative_sums_rejected(self):
-        with pytest.raises(DataDomainError, match="^sums must be non-negative$"):
-            RawBaselineDb(labels=("p1",), coords=((0, 0),), sums=[[3, -1]])
+        # the kernel's rows are non-negative: a trace holds no negative amplitude
+        with pytest.raises(DataDomainError, match="^amplitudes must be non-negative$"):
+            raw_trace("p1", (0, 0), [[3, -1]])
 
     @pytest.mark.parametrize("coord", [(float("nan"), 0.0), (0.0, float("inf"))])
     def test_non_finite_coordinate_rejected(self, coord):
-        ones = np.ones((2, 2), dtype=np.int64)
-        with pytest.raises(ValueError, match=r"^position 1: coordinates must be finite$"):
-            RawBaselineDb(labels=("p1", "p2"), coords=((0, 0), coord), sums=ones)
-        with pytest.raises(ValueError, match=r"^window 0: coordinates must be finite$"):
-            RawWindowSet(sums=ones[:1], labels=("p1",), coords=(coord,))
+        with pytest.raises(ValueError, match=r"^trace 'p1': coordinates must be finite$"):
+            raw_trace("p1", coord, [[1, 1]])
 
     @pytest.mark.parametrize("coord", [(0, 0, 9), (1,), 5])
     def test_coordinate_not_a_pair_rejected(self, coord):
-        ones = np.ones((2, 2), dtype=np.int64)
-        with pytest.raises(ValueError, match=r"^window 1: coordinates must be an \(x, y\) pair$"):
-            RawWindowSet(sums=ones, labels=("p1", "p1"), coords=((0, 0), coord))
-        with pytest.raises(ValueError, match=r"^position 0: coordinates must be an"):
-            RawBaselineDb(labels=("p1",), coords=(coord,), sums=ones[:1])
         with pytest.raises(ValueError, match=r"^trace 'p1': coordinates must be an"):
-            LabeledTrace(AmplitudeMatrix(np.ones((1, 2), dtype=np.int64), (0, 1)), "p1", coord)
+            raw_trace("p1", coord, [[1, 1]])
 
     def test_repeated_position_label_rejected(self):
-        with pytest.raises(ValueError, match="^position labels must be unique$"):
-            RawBaselineDb(labels=("p1", "p1"), coords=((0, 0), (1, 0)),
-                          sums=np.ones((2, 2), dtype=np.int64))
+        training = [raw_trace("p1", (0, 0), [[1, 1]]), raw_trace("p2", (1, 0), [[1, 0]]),
+                    raw_trace("p1", (2, 0), [[0, 1]], path="train/p1-b.csv")]
+        message = "^train/p1-b.csv: trace 'p1': repeats the label of trace 'p1'$"
+        with pytest.raises(ValueError, match=message):
+            raw_baseline(training, training, window_size=1)
 
     def test_no_windows_is_empty_input(self):
-        db = RawBaselineDb(labels=("p1",), coords=((0, 0),), sums=np.ones((1, 2), dtype=np.int64))
-        windows = RawWindowSet(sums=np.zeros((0, 2), dtype=np.int64), labels=(), coords=())
+        training = [raw_trace("p1", (0, 0), [[1, 1]])]
         for kind in (MetricKind.COSINE, MetricKind.PEARSON):
-            with pytest.raises(EmptyInputError, match="^no test windows to evaluate$"):
-                raw_baseline(db, windows, kind)
+            with pytest.raises(EmptyInputError, match="^no test windows$"):
+                raw_baseline(training, [], kind)
 
     def test_no_positions_is_empty_input(self):
-        db = RawBaselineDb(labels=(), coords=(), sums=np.zeros((0, 2), dtype=np.int64))
-        windows = RawWindowSet(sums=np.ones((1, 2), dtype=np.int64), labels=("p1",),
-                               coords=((0, 0),))
-        with pytest.raises(EmptyInputError, match="^raw baseline database has no positions$"):
-            raw_baseline(db, windows)
+        tests = [raw_trace("p1", (0, 0), [[1, 1]])]
+        with pytest.raises(EmptyInputError, match="^no training traces$"):
+            raw_baseline([], tests, window_size=1)
+
+    def test_unknown_test_label_is_named(self):
+        training = [raw_trace("p1", (0, 0), [[1, 1]])]
+        tests = [raw_trace("p1", (0, 0), [[1, 1]]),
+                 raw_trace("p9", (9, 0), [[1, 1]], path="test/p9.csv")]
+        with pytest.raises(UnknownLabelError,
+                           match="^test/p9.csv: trace 'p9': no training trace has its label$"):
+            raw_baseline(training, tests, window_size=1)
 
     def test_baseline_db_from_traces(self):
-        traces = make_fixture(seed=20, positions=2, packets=60, k=4)
-        db = RawBaselineDb.from_traces(traces)
-        assert db.sums.tolist() == [(60 * t.matrix.data[0]).tolist() for t in traces]
-        assert db.labels == ("p0", "p1")
+        # each training trace is one position, summed over all its packets:
+        # p0's sum (1, 1) picks it, though no single packet of p0 would
+        training = [raw_trace("p0", (0, 0), [[2, 0], [0, 2]]),
+                    raw_trace("p1", (1, 0), [[3, 1]]), raw_trace("p2", (2, 0), [[1, 3]])]
+        tests = [raw_trace("p0", (0, 0), [[5, 5]])]
+        assert raw_baseline(training, tests, window_size=1).accuracy == 1.0
 
     def test_training_trace_without_packets_is_named(self):
         traces = make_fixture(seed=20, positions=2, packets=60, k=4)
         empty = noiseless_trace(np.random.default_rng(1), "p1", (1.0, 0.0), 0, 4)
-        traces[1] = replace(empty, path="train/p1.csv")
+        training = [traces[0], replace(empty, path="train/p1.csv")]
         with pytest.raises(EmptyInputError,
                            match="^train/p1.csv: trace 'p1': no training packets$"):
-            RawBaselineDb.from_traces(traces)
+            raw_baseline(training, traces, window_size=60)
 
     def test_traces_of_two_widths_are_named(self):
         traces = [make_fixture(seed=1, positions=1, k=12)[0],
                   replace(make_fixture(seed=2, positions=2, k=8)[1], path="b.csv")]
         message = "^b.csv: trace 'p1': 8 subcarriers, trace 'p0': 12$"
         with pytest.raises(LengthMismatchError, match=message):
-            RawBaselineDb.from_traces(traces)
+            raw_baseline(traces, traces[:1], window_size=120)
         with pytest.raises(LengthMismatchError, match=message):
-            RawWindowSet.from_traces(traces, 120)
+            raw_baseline(traces[:1], traces, window_size=120)
 
     def test_sums_that_could_pass_the_int64_bound_are_named(self):
-        data = np.full((2, 3), 2**62, dtype=np.int64)
-        trace = LabeledTrace(AmplitudeMatrix(data, (0, 1, 2)), "p1", (0.0, 0.0))
+        trace = raw_trace("p1", (0.0, 0.0), np.full((2, 3), 2**62))
+        small = raw_trace("p1", (0.0, 0.0), np.ones((2, 3)))
         message = "^trace 'p1': amplitude sums could pass the int64 bound$"
         with pytest.raises(DataDomainError, match=message):
-            RawBaselineDb.from_traces([trace])
+            raw_baseline([trace], [small], window_size=2)
         with pytest.raises(DataDomainError, match=message):
-            RawWindowSet.from_traces([trace], 2)
+            raw_baseline([small], [trace], window_size=2)
+        # one packet per window sums nothing
+        assert raw_baseline([small], [trace], window_size=1).accuracy == 1.0

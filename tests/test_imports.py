@@ -185,17 +185,15 @@ def test_every_lazy_entry_names_a_definition():
     assert dead_lazy_entries(table, sources) == []
 
 
-# every public name ``bicsi/__init__.py`` exported when it imported all of
-# them eagerly, by the module that defines it
+# every public name of ``bicsi/__init__.py``, by the module that defines it
 PUBLIC = {
     "encoding": ["GeneMatrix", "encode_matrix"],
     "errors": ["BicsiError", "ConfigError", "DataDomainError", "DbFormatError", "DbLengthError",
                "DbMagicError", "DbTruncatedError", "DbVersionError", "EmptyInputError",
                "EmptyTraceError", "LengthMismatchError", "SessionMismatchError",
                "TraceParseError", "UnknownLabelError"],
-    "evaluation": ["EvalReport", "LabeledTrace", "LabeledWindows", "RawBaselineDb",
-                   "RawWindowSet", "evaluate_windows", "metric_comparison", "raw_baseline",
-                   "temporal_eval", "threshold_sweep"],
+    "evaluation": ["EvalReport", "LabeledTrace", "LabeledWindows", "evaluate_windows",
+                   "metric_comparison", "raw_baseline", "temporal_eval", "threshold_sweep"],
     "fingerprint": ["FingerprintDb", "build_db", "fraction_to_micro", "load_db", "save_db",
                     "threshold_count", "windows"],
     "ingest": ["AmplitudeMatrix", "SubcarrierFilter", "build_matrix", "load_filter",

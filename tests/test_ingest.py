@@ -19,7 +19,6 @@ from bicsi.errors import (
     TraceParseError,
 )
 from bicsi.encoding import GeneMatrix
-from bicsi.evaluation import RawBaselineDb, RawWindowSet
 from bicsi.ingest import (
     AMPLITUDE_CSV,
     IQ_CSV,
@@ -442,10 +441,6 @@ class TestAmplitudeMatrix:
 FROZEN_ARRAY_OWNERS = {
     "AmplitudeMatrix": (lambda a: AmplitudeMatrix(a, (0, 1)), "data", np.int64),
     "GeneMatrix": (lambda a: GeneMatrix(a, 1), "packed", np.uint8),
-    "RawBaselineDb": (lambda a: RawBaselineDb(("p", "q"), ((0, 0), (1, 0)), a),
-                      "sums", np.int64),
-    "RawWindowSet": (lambda a: RawWindowSet(a, ("p", "q"), ((0, 0), (1, 0))),
-                     "sums", np.int64),
     "SynthDataset": (lambda a: SynthDataset((), a, 0.0), "profiles", np.float64),
 }
 

@@ -91,6 +91,8 @@ class TestGenerate:
             small_cfg(base_amplitude_range=(0, 2000))
         with pytest.raises(ConfigError):
             small_cfg(noise_sigma=-1.0)
+        with pytest.raises(ConfigError, match="^drift_sigma must be finite, got nan$"):
+            small_cfg(drift_sigma=float("nan"))
 
     def test_noiseless_end_to_end_is_perfect(self):
         ds = generate(small_cfg(noise_sigma=0.0, burst_rate=0.0))
