@@ -3,13 +3,11 @@ temporal.
 
 Every command is a batch operation, deterministic given its flags, input
 files and seed. Exit codes: 0 success, 1 runtime/data error, 2 usage or
-configuration error. The environment variable BICSI_SEED, when set,
-overrides --seed.
+configuration error.
 """
 
 import functools
 import math
-import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -39,6 +37,7 @@ from .fingerprint import (
     _too_short,
     build_db,
     check_window_size,
+    finite_coord,
     fraction_to_micro,
     load_db,
     save_db,
@@ -76,16 +75,6 @@ def _friendly(fn):
     return wrapper
 
 
-def _resolve_seed(seed: int) -> int:
-    raw = os.environ.get("BICSI_SEED")
-    if raw is None:
-        return seed
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"BICSI_SEED must be an integer, got {raw!r}") from None
-
-
 def _read_manifest(path: Path, unique_labels: bool = False):
     """Rows of (label, (x, y), trace path); paths resolve relative to the
     manifest's directory. A training manifest passes ``unique_labels``."""
@@ -111,9 +100,7 @@ def _read_manifest(path: Path, unique_labels: bool = False):
             raise TraceParseError(f"{where}: label {label!r} repeats line {first_line[label]}")
         first_line.setdefault(label, lineno)
         try:
-            coord = (float(x), float(y))
-            if not all(map(math.isfinite, coord)):
-                raise ValueError
+            coord = finite_coord((x, y), where)
         except ValueError:
             raise TraceParseError(f"{where}: bad coordinates, need two finite numbers") from None
         rows.append((label, coord, Path(path).parent / filename))
@@ -177,7 +164,7 @@ _window_option = click.option(
 
 
 def _filter_from(path: Path | None) -> SubcarrierFilter:
-    return load_filter(path) if path else SubcarrierFilter.empty()
+    return load_filter(path) if path else SubcarrierFilter()
 
 
 @click.group()
@@ -378,7 +365,7 @@ def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, filter_f
 @click.option("--sessions", type=int, default=1, show_default=True,
               help="Emit this many per-session directories (drifting profiles).")
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="Generator seed; BICSI_SEED overrides when set.")
+              help="Generator seed.")
 @click.option("--force", is_flag=True, help="Write into a non-empty directory.")
 @_friendly
 def synth(out_dir, positions, subcarriers, train_packets, test_packets, amplitude_lo,
@@ -388,7 +375,6 @@ def synth(out_dir, positions, subcarriers, train_packets, test_packets, amplitud
     # imported here, so that no other command loads the generator
     from .synth import SynthConfig, drift_sessions, generate, write_dataset
 
-    seed = _resolve_seed(seed)
     if sessions < 1:
         raise ConfigError("--sessions must be >= 1")
     cfg = SynthConfig(

@@ -105,18 +105,13 @@ def encode_matrix(matrix) -> GeneMatrix:
     """Packed gene sequences of every packet row, in packet order.
 
     Accepts an :class:`~bicsi.ingest.AmplitudeMatrix`, whose constructor
-    already checked its data, or a 2-D array of non-negative integers.
+    already checked its data, or a 2-D array of non-negative integers, which
+    is checked as an AmplitudeMatrix with every column kept.
     """
-    if isinstance(matrix, AmplitudeMatrix):
-        data = matrix.data
-    else:
+    if not isinstance(matrix, AmplitudeMatrix):
         data = np.asarray(matrix)
-        if data.ndim != 2:
-            raise ValueError("expected a 2-D amplitude matrix")
-        if data.dtype.kind not in "iu":
-            raise ValueError("amplitudes must have an integer dtype")
-        if data.dtype.kind == "i" and data.size and int(data.min()) < 0:
-            raise ValueError("amplitudes must be non-negative")
+        matrix = AmplitudeMatrix(data, tuple(range(data.shape[-1] if data.ndim else 0)))
+    data = matrix.data
     n, k = data.shape
     if k == 0:
         raise ValueError("matrix must have at least one subcarrier column")

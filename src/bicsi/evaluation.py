@@ -64,7 +64,7 @@ class LabeledTrace:
 class LabeledWindows:
     """Parent sequences pooled from labeled traces, one GeneMatrix row per
     window, with per-window truth. ``parents`` may also be given as GeneMatrix
-    pieces of one bit length, which are joined in order."""
+    pieces of one bit length, which are joined in order; at least one window."""
 
     parents: GeneMatrix
     labels: tuple
@@ -72,10 +72,13 @@ class LabeledWindows:
 
     def __post_init__(self):
         if not isinstance(self.parents, GeneMatrix):
+            pieces = tuple(self.parents)
             try:
-                object.__setattr__(self, "parents", GeneMatrix.concat(self.parents))
+                object.__setattr__(self, "parents", GeneMatrix.concat(pieces) if pieces else ())
             except LengthMismatchError as exc:
                 raise LengthMismatchError(f"test windows have {exc}") from None
+        if not len(self.parents):  # no pieces, zero-row pieces or a zero-row GeneMatrix
+            raise EmptyInputError("no test windows")
         object.__setattr__(self, "coords", tuple(finite_coord(c, f"window {i}")
                                                  for i, c in enumerate(self.coords)))
         if not (len(self.parents) == len(self.labels) == len(self.coords)):
@@ -93,16 +96,12 @@ class LabeledWindows:
                 raise _too_short(trace.name, trace.matrix.packet_count, window_size)
             labels += [trace.true_label] * len(parents[-1])
             coords += [trace.true_coord] * len(parents[-1])
-        if not parents:
-            raise EmptyInputError("no test windows")
         return cls(tuple(parents), tuple(labels), tuple(coords))
 
     @classmethod
     def concat(cls, window_sets) -> "LabeledWindows":
         """One row join of window sets whose parents have one bit length."""
         window_sets = list(window_sets)
-        if not window_sets:
-            raise EmptyInputError("no test windows")
         return cls(tuple(ws.parents for ws in window_sets),
                    tuple(chain.from_iterable(ws.labels for ws in window_sets)),
                    tuple(chain.from_iterable(ws.coords for ws in window_sets)))
@@ -184,8 +183,6 @@ def _assemble_report(metric: MetricKind, labels, coords, predicted,
 def evaluate_windows(db: FingerprintDb, labeled: LabeledWindows,
                      kind: MetricKind = MetricKind.HAMMING) -> EvalReport:
     """Match every labeled window and fold the outcomes into a report."""
-    if not labeled.parents:
-        raise EmptyInputError("no test windows to evaluate")
     index = {label: i for i, label in enumerate(db.labels)}
     predicted = [index[r.predicted_label] for r in match_trace(labeled.parents, db, kind)]
     return _assemble_report(kind, db.labels, db.coords, predicted, labeled.labels,

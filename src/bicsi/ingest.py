@@ -53,10 +53,6 @@ class SubcarrierFilter:
             normalized.add(idx)
         object.__setattr__(self, "excluded_indices", frozenset(normalized))
 
-    @classmethod
-    def empty(cls) -> "SubcarrierFilter":
-        return cls(frozenset())
-
 
 def load_filter(path) -> SubcarrierFilter:
     """Read a filter file: one 0-based index per line, '#' comments allowed."""
@@ -303,7 +299,7 @@ def build_matrix(trace, subcarrier_filter: SubcarrierFilter | None = None) -> Am
     if width == 0:
         raise EmptyTraceError("records have zero subcarriers")
 
-    flt = subcarrier_filter if subcarrier_filter is not None else SubcarrierFilter.empty()
+    flt = subcarrier_filter if subcarrier_filter is not None else SubcarrierFilter()
     out_of_range = sorted(i for i in flt.excluded_indices if i >= width)
     if out_of_range:
         raise ConfigError(

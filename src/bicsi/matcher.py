@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import GeneMatrix
-from .errors import ConfigError, EmptyInputError, LengthMismatchError
+from .errors import EmptyInputError, LengthMismatchError
 from .fingerprint import FingerprintDb
 from .similarity import MetricKind, distances
 
@@ -50,8 +50,6 @@ def match_trace(parents: GeneMatrix, db: FingerprintDb,
     if parents.bit_length != 2 * db.subcarrier_count:
         raise LengthMismatchError(f"parent sequences have {parents.bit_length} bits, "
                                   f"database stores {2 * db.subcarrier_count}")
-    if not isinstance(kind, MetricKind):
-        raise ConfigError(f"unsupported metric kind: {kind!r}")
     dist = distances(kind, parents.packed[:, None], db.ancestors.packed, parents.bit_length)
     entry_best = np.minimum.reduceat(dist, db.starts, axis=1)
     best = entry_best.argmin(axis=1)  # the first index on a tie: the earliest entry wins

@@ -50,13 +50,13 @@ def distances(kind: MetricKind, a: np.ndarray, b: np.ndarray, bit_length: int) -
     (1 - pearson) / 2, so zero always means a perfect match and all outputs
     are non-negative.
     """
+    if not isinstance(kind, MetricKind):
+        raise ConfigError(f"unsupported metric kind: {kind!r}")
     na, nb, m11 = bit_counts(a, b)
     n = bit_length
     if kind in (MetricKind.HAMMING, MetricKind.MANHATTAN, MetricKind.EUCLIDEAN):
         differ = np.asarray(na + nb - 2 * m11, dtype=np.float64)
         return np.sqrt(differ) if kind is MetricKind.EUCLIDEAN else differ
-    if not isinstance(kind, MetricKind):
-        raise ConfigError(f"unsupported metric kind: {kind!r}")
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where replaced
         if kind is MetricKind.COSINE:
             # with an all-zero side the score is 1 only when both sides are all-zero

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoding import ENCODER_OVERFLOW
 from .errors import ConfigError
 from .evaluation import LabeledTrace
 from .ingest import AmplitudeMatrix
 from .ioutil import atomic_write_bytes
 
-AMPLITUDE_CEILING = 4095  # clamp admits values past the 1023 encoder cutoff
+AMPLITUDE_CEILING = 4095  # clamp admits values past the encoder cutoff
 _PROFILE_ATTEMPTS = 1000
 
 
@@ -45,8 +46,9 @@ class SynthConfig:
         lo, hi = self.base_amplitude_range
         if not (isinstance(lo, int) and isinstance(hi, int)):
             raise ConfigError("base_amplitude_range bounds must be integers")
-        if not (0 <= lo <= hi <= 1023):
-            raise ConfigError("base_amplitude_range must satisfy 0 <= lo <= hi <= 1023")
+        if not (0 <= lo <= hi < ENCODER_OVERFLOW):
+            raise ConfigError("base_amplitude_range must satisfy "
+                              f"0 <= lo <= hi <= {ENCODER_OVERFLOW - 1}")
         if min(self.positions, self.subcarriers, self.packets_per_position) < 1:
             raise ConfigError("positions, subcarriers and packets_per_position must be >= 1")
         if not 0.0 <= self.burst_rate <= 1.0:
@@ -123,7 +125,7 @@ def _dataset_from_profiles(cfg: SynthConfig, profiles: np.ndarray,
     total = 0
     for p in range(cfg.positions):
         data = _position_packets(cfg, profiles[p], np.random.default_rng(pos_seeds[p]))
-        overflow += int((data >= 1024).sum())
+        overflow += int((data >= ENCODER_OVERFLOW).sum())
         total += data.size
         matrix = AmplitudeMatrix(data=data, subcarrier_mask=tuple(range(cfg.subcarriers)))
         traces.append(LabeledTrace(matrix=matrix, true_label=position_label(p),

@@ -92,21 +92,6 @@ class TestSynth:
         result = invoke(runner, *SYNTH_ARGS, "--out-dir", out, "--force")
         assert result.exit_code == 0, result.output
 
-    def test_env_seed_overrides_flag(self, runner, tmp_path):
-        via_env = tmp_path / "env"
-        via_flag = tmp_path / "flag"
-        invoke(runner, *SYNTH_ARGS, "--out-dir", via_env, env={"BICSI_SEED": "777"})
-        args = list(SYNTH_ARGS)
-        args[args.index("--seed") + 1] = 777
-        invoke(runner, *args, "--out-dir", via_flag)
-        assert ((via_env / "train" / "p01.csv").read_bytes()
-                == (via_flag / "train" / "p01.csv").read_bytes())
-
-    def test_bad_env_seed(self, runner, tmp_path):
-        result = invoke(runner, *SYNTH_ARGS, "--out-dir", tmp_path / "x",
-                        env={"BICSI_SEED": "not-a-number"})
-        assert result.exit_code == 2
-
     def test_sessions_layout(self, runner, tmp_path):
         out = tmp_path / "multi"
         result = invoke(runner, *SYNTH_ARGS, "--out-dir", out, "--sessions", 3,
@@ -137,6 +122,15 @@ class TestSynth:
                         "--amplitude-lo", 500, "--amplitude-hi", 510,
                         "--profile-separation", 200)
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--sessions", "--sessions must be >= 1"),
+        ("--train-packets", "train_packets and test_packets must be >= 1"),
+    ])
+    def test_count_below_one_exits_2(self, runner, tmp_path, flag, message):
+        result = invoke(runner, *SYNTH_ARGS, "--out-dir", tmp_path / "x", flag, 0)
+        assert result.exit_code == 2
+        assert message in result.output
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--noise-sigma", "--drift-sigma", "--burst-magnitude",
@@ -368,10 +362,12 @@ class TestSweep:
         assert out.read_text().splitlines()[1] == "1,0"
 
     def test_bad_range_exits_2(self, runner, tmp_path, dataset):
-        result = invoke(runner, "sweep", "--manifest",
-                        dataset / "train" / "manifest.csv",
-                        "--fractions", "nonsense", "--out-csv", tmp_path / "s.csv")
-        assert result.exit_code == 2
+        for fractions in ("nonsense", "0:1"):
+            result = invoke(runner, "sweep", "--manifest",
+                            dataset / "train" / "manifest.csv",
+                            "--fractions", fractions, "--out-csv", tmp_path / "s.csv")
+            assert result.exit_code == 2
+            assert f"bad fraction range {fractions!r}; expected start:stop:step" in result.output
 
     @pytest.mark.parametrize("fractions", ["nan:1:0.1", "0:1:nan", "0:inf:0.1", "0:1:1e-9",
                                            "0:1000:0.000001", "0:1e300:0.1"])
@@ -612,6 +608,30 @@ class TestManifestRows:
         values = {"label": label, "x": x, "y": y, "file": name, **fields}
         lines[row] = ",".join(values[key] for key in ("label", "x", "y", "file"))
         manifest.write_text("\n".join(lines) + "\n")
+
+    def test_comment_and_blank_lines_are_skipped(self, runner, tmp_path, dataset):
+        manifest = dataset / "train" / "manifest.csv"
+        invoke(runner, "train", "--manifest", manifest, "--out-db", tmp_path / "plain.db")
+        header, *rows = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(["# positions", "", header, *rows[:1], "  # note",
+                                       "   ", *rows[1:]]) + "\n")
+        result = invoke(runner, "train", "--manifest", manifest, "--out-db", tmp_path / "fp.db")
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "fp.db").read_bytes() == (tmp_path / "plain.db").read_bytes()
+
+    def test_three_field_row(self, runner, tmp_path, dataset):
+        manifest = dataset / "train" / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        manifest.write_text("\n".join(lines) + "\n")
+        result = invoke(runner, "train", "--manifest", manifest, "--out-db", tmp_path / "fp.db")
+        self.assert_clean_failure(result, "line 3", "expected label,x,y,file")
+
+    def test_non_numeric_coordinate(self, runner, tmp_path, dataset):
+        manifest = dataset / "train" / "manifest.csv"
+        self.edit_row(manifest, 2, x="east")
+        result = invoke(runner, "train", "--manifest", manifest, "--out-db", tmp_path / "fp.db")
+        self.assert_clean_failure(result, "line 3", "bad coordinates, need two finite numbers")
 
     def test_repeated_training_label_names_both_lines(self, runner, tmp_path, dataset):
         manifest = dataset / "train" / "manifest.csv"

@@ -411,6 +411,17 @@ class TestLabeledWindows:
         with pytest.raises(LengthMismatchError, match="^parents, labels and coords must align$"):
             LabeledWindows(gs("01", "10"), ("a", "a"), ((0.0, 0.0),))
 
+    @pytest.mark.parametrize("parents", [(), (gs("01")[:0], gs("10")[:0]), gs("01")[:0]],
+                             ids=["no pieces", "zero-row pieces", "zero-row matrix"])
+    def test_zero_windows_rejected_in_every_form(self, parents):
+        with pytest.raises(EmptyInputError, match="^no test windows$"):
+            LabeledWindows(parents, (), ())
+
+    def test_no_traces_and_no_window_sets_give_no_windows(self):
+        for make in (LabeledWindows.from_traces, LabeledWindows.concat):
+            with pytest.raises(EmptyInputError, match="^no test windows$"):
+                make([])
+
     @pytest.mark.parametrize("packets", [0, 59])
     def test_trace_too_short_for_a_window_is_named(self, packets):
         traces = make_fixture(positions=3, packets=120)

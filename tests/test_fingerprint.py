@@ -438,6 +438,26 @@ class TestDbBytes:
         assert db_to_bytes(db) == expected
         assert db_from_bytes(expected) == db
 
+    # each u16 field at its limit round-trips and one past it is refused; the
+    # u32 entry count would need 2**32 entries and is left untested
+    @pytest.mark.parametrize("field, message", [
+        ("subcarriers", "^subcarrier count does not fit the format"),
+        ("label bytes", "exceeds the format limit$"),
+        ("sets", "^position 'p' has too many ancestor sets$"),
+    ])
+    @pytest.mark.parametrize("value", [0xFFFF, 0x10000])
+    def test_u16_limits(self, field, message, value):
+        k = value if field == "subcarriers" else 1
+        label = "é" * (value // 2) + "p" * (value % 2) if field == "label bytes" else "p"
+        sets = value if field == "sets" else 1
+        db = FingerprintDb(0, (label,), ((0.0, 0.0),), (sets,),
+                           GeneMatrix(np.zeros((2 * sets, (2 * k + 7) // 8), np.uint8), k))
+        if value > 0xFFFF:
+            with pytest.raises(ConfigError, match=message):
+                db_to_bytes(db)
+        else:
+            assert db_from_bytes(db_to_bytes(db)) == db
+
 
 class TestFingerprintDbRecord:
     def ancestors(self, rows: int) -> GeneMatrix:

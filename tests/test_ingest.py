@@ -237,13 +237,15 @@ def test_fast_parse_matches_per_line_validator(text, fmt):
         assert actual.astype(np.float64).tobytes() == expected.tobytes()  # -0.0 included
 
 
-SPLIT_ROWS = 400  # 400 rows of 230 amplitudes are about 360 KB
+# 360 KB of desk-width rows, one np.fromstring call; a defect sits 10 rows
+# from the start or the end of it
+LARGE_ROWS = 400
 
 
-def split_trace_rows(seed=0) -> list:
+def large_trace_rows(seed=0) -> list:
     rng = np.random.default_rng(seed)
     return [",".join(map(str, row)).encode()
-            for row in rng.integers(0, 1024, size=(SPLIT_ROWS, 230)).tolist()]
+            for row in rng.integers(0, 1024, size=(LARGE_ROWS, 230)).tolist()]
 
 
 def _set_field(row: bytes, token: bytes, index: int = 5) -> bytes:
@@ -253,7 +255,7 @@ def _set_field(row: bytes, token: bytes, index: int = 5) -> bytes:
 
 
 # defect -> (rows, i) -> trace bytes, the defect placed at row i
-SPLIT_DEFECTS = {
+LARGE_DEFECTS = {
     "ragged row": lambda rows, i: rows[:i] + [rows[i].rsplit(b",", 1)[0]] + rows[i + 1:],
     "rows of two widths": lambda rows, i: (rows[:i] + [rows[i].rsplit(b",", 1)[0]]
                                            + [rows[i + 1] + b",7"] + rows[i + 2:]),
@@ -275,29 +277,31 @@ SPLIT_DEFECTS = {
 }
 
 
-def write_split_trace(tmp_path, rows) -> Path:
+def write_large_trace(tmp_path, rows) -> Path:
     path = tmp_path / "large.csv"
     path.write_bytes(b"\n".join(rows) + b"\n")
     return path
 
 
 class TestSplitParse:
-    """Traces of some hundred KB, each parsed by one ``np.fromstring`` call."""
+    """Large integer traces, each parsed by one ``np.fromstring`` call. The
+    class name and the "main"/"worker" ids date from a two-thread split of
+    the parse; they are kept so that the suite's test ids stay the same."""
 
     def test_matches_loadtxt(self, tmp_path):
-        path = write_split_trace(tmp_path, split_trace_rows())
+        path = write_large_trace(tmp_path, large_trace_rows())
         trace = load_trace(path)
         expected = np.loadtxt(path, delimiter=",", dtype=np.int64)
         assert (trace.shape, trace.dtype) == (expected.shape, np.int64)
         assert np.array_equal(trace, expected)
 
-    # the defect sits near the start ("main") or near the end ("worker")
+    # "main" puts the defect near the start of the trace, "worker" near the end
     @pytest.mark.parametrize("where", ["main", "worker"])
-    @pytest.mark.parametrize("defect", sorted(SPLIT_DEFECTS))
+    @pytest.mark.parametrize("defect", sorted(LARGE_DEFECTS))
     def test_defect_gives_the_validators_outcome(self, tmp_path, defect, where):
-        rows = split_trace_rows()
-        data = SPLIT_DEFECTS[defect](rows, 10 if where == "main" else SPLIT_ROWS - 10)
-        path = write_split_trace(tmp_path, data)
+        rows = large_trace_rows()
+        data = LARGE_DEFECTS[defect](rows, 10 if where == "main" else LARGE_ROWS - 10)
+        path = write_large_trace(tmp_path, data)
         expected = _outcome(lambda: _validate_lines(path, read_lines(path, TraceParseError),
                                                     AMPLITUDE_CSV))
         actual = _outcome(lambda: load_trace(path))
@@ -322,7 +326,7 @@ class TestBuildMatrix:
         assert matrix.subcarrier_mask == tuple(range(26, 256))
 
     def test_empty_filter_keeps_width(self):
-        matrix = build_matrix(amp_rows([[1, 2, 3]]), SubcarrierFilter.empty())
+        matrix = build_matrix(amp_rows([[1, 2, 3]]), SubcarrierFilter())
         assert matrix.subcarrier_count == 3
 
     def test_no_filter_argument(self):

@@ -1,4 +1,5 @@
-"""The JSON writer: ``json_text`` must give exactly ``json.dumps(obj, indent=2)``."""
+"""The writers: ``atomic_write_bytes`` leaves the old file or the new one,
+and ``json_text`` must give exactly ``json.dumps(obj, indent=2)``."""
 
 import json
 import math
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from bicsi.cli import _result_dict
 from bicsi.evaluation import EvalReport, PositionBreakdown, report_to_json, reports_to_json
-from bicsi.ioutil import json_text
+from bicsi.ioutil import atomic_write_bytes, json_text
 from bicsi.matcher import MatchResult
 from bicsi.similarity import MetricKind
 
@@ -116,3 +117,12 @@ match_results = st.builds(
 def test_match_results_equal_json_dumps(results):
     rows = [_result_dict(r) for r in results]
     assert json_text(rows) == dumps(rows)
+
+
+def test_failed_atomic_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        atomic_write_bytes(target, "text, not bytes")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    assert target.read_bytes() == b"old"

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicsi.encoding import GeneMatrix
-from bicsi.errors import EmptyInputError, LengthMismatchError
+from bicsi import similarity
+from bicsi.errors import ConfigError, EmptyInputError, LengthMismatchError
 from bicsi.fingerprint import db_to_bytes
 from bicsi.matcher import match_trace
 from bicsi.similarity import MetricKind
@@ -110,6 +111,14 @@ class TestMatchOne:
         db = db_of(2, entry("a", (0, 0), (gs("0000"), gs("0000"))))
         with pytest.raises(LengthMismatchError):
             match_trace(gs("01"), db)
+
+    def test_bad_kind_fails_before_any_bit_is_counted(self, monkeypatch):
+        counted = []
+        monkeypatch.setattr(similarity, "bit_counts", lambda *rows: counted.append(rows))
+        db = db_of(1, entry("a", (0, 0), (gs("00"), gs("00"))))
+        with pytest.raises(ConfigError, match="^unsupported metric kind: 'hamming'$"):
+            match_trace(gs("01"), db, "hamming")
+        assert counted == []
 
     def test_adding_a_set_never_hurts_that_entry(self):
         rng = np.random.default_rng(11)

@@ -9,20 +9,28 @@ Each relation holds exactly by construction, so it needs no oracle:
   the ones in b, the ones in a & b and the bit length, so permuting the
   columns of every trace the same way (the filter file mapped with them)
   leaves every report unchanged, though the database bytes differ.
+* Label renaming: renaming the positions one to one, in both manifests,
+  renames them in the database and the reports and changes nothing else.
+* Short tail: a test trace a whole number of windows long gives the same
+  reports with fewer than half a window of packets appended, because a
+  tail that short is dropped.
 
 Runs go through click's ``CliRunner`` in process, on small ``synth`` sets.
 """
 
+import json
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bicsi.cli import main
+from bicsi.fingerprint import load_db
 
 METRICS = ["hamming", "manhattan", "euclidean", "cosine", "pearson", "jaccard"]
 
@@ -64,7 +72,7 @@ def outputs(root: Path, window: int, metric: str, *options) -> dict:
 def rewrite_traces(root: Path, transform) -> None:
     """Replace every trace CSV under ``root`` by ``transform`` of its
     (packets, subcarriers) amplitudes, one text row per packet."""
-    for path in root.glob("t*/*.csv"):
+    for path in root.glob("**/*.csv"):
         if path.name == "manifest.csv":
             continue
         rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
@@ -108,3 +116,55 @@ def test_subcarrier_permutation_leaves_reports_unchanged(case, metric, data):
         after = outputs(permuted, window, metric, "--filter-file", permuted / "filter.txt")
         del before["train.db"], after["train.db"]  # its columns are permuted
         assert before == after
+
+
+# manifest labels: no comma, no '#', no space or control character
+labels = st.text(st.characters(codec="utf-8", exclude_categories=("C", "Z"),
+                               exclude_characters=",#"), min_size=1, max_size=6)
+
+
+def renamed_report(report: dict, names: dict) -> dict:
+    return {**report, "per_position": [{**p, "label": names[p["label"]]}
+                                       for p in report["per_position"]]}
+
+
+@given(synth_sets(), st.sampled_from(METRICS), st.data())
+@settings(max_examples=20, deadline=None)
+def test_label_renaming_renames_only_the_labels(case, metric, data):
+    args, _, window = case
+    count = args[args.index("--positions") + 1]
+    names = dict(zip([f"p{i + 1:02d}" for i in range(count)],
+                     data.draw(st.lists(labels, min_size=count, max_size=count, unique=True))))
+    with tempfile.TemporaryDirectory() as tmp:
+        original = synth_into(Path(tmp), args)
+        renamed = shutil.copytree(original, Path(tmp) / "renamed")
+        for manifest in renamed.glob("t*/manifest.csv"):
+            header, *rows = manifest.read_text(encoding="utf-8").splitlines()
+            rows = [names[row.split(",", 1)[0]] + "," + row.split(",", 1)[1] for row in rows]
+            manifest.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        before, after = outputs(original, window, metric), outputs(renamed, window, metric)
+        db = load_db(original / "train.db")
+        assert load_db(renamed / "train.db") == replace(db, labels=tuple(map(names.get,
+                                                                              db.labels)))
+        assert json.loads(after["eval.json"]) == renamed_report(json.loads(before["eval.json"]),
+                                                                 names)
+        assert json.loads(after["compare.json"]) == [
+            renamed_report(report, names) for report in json.loads(before["compare.json"])]
+
+
+@given(synth_sets(), st.sampled_from(METRICS), st.data())
+@settings(max_examples=20, deadline=None)
+def test_short_tail_changes_nothing(case, metric, data):
+    args, _, window = case
+    assume(window >= 3)  # a tail shorter than half a window needs one
+    extra = data.draw(st.integers(1, (window - 1) // 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        whole = synth_into(Path(tmp), args)
+        rewrite_traces(whole / "test", lambda amplitudes:
+                       amplitudes[: len(amplitudes) // window * window])
+        tailed = shutil.copytree(whole, Path(tmp) / "tailed")
+        # the tail may hold any amplitudes, those past the encoder cutoff too
+        rewrite_traces(tailed / "test", lambda amplitudes: np.vstack(
+            [amplitudes, rng.integers(0, 4096, (extra, amplitudes.shape[1]))]))
+        assert outputs(tailed, window, metric) == outputs(whole, window, metric)
