@@ -140,7 +140,7 @@ def test_label_renaming_renames_only_the_labels(case, metric, data):
         renamed = shutil.copytree(original, Path(tmp) / "renamed")
         for manifest in renamed.glob("t*/manifest.csv"):
             header, *rows = manifest.read_text(encoding="utf-8").splitlines()
-            rows = [names[row.split(",", 1)[0]] + "," + row.split(",", 1)[1] for row in rows]
+            rows = [names[label] + "," + rest for label, rest in (r.split(",", 1) for r in rows)]
             manifest.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
         before, after = outputs(original, window, metric), outputs(renamed, window, metric)
         db = load_db(original / "train.db")
@@ -156,7 +156,7 @@ def test_label_renaming_renames_only_the_labels(case, metric, data):
 @settings(max_examples=20, deadline=None)
 def test_short_tail_changes_nothing(case, metric, data):
     args, _, window = case
-    assume(window >= 3)  # a tail shorter than half a window needs one
+    assume(window >= 3)  # a window of 3 or more has room for 1..(w-1)//2 tail packets
     extra = data.draw(st.integers(1, (window - 1) // 2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     with tempfile.TemporaryDirectory() as tmp:
