@@ -373,10 +373,11 @@ def synth(out_dir, positions, subcarriers, train_packets, test_packets, amplitud
           drift_sigma, sessions, seed, force):
     """Generate a seeded synthetic dataset with train/test manifests."""
     # imported here, so that no other command loads the generator
-    from .synth import SynthConfig, drift_sessions, generate, write_dataset
+    from .synth import SynthConfig, check_split, drift_sessions, generate, write_dataset
 
     if sessions < 1:
         raise ConfigError("--sessions must be >= 1")
+    check_split(train_packets, test_packets)
     cfg = SynthConfig(
         positions=positions,
         subcarriers=subcarriers,

@@ -179,6 +179,11 @@ def _manifest_bytes(rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def check_split(train_packets: int, test_packets: int) -> None:
+    if train_packets < 1 or test_packets < 1:
+        raise ConfigError("train_packets and test_packets must be >= 1")
+
+
 def write_dataset(dataset: SynthDataset, out_dir, train_packets: int,
                   test_packets: int) -> None:
     """Write train/ and test/ trace CSVs plus a manifest in each directory.
@@ -187,8 +192,7 @@ def write_dataset(dataset: SynthDataset, out_dir, train_packets: int,
     next ``test_packets`` in test/.
     """
     packets = dataset.traces[0].matrix.packet_count
-    if train_packets < 1 or test_packets < 1:
-        raise ConfigError("train_packets and test_packets must be >= 1")
+    check_split(train_packets, test_packets)
     if train_packets + test_packets > packets:
         raise ConfigError(
             f"split {train_packets}+{test_packets} exceeds the {packets} generated packets"

@@ -126,11 +126,14 @@ class TestSynth:
     @pytest.mark.parametrize("flag, message", [
         ("--sessions", "--sessions must be >= 1"),
         ("--train-packets", "train_packets and test_packets must be >= 1"),
+        ("--test-packets", "train_packets and test_packets must be >= 1"),
     ])
     def test_count_below_one_exits_2(self, runner, tmp_path, flag, message):
-        result = invoke(runner, *SYNTH_ARGS, "--out-dir", tmp_path / "x", flag, 0)
+        out = tmp_path / "x"
+        result = invoke(runner, *SYNTH_ARGS, "--out-dir", out, flag, 0)
         assert result.exit_code == 2
         assert message in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--noise-sigma", "--drift-sigma", "--burst-magnitude",
@@ -224,6 +227,19 @@ class TestMatch:
         assert set(payload[0]) == {"window_index", "predicted_label",
                                    "predicted_coord", "best_distance",
                                    "runner_up_margin"}
+
+    def test_one_position_db_writes_a_null_margin(self, runner, tmp_path, dataset):
+        manifest = dataset / "train" / "manifest.csv"
+        manifest.write_text("".join(manifest.read_text().splitlines(keepends=True)[:2]))
+        db, out = tmp_path / "one.db", tmp_path / "m.json"
+        invoke(runner, "train", "--manifest", manifest, "--out-db", db)
+        result = invoke(runner, "match", "--db", db, "--trace", dataset / "test" / "p02.csv",
+                        "--out-json", out)
+        assert result.exit_code == 0, result.output
+        text = out.read_text()
+        assert "Infinity" not in text
+        assert [(r["predicted_label"], r["runner_up_margin"]) for r in json.loads(text)] == [
+            ("p01", None), ("p01", None)]
 
     def test_euclidean_matches_hamming(self, runner, tmp_path, dataset, trained):
         outputs = {}

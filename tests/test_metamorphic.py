@@ -14,6 +14,12 @@ Each relation holds exactly by construction, so it needs no oracle:
 * Short tail: a test trace a whole number of windows long gives the same
   reports with fewer than half a window of packets appended, because a
   tail that short is dropped.
+* Training row order: reordering the training manifest reorders the
+  database entries, so a window whose best entry is unique matches as
+  before, and when every window's is, the report's positions and the
+  confusion matrix's rows and columns are permuted the same way. A tie
+  goes to the earliest entry, so a window with a zero runner-up margin may
+  change its pick.
 
 Runs go through click's ``CliRunner`` in process, on small ``synth`` sets.
 """
@@ -168,3 +174,46 @@ def test_short_tail_changes_nothing(case, metric, data):
         rewrite_traces(tailed / "test", lambda amplitudes: np.vstack(
             [amplitudes, rng.integers(0, 4096, (extra, amplitudes.shape[1]))]))
         assert outputs(tailed, window, metric) == outputs(whole, window, metric)
+
+
+def matches(root: Path, db: Path, window: int, metric: str) -> list:
+    """The ``match`` rows of every test trace under ``root``, trace by trace."""
+    rows = []
+    for trace in sorted((root / "test").glob("p*.csv")):
+        invoke("match", "--db", db, "--trace", trace, "--metric", metric, "--window", window,
+               "--out-json", root / "match.json")
+        rows += json.loads((root / "match.json").read_text())
+    return rows
+
+
+def reordered_report(report: dict, order) -> dict:
+    """``report`` with its entry ``i`` moved to where ``order.index(i)`` is."""
+    return {**report, "per_position": [report["per_position"][i] for i in order],
+            "confusion": [[report["confusion"][i][j] for j in order] for i in order]}
+
+
+@given(synth_sets(), st.sampled_from(METRICS), st.data())
+@settings(max_examples=20, deadline=None)
+def test_training_row_order_permutes_the_confusion_matrix(case, metric, data):
+    args, _, window = case
+    count = args[args.index("--positions") + 1]
+    order = data.draw(st.permutations(range(count)))
+    with tempfile.TemporaryDirectory() as tmp:
+        original = synth_into(Path(tmp), args)
+        reordered = shutil.copytree(original, Path(tmp) / "reordered")
+        manifest = reordered / "train" / "manifest.csv"
+        header, *rows = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
+        reports = []
+        for root in (original, reordered):
+            invoke("train", "--manifest", root / "train" / "manifest.csv",
+                   "--out-db", root / "train.db")
+            invoke("eval", "--db", root / "train.db", "--manifest", root / "test" / "manifest.csv",
+                   "--window", window, "--metric", metric, "--out", root / "eval.json")
+            reports.append(json.loads((root / "eval.json").read_text()))
+        before = matches(original, original / "train.db", window, metric)
+        after = matches(reordered, reordered / "train.db", window, metric)
+        unique = [b["runner_up_margin"] > 0 for b in before]
+        assert [a for a, u in zip(after, unique) if u] == [b for b, u in zip(before, unique) if u]
+        if all(unique):
+            assert reports[1] == reordered_report(reports[0], order)
