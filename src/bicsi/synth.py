@@ -180,6 +180,7 @@ def _manifest_bytes(rows) -> bytes:
 
 
 def check_split(train_packets: int, test_packets: int) -> None:
+    """Each part of the train/test split needs a packet."""
     if train_packets < 1 or test_packets < 1:
         raise ConfigError("train_packets and test_packets must be >= 1")
 
