@@ -291,25 +291,38 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b.mT
 
 
-def _raw_similarity(windows: np.ndarray, positions: np.ndarray,
-                    kind: MetricKind) -> np.ndarray:
-    """(windows, positions) cosines of non-negative integer rows; Pearson is
-    the cosine of the rows centred as k·x − Σx. Scaling a row by a positive
-    number changes neither, so sums rank as means do. A zero row (Pearson:
-    a constant one) scores 1 against a zero row and 0 against any other.
-    Only correctly rounded float steps follow the exact dot products."""
+def _raw_picks(windows: np.ndarray, positions: np.ndarray, kind: MetricKind) -> np.ndarray:
+    """Per window, the position of highest cosine between non-negative
+    integer rows, the lowest among exact ties; Pearson is the cosine of the
+    rows centred as k·x − Σx. Scaling a row by a positive number changes
+    neither, so sums rank as means do. A zero row (Pearson: a constant one)
+    scores 1 against a zero row and 0 against any other. Float scores from
+    the exact dot products pick, except among positions within rounding of
+    a window's best: those compare dot·|dot| / |p|² as exact fractions."""
+    from fractions import Fraction  # here: every CLI start loads this module
+
     rows = (windows, positions)
     if kind is MetricKind.PEARSON:
         k = windows.shape[1]
         if k * max(int(r.max(initial=0)) for r in rows) > _INT64_MAX:  # bounds k·x and Σx
             rows = tuple(r.astype(object) for r in rows)
         rows = tuple(k * r - r.sum(axis=1, keepdims=True) for r in rows)
-    norm_w, norm_p = (np.sqrt(_exact_dot(r[:, None], r[:, None])[:, 0, 0].astype(float))
-                      for r in rows)
+    dots = _exact_dot(*rows)
+    squares = [_exact_dot(r[:, None], r[:, None])[:, 0, 0] for r in rows]
+    norm_w, norm_p = (np.sqrt(sq.astype(float)) for sq in squares)
     zero_w, zero_p = norm_w[:, None] == 0, norm_p == 0
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where replaced
-        cosine = _exact_dot(*rows).astype(float) / (norm_w[:, None] * norm_p)
-    return np.where(zero_w | zero_p, zero_w & zero_p, cosine)
+        cosine = dots.astype(float) / (norm_w[:, None] * norm_p)
+    scores = np.where(zero_w | zero_p, zero_w & zero_p, cosine)
+    picks = np.argmax(scores, axis=1)
+    # exactly equal cosines round at most a few units of 2**-53 apart
+    near = scores >= scores.max(axis=1, keepdims=True) - 2.0**-40
+    for w in np.flatnonzero(near.sum(axis=1) > 1):
+        tied = np.flatnonzero(near[w])
+        exact = [Fraction(d * abs(d), sq or 1)  # a zero row's dot is 0
+                 for d, sq in zip(dots[w, tied].tolist(), squares[1][tied].tolist())]
+        picks[w] = tied[exact.index(max(exact))]
+    return picks
 
 
 def raw_baseline(training, tests, kind: MetricKind = MetricKind.COSINE,
@@ -321,10 +334,9 @@ def raw_baseline(training, tests, kind: MetricKind = MetricKind.COSINE,
     trace is summed per ``window_size``-packet window with the tail rule of
     :func:`~bicsi.fingerprint.window_slices`. No binary encoding is made.
     Only the correlation metrics make sense on raw vectors. Each window
-    predicts the position of highest float score, the lowest entry index
-    among equal float scores; entries whose exact scores tie (one sum a
-    multiple of another) may round to different floats, and then the
-    higher float wins, not the lower index.
+    predicts the position of highest score, the lowest entry index among
+    exactly equal scores (one sum a multiple of another), as the binary
+    matcher does with integer distances.
     """
     if kind not in (MetricKind.COSINE, MetricKind.PEARSON):
         raise ConfigError("raw baseline supports only cosine and pearson")
@@ -355,7 +367,7 @@ def raw_baseline(training, tests, kind: MetricKind = MetricKind.COSINE,
         labels += [trace.true_label] * len(sums[-1])
         coords += [trace.true_coord] * len(sums[-1])
     positions = np.vstack([_window_sums(t, t.matrix.packet_count) for t in training])
-    predicted = np.argmax(_raw_similarity(np.vstack(sums), positions, kind), axis=1)
+    predicted = _raw_picks(np.vstack(sums), positions, kind)
     return _assemble_report(kind, list(entries), [t.true_coord for t in training],
                             predicted, labels, coords)
 

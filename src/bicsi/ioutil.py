@@ -1,23 +1,22 @@
-"""File access: atomic writes (temp file in the target directory, then
-rename), UTF-8 line reads and the JSON text every report and sidecar is
-written as."""
+"""File access: atomic writes, UTF-8 line reads and the JSON text every
+report and sidecar is written as. A write creates a new temp file beside
+its target, exclusively and with the mode ``open()`` gives under the umask,
+then renames it over the target."""
 
 import io
 import os
-import tempfile
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

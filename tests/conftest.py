@@ -1,11 +1,12 @@
 """Shared test helpers: bit-literal rows, databases built from ancestor
 pairs, hypothesis strategies, the per-amplitude encoder reference, per-pair
 reference measures computed without the library's count kernel, the
-raw-baseline similarity in Python ints, a per-column ancestor reference,
+raw-baseline picks in exact arithmetic, a per-column ancestor reference,
 a per-window reference report fold and reports of windows that replay
 chosen database entries."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -140,28 +141,29 @@ def reference_distance(kind: MetricKind, a, b) -> float:
     return 1.0 - reference_jaccard(a, b)
 
 
-def reference_raw_similarity(kind: MetricKind, x, y) -> float:
-    """Cosine of two integer sum vectors, or for Pearson the cosine of the
-    vectors centred as k·v - sum(v), from dot products in Python ints: 1
-    when both (centred) vectors are zero, 0 when one is. The float steps
-    are the library's: float(x·y) / (sqrt(float(x·x)) * sqrt(float(y·y)))."""
+def reference_raw_key(kind: MetricKind, x, y) -> Fraction:
+    """s·|s| for the cosine s of two integer sum vectors, or for Pearson of
+    the vectors centred as k·v - sum(v), exactly, in Python ints: s is 1
+    when both (centred) vectors are zero and 0 when one is. It orders
+    positions as s does, with no float step."""
     x, y = [int(p) for p in x], [int(q) for q in y]
     assert len(x) == len(y)
     if kind is MetricKind.PEARSON:
         x, y = ([len(v) * p - sum(v) for p in v] for v in (x, y))
     xx, yy = sum(p * p for p in x), sum(q * q for q in y)
     if xx == 0 or yy == 0:
-        return 1.0 if xx == yy == 0 else 0.0
-    return float(sum(p * q for p, q in zip(x, y))) / (math.sqrt(float(xx)) * math.sqrt(float(yy)))
+        return Fraction(int(xx == yy == 0))
+    dot = sum(p * q for p, q in zip(x, y))
+    return Fraction(dot * abs(dot), xx * yy)
 
 
 def reference_raw_picks(kind: MetricKind, position_sums, window_sums) -> list:
-    """Per window, the index of the position of highest
-    reference_raw_similarity, the lowest index on a tie."""
+    """Per window, the index of the position of highest exact
+    reference_raw_key, the lowest index on a tie."""
     picks = []
     for window in window_sums:
-        scores = [reference_raw_similarity(kind, window, sums) for sums in position_sums]
-        picks.append(scores.index(max(scores)))
+        keys = [reference_raw_key(kind, window, sums) for sums in position_sums]
+        picks.append(keys.index(max(keys)))
     return picks
 
 

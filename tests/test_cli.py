@@ -715,6 +715,24 @@ class TestManifestRows:
         self.assert_clean_failure(result, "line 2", "empty label")
 
 
+def test_every_output_takes_its_mode_from_the_umask(runner, tmp_path):
+    data, db, report = tmp_path / "data", tmp_path / "fp.db", tmp_path / "report.json"
+    old = os.umask(0o022)
+    try:
+        for args in [(*SYNTH_ARGS, "--out-dir", data),
+                     ("train", "--manifest", data / "train" / "manifest.csv", "--out-db", db),
+                     ("eval", "--db", db, "--manifest", data / "test" / "manifest.csv",
+                      "--out", report)]:
+            result = invoke(runner, *args)
+            assert result.exit_code == 0, result.output
+    finally:
+        os.umask(old)
+    # config.json, two manifests, three traces in each part, the database, the report
+    modes = {p.relative_to(tmp_path).as_posix(): oct(p.stat().st_mode & 0o777)
+             for p in tmp_path.rglob("*") if p.is_file()}
+    assert len(modes) == 11 and set(modes.values()) == {"0o644"}, modes
+
+
 def test_cli_import_leaves_numpy_random_unloaded():
     # only synth draws random numbers; loading numpy.random would slow every CLI start
     src = str(Path(__file__).resolve().parents[1] / "src")

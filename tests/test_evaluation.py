@@ -624,6 +624,28 @@ class TestRawBaseline:
         report = raw_baseline(training, tests, MetricKind.PEARSON, window_size=1)
         assert report.accuracy == 1.0  # equal float scores: the lowest index wins
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 4), st.integers(1, 20),
+           st.sampled_from([MetricKind.COSINE, MetricKind.PEARSON]))
+    @settings(max_examples=150, deadline=None)
+    @example(0, 3, 3, 4, MetricKind.COSINE)  # positions 6, 5 and 7 times (2, 1, 1)
+    @example(0, 2, 3, 1, MetricKind.PEARSON)
+    def test_exact_ties_pick_the_lowest_entry(self, seed, positions, k, count, kind):
+        """Positions are multiples of two few-value rows, so exactly equal
+        scores that round to different floats are common. Each window is
+        labeled with its pick in exact arithmetic, so every pick must hit."""
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 3, size=(2, k))
+        position_sums = (base[rng.integers(0, 2, size=positions)]
+                         * rng.integers(1, 8, size=(positions, 1)))
+        window_sums = rng.integers(0, 3, size=(count, k))
+        best = reference_raw_picks(kind, position_sums, window_sums)
+        labels = [f"p{i}" for i in range(positions)]
+        training = [raw_trace(label, (float(i), 0.0), [row])
+                    for i, (label, row) in enumerate(zip(labels, position_sums))]
+        tests = [raw_trace(labels[i], (float(i), 0.0), [row]) for i, row in zip(best, window_sums)]
+        report = raw_baseline(training, tests, kind, window_size=1)
+        assert report.accuracy == 1.0, report.confusion
+
     def test_exact_window_match(self):
         training = [raw_trace("p1", (0, 0), [[5, 1, 0]]), raw_trace("p2", (3, 0), [[0, 1, 5]])]
         tests = [raw_trace("p2", (3.0, 0.0), [[0, 1, 5]])]

@@ -17,6 +17,7 @@ from bicsi.errors import (
 )
 from bicsi.fingerprint import (
     FingerprintDb,
+    ancestor_matrices,
     build_db,
     db_from_bytes,
     db_to_bytes,
@@ -65,6 +66,12 @@ class TestThresholdMaterialization:
 
     def test_full_fraction(self):
         assert threshold_count(fraction_to_micro(1.0), 730) == 730
+
+    @pytest.mark.parametrize(("micro", "count"), [(-1, 10), (10, -1)])
+    def test_negative_input_rejected(self, micro, count):
+        message = "^threshold micro-units and training count must be non-negative$"
+        with pytest.raises(ConfigError, match=message):
+            threshold_count(micro, count)
 
     def test_bad_fractions(self):
         with pytest.raises(ConfigError):
@@ -121,6 +128,11 @@ class TestDeriveAncestors:
     def test_negative_threshold(self):
         with pytest.raises(ConfigError):
             build_db([("p", (0.0, 0.0), gs("01"))], -0.01)
+
+    def test_negative_threshold_count(self):
+        sizes, ones = training_counts([("p", (0.0, 0.0), gs("01", "11"))])
+        with pytest.raises(ConfigError, match="^threshold count must be non-negative$"):
+            ancestor_matrices(sizes, ones, [-1])
 
     @given(st.integers(0, 2**32), st.integers(1, 60), st.integers(1, 6))
     @settings(max_examples=40)

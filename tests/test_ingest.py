@@ -362,6 +362,21 @@ class TestBuildMatrix:
         with pytest.raises(EmptyTraceError):
             build_matrix([])
 
+    @pytest.mark.parametrize(("trace", "error", "message"), [
+        # rows of one length that numpy cannot stack: its own error, re-raised
+        ([[1, 2], [3, [4]]], ValueError, "^setting an array element with a sequence"),
+        (np.array([1, 2]), ValueError,
+         r"^trace must be \(packets, subcarriers\) or \(packets, subcarriers, 2\)$"),
+        (np.zeros((2, 3, 3)), ValueError,
+         r"^trace must be \(packets, subcarriers\) or \(packets, subcarriers, 2\)$"),
+        (np.zeros((2, 0), dtype=np.int64), EmptyTraceError, "^records have zero subcarriers$"),
+        (np.zeros((2, 0, 2)), EmptyTraceError, "^records have zero subcarriers$"),
+    ], ids=["unstackable", "1-D", "last-axis-3", "zero-columns", "zero-iq-columns"])
+    def test_shape_checks_are_named(self, trace, error, message):
+        with pytest.raises(error, match=message) as caught:
+            build_matrix(trace)
+        assert caught.type is error
+
     @pytest.mark.parametrize(("fmt", "text"), [
         (AMPLITUDE_CSV, "5,1e19\n"),
         (IQ_CSV, "1e308,1e308,3,4\n"),  # the magnitude overflows to inf
@@ -430,6 +445,17 @@ class TestAmplitudeMatrix:
         with pytest.raises(ValueError, match=rf"^subcarrier_mask entry 1 is {entry!r}, not an"):
             AmplitudeMatrix(data=np.zeros((1, 2), dtype=np.int64), subcarrier_mask=(4, entry))
 
+    @pytest.mark.parametrize(("data", "mask", "message"), [
+        (np.zeros(2, dtype=np.int64), (0, 1),
+         r"^amplitude data must be 2-D \(packets x subcarriers\)$"),
+        (np.zeros((1, 2), dtype=np.int64), (0,),
+         "^subcarrier_mask length must equal the column count$"),
+    ], ids=["1-D", "mask-length"])
+    def test_shape_checks_are_named(self, data, mask, message):
+        with pytest.raises(ValueError, match=message) as caught:
+            AmplitudeMatrix(data=data, subcarrier_mask=mask)
+        assert caught.type is ValueError
+
     def test_numpy_mask_entries_become_ints(self):
         mask = np.array([4, 7], dtype=np.int64)
         matrix = AmplitudeMatrix(data=np.zeros((1, 2), dtype=np.int64), subcarrier_mask=mask)
@@ -487,3 +513,11 @@ class TestSubcarrierFilter:
     def test_constructor_validates(self):
         with pytest.raises(ConfigError):
             SubcarrierFilter(frozenset({-1}))
+
+    @pytest.mark.parametrize(("index", "message"), [
+        ("3", "^subcarrier index '3' is not an integer$"),
+        (2.0, "^subcarrier index 2.0 is not an integer$"),
+    ])
+    def test_constructor_names_a_non_integer_index(self, index, message):
+        with pytest.raises(ConfigError, match=message):
+            SubcarrierFilter(frozenset({index}))

@@ -1,9 +1,10 @@
 """The writers: ``atomic_write_bytes`` leaves the old file or the new one,
-and ``json_text`` is ``json.dumps(obj, indent=2)`` for each shape the CLI
-writes."""
+with the mode the umask gives, and ``json_text`` is ``json.dumps(obj,
+indent=2)`` for each shape the CLI writes."""
 
 import json
 import math
+import os
 
 import pytest
 
@@ -54,3 +55,30 @@ def test_failed_atomic_write_leaves_the_old_file_and_no_temp_file(tmp_path):
         atomic_write_bytes(target, "text, not bytes")
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
     assert target.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize(("umask", "mode"), [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_written_file_takes_its_mode_from_the_umask(tmp_path, umask, mode):
+    fresh, rewritten = tmp_path / "fresh.bin", tmp_path / "rewritten.bin"
+    rewritten.write_bytes(b"old")
+    rewritten.chmod(0o640)  # a rewrite does not keep the old file's mode
+    old = os.umask(umask)
+    try:
+        atomic_write_bytes(fresh, b"new")
+        atomic_write_bytes(rewritten, b"new")
+    finally:
+        os.umask(old)
+    for path in (fresh, rewritten):
+        assert path.stat().st_mode & 0o777 == mode
+        assert path.read_bytes() == b"new"
+
+
+def test_a_file_at_the_temp_name_is_neither_overwritten_nor_removed(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "urandom", bytes)  # every temp name is .tmp-0000000000000000~
+    other = tmp_path / f".tmp-{'00' * 8}~"
+    other.write_bytes(b"not ours")
+    with pytest.raises(FileExistsError):
+        atomic_write_bytes(tmp_path / "out.bin", b"new")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [other.name]
+    assert other.read_bytes() == b"not ours"

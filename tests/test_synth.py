@@ -93,6 +93,10 @@ class TestGenerate:
             small_cfg(noise_sigma=-1.0)
         with pytest.raises(ConfigError, match="^drift_sigma must be finite, got nan$"):
             small_cfg(drift_sigma=float("nan"))
+        with pytest.raises(ConfigError, match="^base_amplitude_range bounds must be integers$"):
+            small_cfg(base_amplitude_range=(60.0, 900))
+        with pytest.raises(ConfigError, match="^profile_separation must be >= 0$"):
+            small_cfg(profile_separation=-1.0)
 
     def test_noiseless_end_to_end_is_perfect(self):
         ds = generate(small_cfg(noise_sigma=0.0, burst_rate=0.0))
