@@ -23,6 +23,7 @@ from .errors import (
 from .fingerprint import (
     DEFAULT_WINDOW_SIZE,
     FingerprintDb,
+    _column_counts,
     _too_short,
     ancestor_matrices,
     check_window_size,
@@ -36,7 +37,7 @@ from .fingerprint import (
 from .ingest import _INT64_MAX, AmplitudeMatrix
 from .ioutil import json_text
 from .matcher import match_trace
-from .similarity import MetricKind, distances
+from .similarity import MetricKind
 
 
 @dataclass(frozen=True)
@@ -216,11 +217,10 @@ def threshold_sweep(positions, fractions) -> list[tuple[float, float]]:
     for fraction in fractions:
         micro = fraction_to_micro(fraction)
         sides = ancestor_matrices(sizes, ones, [threshold_count(micro, n) for n in sizes])
-        # one kernel call per ancestor side; each (P, P) matrix is symmetric with a
-        # zero diagonal, so its sum counts every pair twice (whole numbers: exact)
-        twice = sum(distances(MetricKind.HAMMING, gm.packed[:, None], gm.packed,
-                              gm.bit_length).sum() for gm in sides)
-        rows.append((float(fraction), float(twice / 4 / pairs)))
+        # a bit column with c ones among P rows differs in c * (P - c) row pairs
+        twice = 2 * sum(int((c * (len(sizes) - c)).sum())
+                        for gm in sides for c in _column_counts(gm, len(gm)))
+        rows.append((float(fraction), twice / 4 / pairs))
     return rows
 
 
@@ -336,7 +336,7 @@ def raw_baseline(training, tests, kind: MetricKind = MetricKind.COSINE,
     Only the correlation metrics make sense on raw vectors. Each window
     predicts the position of highest score, the lowest entry index among
     exactly equal scores (one sum a multiple of another), as the binary
-    matcher does with integer distances.
+    matcher does.
     """
     if kind not in (MetricKind.COSINE, MetricKind.PEARSON):
         raise ConfigError("raw baseline supports only cosine and pearson")

@@ -265,30 +265,20 @@ def save_db(db: FingerprintDb, path) -> None:
     atomic_write_bytes(path, db_to_bytes(db))
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.buf):
-            raise DbTruncatedError(
-                f"file ends inside {what}: need {count} bytes at offset {self.pos}, "
-                f"have {len(self.buf) - self.pos}"
-            )
-        piece = self.buf[self.pos:self.pos + count]
-        self.pos += count
-        return piece
-
-    def unpack(self, fmt: struct.Struct, what: str):
-        return fmt.unpack(self.take(fmt.size, what))
-
-
 def db_from_bytes(buf: bytes) -> FingerprintDb:
     """Parse the binary database format, rejecting each corruption class
     with its own error type."""
-    reader = _Reader(buf)
-    magic, version, k, micro, entry_count = reader.unpack(_HEADER, "header")
+    pos = 0
+
+    def take(count: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + count > len(buf):
+            raise DbTruncatedError(f"file ends inside {what}: need {count} bytes at offset "
+                                   f"{pos}, have {len(buf) - pos}")
+        pos += count
+        return buf[pos - count:pos]
+
+    magic, version, k, micro, entry_count = _HEADER.unpack(take(_HEADER.size, "header"))
     if magic != DB_MAGIC:
         raise DbMagicError(f"bad magic {magic!r}, expected {DB_MAGIC!r}")
     if version != DB_VERSION:
@@ -297,27 +287,25 @@ def db_from_bytes(buf: bytes) -> FingerprintDb:
     labels, coords, counts, blocks = [], [], [], []
     for i in range(entry_count):
         where = f"entry {i}"
-        (label_len,) = reader.unpack(_U16, f"{where} label length")
-        raw_label = reader.take(label_len, f"{where} label")
+        (label_len,) = _U16.unpack(take(_U16.size, f"{where} label length"))
+        raw_label = take(label_len, f"{where} label")
         try:
             labels.append(raw_label.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise DbLengthError(f"{where}: label is not valid UTF-8") from exc
-        coord = reader.unpack(_COORDS, f"{where} coordinates")
-        (set_count,) = reader.unpack(_U16, f"{where} set count")
+        coord = _COORDS.unpack(take(_COORDS.size, f"{where} coordinates"))
+        (set_count,) = _U16.unpack(take(_U16.size, f"{where} set count"))
         if set_count == 0:
             raise DbLengthError(f"{where} ({labels[-1]!r}): zero ancestor sets")
         counts.append(set_count)
-        blocks.append(reader.take(2 * set_count * seq_bytes, f"{where} ancestors"))
+        blocks.append(take(2 * set_count * seq_bytes, f"{where} ancestors"))
         try:  # the coordinate and padding checks, naming the entry
             coords.append(finite_coord(coord, f"position {labels[-1]!r}"))
             GeneMatrix(np.frombuffer(blocks[-1], np.uint8).reshape(2 * set_count, seq_bytes), k)
         except ValueError as exc:
             raise DbLengthError(f"{where}: {exc}") from exc
-    if reader.pos != len(buf):
-        raise DbLengthError(
-            f"{len(buf) - reader.pos} trailing bytes after the last entry"
-        )
+    if pos != len(buf):
+        raise DbLengthError(f"{len(buf) - pos} trailing bytes after the last entry")
     try:
         rows = np.frombuffer(b"".join(blocks), np.uint8).reshape(2 * sum(counts), seq_bytes)
         return FingerprintDb(micro, labels, coords, counts, GeneMatrix(rows, k))

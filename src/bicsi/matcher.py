@@ -7,7 +7,9 @@ one batch: one count-kernel call gives the (windows x ancestors) distances
 against the database's ancestor rows, as stored, and one reduction takes
 each position's minimum over its contiguous rows. Row order within a
 position cannot change its minimum, and a tie between positions keeps the
-earliest, so results are reproducible across platforms.
+earliest, so results are reproducible across platforms. Cosine and Pearson
+ties are compared exactly, from integer counts, since equal scores can
+round apart.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ import numpy as np
 from .encoding import GeneMatrix
 from .errors import EmptyInputError, LengthMismatchError
 from .fingerprint import FingerprintDb
-from .similarity import MetricKind, distances
+from .similarity import MetricKind, bit_counts, distances
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,8 @@ def match_trace(parents: GeneMatrix, db: FingerprintDb,
     dist = distances(kind, parents.packed[:, None], db.ancestors.packed, parents.bit_length)
     entry_best = np.minimum.reduceat(dist, db.starts, axis=1)
     best = entry_best.argmin(axis=1)  # the first index on a tie: the earliest entry wins
+    if kind in (MetricKind.COSINE, MetricKind.PEARSON):
+        _break_ties_exactly(best, dist, parents, db, kind)
     # the runner-up is the second-smallest entry distance (equal to the best on a tie)
     ranked = np.sort(entry_best, axis=1)
     margins = (ranked[:, 1] if len(db.labels) > 1 else np.inf) - ranked[:, 0]
@@ -61,3 +65,34 @@ def match_trace(parents: GeneMatrix, db: FingerprintDb,
         for row, (i, d, m) in enumerate(zip(best.tolist(), ranked[:, 0].tolist(),
                                             margins.tolist()))
     ]
+
+
+def _break_ties_exactly(best, dist, parents: GeneMatrix, db: FingerprintDb,
+                        kind: MetricKind) -> None:
+    """Exactly equal cosines or Pearsons can round a few units of 2**-53
+    apart, so the float minimum need not be the earliest tied entry. Where a
+    window's rows within 2**-40 of its minimum belong to more than one entry,
+    those rows are ranked again by :func:`_exact_score`, and ``best`` takes
+    the earliest entry owning a row of the highest."""
+    owner = np.repeat(np.arange(len(db.labels)), 2 * np.asarray(db.set_counts))
+    near = dist <= dist.min(axis=1, keepdims=True) + 2.0**-40
+    for w in np.flatnonzero(np.logical_or.reduceat(near, db.starts, axis=1).sum(axis=1) > 1):
+        rows = np.flatnonzero(near[w])
+        na, nbs, ms = (x.tolist() for x in bit_counts(parents.packed[w], db.ancestors.packed[rows]))
+        scores = [_exact_score(kind, parents.bit_length, na, nb, m) for nb, m in zip(nbs, ms)]
+        best[w] = owner[rows[scores.index(max(scores))]]
+
+
+def _exact_score(kind: MetricKind, n: int, na: int, nb: int, m: int):
+    """s·|s| of the cosine or Pearson s of two n-bit rows with na and nb ones,
+    m shared, as a fraction of Python ints: cosine m² / (na·nb), Pearson
+    c·|c| / var with c = n·m − na·nb. It orders rows as s does, and the
+    degenerate cases are those of :func:`~bicsi.similarity.distances`."""
+    from fractions import Fraction  # here: every CLI start loads this module
+
+    if kind is MetricKind.COSINE:
+        return Fraction(m * m, na * nb) if na * nb else Fraction(int(na == nb))
+    if na == nb == m:  # identical rows, constant ones too
+        return Fraction(1)
+    c, var = n * m - na * nb, na * (n - na) * nb * (n - nb)
+    return Fraction(c * abs(c), var) if var else Fraction(0)

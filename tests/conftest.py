@@ -1,9 +1,9 @@
 """Shared test helpers: bit-literal rows, databases built from ancestor
 pairs, hypothesis strategies, the per-amplitude encoder reference, per-pair
-reference measures computed without the library's count kernel, the
-raw-baseline picks in exact arithmetic, a per-column ancestor reference,
-a per-window reference report fold and reports of windows that replay
-chosen database entries."""
+reference measures computed without the library's count kernel and their
+exact ranking keys, the raw-baseline picks in exact arithmetic, a
+per-column ancestor reference, a per-window reference report fold and
+reports of windows that replay chosen database entries."""
 
 import math
 from fractions import Fraction
@@ -139,6 +139,35 @@ def reference_distance(kind: MetricKind, a, b) -> float:
     if kind is MetricKind.PEARSON:
         return (1.0 - reference_pearson(a, b)) / 2.0
     return 1.0 - reference_jaccard(a, b)
+
+
+def reference_key(kind: MetricKind, a, b) -> Fraction:
+    """A key that orders candidates as reference_distance does, lowest
+    first, exactly, in Python ints: the differing-bit count for Hamming,
+    Manhattan and Euclidean (a square root keeps the order), and -s·|s|
+    for the similarity s of cosine, Pearson and Jaccard, with the
+    degenerate cases of reference_cosine, reference_pearson and
+    reference_jaccard. Equal measures give equal keys, whatever their
+    floats round to."""
+    x, y = _bit_lists(a, b)
+    if kind in (MetricKind.HAMMING, MetricKind.MANHATTAN, MetricKind.EUCLIDEAN):
+        return Fraction(reference_hamming(x, y))
+    n, na, nb = len(x), sum(x), sum(y)
+    both = sum(p * q for p, q in zip(x, y))
+    if kind is MetricKind.COSINE:
+        if na == 0 or nb == 0:
+            return Fraction(-int(na == nb == 0))
+        return -Fraction(both * both, na * nb)
+    if kind is MetricKind.PEARSON:
+        if x == y:
+            return Fraction(-1)
+        var = na * (n - na) * nb * (n - nb)
+        if var == 0:
+            return Fraction(0)
+        c = n * both - na * nb
+        return -Fraction(c * abs(c), var)
+    union = sum(p | q for p, q in zip(x, y))
+    return -Fraction(both, union) if union else Fraction(-1)
 
 
 def reference_raw_key(kind: MetricKind, x, y) -> Fraction:

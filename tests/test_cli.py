@@ -649,6 +649,13 @@ class TestManifestRows:
         result = invoke(runner, "train", "--manifest", manifest, "--out-db", tmp_path / "fp.db")
         self.assert_clean_failure(result, "line 3", "bad coordinates, need two finite numbers")
 
+    def test_header_line_after_a_data_row(self, runner, tmp_path, dataset):
+        # a label,x,y,file line is a header only before the first data row
+        manifest = dataset / "train" / "manifest.csv"
+        self.edit_row(manifest, 2, label="label", x="x", y="y", file="file")
+        result = invoke(runner, "train", "--manifest", manifest, "--out-db", tmp_path / "fp.db")
+        self.assert_clean_failure(result, "line 3: bad coordinates, need two finite numbers")
+
     def test_repeated_training_label_names_both_lines(self, runner, tmp_path, dataset):
         manifest = dataset / "train" / "manifest.csv"
         self.edit_row(manifest, 3, label="p01")

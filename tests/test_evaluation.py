@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bicsi import similarity
 from bicsi.encoding import GeneMatrix, encode_matrix
 from bicsi.errors import (
     ConfigError,
@@ -134,6 +135,17 @@ class TestThresholdSweep:
         rng = np.random.default_rng(seed)
         sets_ = [biased_matrix(rng, int(rng.integers(1, 40)), k) for _ in range(positions)]
         fractions = [m / 1_000_000 for m in micros]
+        assert threshold_sweep(positions_of(sets_), fractions) == pair_loop_sweep(sets_, fractions)
+
+    def test_counts_columns_not_pairs(self, monkeypatch):
+        # the mean comes from column one-counts; no pair goes through the count kernel
+        def no_pairs(*rows):
+            raise AssertionError("threshold_sweep compared rows pairwise")
+
+        monkeypatch.setattr(similarity, "bit_counts", no_pairs)
+        rng = np.random.default_rng(6)
+        sets_ = [biased_matrix(rng, int(rng.integers(1, 40)), 5) for _ in range(6)]
+        fractions = [0.0, 0.05, 0.3, 1.2]
         assert threshold_sweep(positions_of(sets_), fractions) == pair_loop_sweep(sets_, fractions)
 
     def test_bad_width_names_the_position(self):

@@ -73,6 +73,12 @@ class TestThresholdMaterialization:
         with pytest.raises(ConfigError, match=message):
             threshold_count(micro, count)
 
+    def test_four_digit_fractions_round_to_whole_micro_units(self):
+        # 115 of these products fall just below a whole number: 0.0157 * 10**6 is 15699.99...
+        assert fraction_to_micro(0.0157) == 15_700
+        assert [fraction_to_micro(d / 10_000) for d in range(10_000)] == [
+            100 * d for d in range(10_000)]
+
     def test_bad_fractions(self):
         with pytest.raises(ConfigError):
             fraction_to_micro(-0.1)

@@ -1,5 +1,6 @@
 """Matcher tests: minimum-distance prediction, tie-breaks, oracle agreement."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from bicsi.fingerprint import db_to_bytes
 from bicsi.matcher import match_trace
 from bicsi.similarity import MetricKind
 
-from conftest import fingerprint_db, gs, reference_distance, rows_of
+from conftest import fingerprint_db, gs, reference_distance, reference_key, rows_of
 
 
 def entry(label, coord, *pairs):
@@ -41,18 +42,17 @@ def random_entries(rng, bits) -> list:
 
 def brute_force_match(ps, entries, kind=MetricKind.HAMMING):
     """Independent exhaustive scan of the test's own (label, coord, sets)
-    entries under the per-pair bit-list reference distance."""
-    per_entry = []
+    entries: the label of the earliest entry of lowest exact reference key,
+    and the best float reference distance and runner-up margin over the
+    entries."""
+    keys, floats = [], []
     for _, _, sets in entries:
-        best = math.inf
-        for pair in sets:
-            for anc in pair:
-                best = min(best, reference_distance(kind, anc, ps))
-        per_entry.append(best)
-    best_idx = per_entry.index(min(per_entry))
-    others = [d for i, d in enumerate(per_entry) if i != best_idx]
-    margin = (min(others) - per_entry[best_idx]) if others else math.inf
-    return entries[best_idx][0], per_entry[best_idx], margin
+        ancestors = [anc for pair in sets for anc in pair]
+        keys.append(min(reference_key(kind, anc, ps) for anc in ancestors))
+        floats.append(min(reference_distance(kind, anc, ps) for anc in ancestors))
+    ranked = sorted(floats)
+    margin = ranked[1] - ranked[0] if len(ranked) > 1 else math.inf
+    return entries[keys.index(min(keys))][0], ranked[0], margin
 
 
 class TestMatchOne:
@@ -277,3 +277,88 @@ class TestWithinEntryOrder:
         parents = GeneMatrix.concat(bits() for _ in range(int(rng.integers(1, 7))))
         assert (match_trace(parents, db_of(k, *entries), kind)
                 == match_trace(parents, db_of(k, *shuffled), kind))
+
+
+def counted_row(on, off, m: int, nb: int) -> list:
+    """A bit list with ``nb`` ones, ``m`` of them at indices ``on`` (the
+    window's ones) and the rest at indices ``off`` (its zeros)."""
+    bits = [0] * (len(on) + len(off))
+    for i in list(on[:m]) + list(off[:nb - m]):
+        bits[i] = 1
+    return bits
+
+
+@functools.cache
+def tie_classes(kind) -> tuple:
+    """Every class of two or more (m, nb) count pairs that score exactly
+    alike against a window of ``ones`` ones in ``n`` bits, n up to 20, as
+    (n, ones, pairs). A row's cosine or Pearson depends only on its ones nb
+    and the ones m it shares with the window. Returns the classes whose
+    reference_distance floats differ, then all of them."""
+    split, tied = [], []
+    for n in range(2, 21, 2):
+        for ones in range(n + 1):
+            on, off, window = range(ones), range(ones, n), [1] * ones + [0] * (n - ones)
+            classes = {}
+            for nb in range(n + 1):
+                for m in range(max(0, nb - len(off)), min(nb, ones) + 1):
+                    row = counted_row(on, off, m, nb)
+                    classes.setdefault(reference_key(kind, row, window), []).append(
+                        (m, nb, reference_distance(kind, row, window)))
+            for members in classes.values():
+                if len(members) > 1:
+                    pairs = [(m, nb) for m, nb, _ in members]
+                    tied.append((n, ones, pairs))
+                    if len({dist for _, _, dist in members}) > 1:
+                        split.append(tied[-1])
+    return split, tied
+
+
+@st.composite
+def tied_databases(draw, kind):
+    """A one-window GeneMatrix and (label, coord, sets) entries whose rows,
+    but for those of one optional free entry, score exactly alike against
+    it; half the time from a class whose floats round apart."""
+    n, ones, pairs = draw(st.one_of(*map(st.sampled_from, tie_classes(kind))))
+    window = draw(st.permutations([1] * ones + [0] * (n - ones)))
+    on = [i for i, bit in enumerate(window) if bit]
+    off = [i for i, bit in enumerate(window) if not bit]
+
+    def row():
+        m, nb = draw(st.sampled_from(pairs))
+        return rows_of(counted_row(draw(st.permutations(on)), draw(st.permutations(off)), m, nb))
+
+    entries = [entry(f"e{i}", (float(i), 0.0), (row(), row()))
+               for i in range(draw(st.integers(2, 5)))]
+    if draw(st.booleans()):  # a free entry, which may score better, worse or alike
+        free = [rows_of(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+                for _ in range(2)]
+        entries.insert(draw(st.integers(0, len(entries))), entry("free", (9.0, 9.0), free))
+    return rows_of(window), entries
+
+
+class TestExactTies:
+    """Exactly equal cosines and Pearsons may round apart; the earliest
+    entry still wins."""
+
+    def test_cosine_of_one_over_root_three(self):
+        # a 3-ones window; 3 of 9 ones shared and 1 of 1 both give 1/sqrt(3)
+        window = [1] * 3 + [0] * 13
+        nine = counted_row([0, 1, 2], list(range(3, 16)), 3, 9)
+        one = counted_row([0, 1, 2], list(range(3, 16)), 1, 1)
+        db = db_of(8, entry("nine", (0.0, 0.0), (rows_of(nine),) * 2),
+                   entry("one", (1.0, 0.0), (rows_of(one),) * 2))
+        result = match_trace(rows_of(window), db, MetricKind.COSINE)[0]
+        assert result.predicted_label == "nine"
+        assert result.best_distance == min(reference_distance(MetricKind.COSINE, row, window)
+                                           for row in (nine, one))
+
+    @pytest.mark.parametrize("kind", [MetricKind.COSINE, MetricKind.PEARSON])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_picks_agree_with_fractions(self, kind, data):
+        window, entries = data.draw(tied_databases(kind))
+        result = match_trace(window, db_of(window.bit_length // 2, *entries), kind)[0]
+        label, dist, margin = brute_force_match(window, entries, kind)
+        assert (result.predicted_label, result.best_distance, result.runner_up_margin) == (
+            label, dist, margin)
