@@ -34,6 +34,7 @@ from .errors import (
     LengthMismatchError,
 )
 from .ioutil import atomic_write_bytes
+from .similarity import popcount
 
 DB_MAGIC = b"BFPD"
 DB_VERSION = 1
@@ -87,9 +88,11 @@ class FingerprintDb:
     ``ancestors`` holds every ancestor as one packed GeneMatrix in file
     order: a position's rows are contiguous, each of its sets a first
     ancestor followed by its second (open columns hold 1 in the first and 0
-    in the second). ``starts`` is each position's first row, computed once
-    here. ``threshold_micro`` records the threshold used during training as
-    a fraction of the training size, in micro-units (the serialized form).
+    in the second). ``starts`` is each position's first row and
+    ``ancestor_ones`` each ancestor row's one-count, both computed once here
+    and read-only. ``threshold_micro`` records the threshold used during
+    training as a fraction of the training size, in micro-units (the
+    serialized form).
     """
 
     threshold_micro: int
@@ -98,6 +101,7 @@ class FingerprintDb:
     set_counts: tuple
     ancestors: GeneMatrix
     starts: np.ndarray = field(init=False, repr=False, compare=False)
+    ancestor_ones: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.threshold_micro <= 0xFFFFFFFF:
@@ -117,9 +121,11 @@ class FingerprintDb:
             raise LengthMismatchError(
                 f"{len(self.ancestors)} ancestor rows, the set counts need {2 * sum(counts)}")
         starts = 2 * np.cumsum((0,) + counts, dtype=np.intp)[:-1]
-        starts.setflags(write=False)
+        ancestor_ones = popcount(self.ancestors.packed)
+        for array in (starts, ancestor_ones):
+            array.setflags(write=False)
         for name, value in (("labels", labels), ("coords", tuple(coords)), ("set_counts", counts),
-                            ("starts", starts)):
+                            ("starts", starts), ("ancestor_ones", ancestor_ones)):
             object.__setattr__(self, name, value)
 
     @property
@@ -215,11 +221,23 @@ def windows(gm: GeneMatrix, size: int = DEFAULT_WINDOW_SIZE) -> GeneMatrix:
     row per window; a trace shorter than half a window gives zero rows.
 
     Each parent is the column majority of its window, exact ties giving 1.
+    A window of at most 255 rows is one lane run of :func:`_column_counts`,
+    so its majority is read from the uint64 lane sums as ones >= ceil(len/2).
     """
-    slices = window_slices(len(gm), size)
-    ones = _column_counts(gm, size)[: len(slices)]  # a short tail group may be dropped
-    lengths = np.array([hi - lo for lo, hi in slices], dtype=np.int64)
-    return GeneMatrix._pack(2 * ones >= lengths[:, None])
+    check_window_size(size)
+    if size > 255:  # only the widened counts are exact past one lane run
+        slices = window_slices(len(gm), size)
+        ones = _column_counts(gm, size)[: len(slices)]  # a short tail group may be dropped
+        lengths = np.array([hi - lo for lo, hi in slices], dtype=np.int64)
+        return GeneMatrix._pack(2 * ones >= lengths[:, None])
+    lanes = np.unpackbits(gm.packed, axis=1).view(np.uint64)
+    full, rem = divmod(len(lanes), size)
+    bits = (lanes[: full * size].reshape(full, size, lanes.shape[1]).sum(axis=1)
+            .view(np.uint8) >= (size + 1) // 2)
+    if rem and 2 * rem >= size:  # the tail window that window_slices keeps
+        tail = lanes[full * size:].sum(axis=0).view(np.uint8) >= (rem + 1) // 2
+        bits = np.concatenate([bits, tail[None]])
+    return GeneMatrix._pack(bits[:, : gm.bit_length])
 
 
 def build_db(positions, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) -> FingerprintDb:

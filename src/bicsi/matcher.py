@@ -3,9 +3,10 @@
 Every ancestor of every set of every position competes; the position owning
 the globally closest ancestor wins. A trace's parents arrive as one packed
 :class:`~bicsi.encoding.GeneMatrix`, a row per window, and are matched in
-one batch: one count-kernel call gives the (windows x ancestors) distances
-against the database's ancestor rows, as stored, and one reduction takes
-each position's minimum over its contiguous rows. Row order within a
+one batch: the windows' one-counts and their (windows x ancestors) shared
+ones, with the ancestor one-counts the database keeps, give every distance
+against the ancestor rows, as stored, and one reduction takes each
+position's minimum over its contiguous rows. Row order within a
 position cannot change its minimum, and a tie between positions keeps the
 earliest, so results are reproducible across platforms. Cosine and Pearson
 ties are compared exactly, from integer counts, since equal scores can
@@ -19,7 +20,7 @@ import numpy as np
 from .encoding import GeneMatrix
 from .errors import EmptyInputError, LengthMismatchError
 from .fingerprint import FingerprintDb
-from .similarity import MetricKind, bit_counts, distances
+from .similarity import MetricKind, bit_counts, check_kind, count_distances, popcount
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,11 @@ def match_trace(parents: GeneMatrix, db: FingerprintDb,
     if parents.bit_length != 2 * db.subcarrier_count:
         raise LengthMismatchError(f"parent sequences have {parents.bit_length} bits, "
                                   f"database stores {2 * db.subcarrier_count}")
-    dist = distances(kind, parents.packed[:, None], db.ancestors.packed, parents.bit_length)
+    check_kind(kind)
+    # the database counted its ancestors' ones; only the window side is counted here
+    packed = parents.packed
+    dist = count_distances(kind, popcount(packed)[:, None], db.ancestor_ones,
+                           popcount(packed[:, None] & db.ancestors.packed), parents.bit_length)
     entry_best = np.minimum.reduceat(dist, db.starts, axis=1)
     best = entry_best.argmin(axis=1)  # the first index on a tie: the earliest entry wins
     if kind in (MetricKind.COSINE, MetricKind.PEARSON):
@@ -87,7 +92,7 @@ def _exact_score(kind: MetricKind, n: int, na: int, nb: int, m: int):
     """s·|s| of the cosine or Pearson s of two n-bit rows with na and nb ones,
     m shared, as a fraction of Python ints: cosine m² / (na·nb), Pearson
     c·|c| / var with c = n·m − na·nb. It orders rows as s does, and the
-    degenerate cases are those of :func:`~bicsi.similarity.distances`."""
+    degenerate cases are those of :func:`~bicsi.similarity.count_distances`."""
     from fractions import Fraction  # here: every CLI start loads this module
 
     if kind is MetricKind.COSINE:

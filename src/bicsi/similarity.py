@@ -1,10 +1,13 @@
 """Distance and similarity measures over packed gene-sequence rows.
 
 All six measures are closed forms in (ones in a, ones in b, ones in a & b,
-bit length), and bits are counted in one place: :func:`bit_counts`, a
-popcount over packed ``uint8`` rows that broadcasts, so one call compares
-every window with every ancestor. :func:`distances` maps any kind onto a
-lower-is-better scale, so the matcher never branches on metric semantics.
+bit length), and bits are counted in one place: :func:`popcount` over
+packed ``uint8`` rows. :func:`bit_counts` takes all three counts at once and
+broadcasts, so one call compares every window with every ancestor; a
+database counts its ancestors' ones once, when it is built.
+:func:`count_distances` maps the counts of any kind onto a lower-is-better
+scale, so the matcher never branches on metric semantics; :func:`distances`
+counts the bits of two row sets first.
 On 0/1 vectors Manhattan equals Hamming (the primary measure) and Euclidean
 is its square root, so those three kinds always rank candidates identically.
 """
@@ -34,26 +37,41 @@ class MetricKind(enum.Enum):
             raise ConfigError(f"unknown metric {name!r}; valid metrics: {valid}") from None
 
 
+def popcount(rows: np.ndarray) -> np.ndarray:
+    """int64 count of the ones in each packed ``uint8`` row, over the last axis."""
+    return np.add.reduce(np.bitwise_count(rows), axis=-1, dtype=np.int64)
+
+
 def bit_counts(a: np.ndarray, b: np.ndarray) -> tuple:
     """(ones in a, ones in b, ones in a & b) over the last axis of packed
     ``uint8`` rows; the leading axes broadcast like ``a & b``."""
-    return (np.add.reduce(np.bitwise_count(a), axis=-1, dtype=np.int64),
-            np.add.reduce(np.bitwise_count(b), axis=-1, dtype=np.int64),
-            np.add.reduce(np.bitwise_count(a & b), axis=-1, dtype=np.int64))
+    return popcount(a), popcount(b), popcount(a & b)
+
+
+def check_kind(kind) -> None:
+    """Reject anything but a :class:`MetricKind`; callers run this before
+    they count a bit."""
+    if not isinstance(kind, MetricKind):
+        raise ConfigError(f"unsupported metric kind: {kind!r}")
 
 
 def distances(kind: MetricKind, a: np.ndarray, b: np.ndarray, bit_length: int) -> np.ndarray:
-    """Lower-is-better float64 distances between packed rows (see :func:`bit_counts`).
+    """Lower-is-better float64 distances between packed rows (see
+    :func:`bit_counts` and :func:`count_distances`)."""
+    check_kind(kind)
+    return count_distances(kind, *bit_counts(a, b), bit_length)
+
+
+def count_distances(kind: MetricKind, na, nb, m11, n: int) -> np.ndarray:
+    """Lower-is-better float64 distances of ``kind`` between n-bit rows with
+    na and nb ones, m11 of them shared; the int64 counts broadcast.
 
     Hamming and Manhattan are the differing-bit count and Euclidean its
     square root; similarities map as 1 - cosine, 1 - jaccard and
     (1 - pearson) / 2, so zero always means a perfect match and all outputs
     are non-negative.
     """
-    if not isinstance(kind, MetricKind):
-        raise ConfigError(f"unsupported metric kind: {kind!r}")
-    na, nb, m11 = bit_counts(a, b)
-    n = bit_length
+    check_kind(kind)
     if kind in (MetricKind.HAMMING, MetricKind.MANHATTAN, MetricKind.EUCLIDEAN):
         differ = np.asarray(na + nb - 2 * m11, dtype=np.float64)
         return np.sqrt(differ) if kind is MetricKind.EUCLIDEAN else differ

@@ -1,10 +1,14 @@
 """Ancestor derivation, windowing and database serialization tests."""
 
+import struct
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicsi import evaluation
 from bicsi.encoding import GeneMatrix
 from bicsi.errors import (
     ConfigError,
@@ -235,6 +239,8 @@ class TestWindows:
         (1200, 511),  # a dropped tail of 178
         (1399, 700),  # one window and a kept tail of 699
         (254, 255),   # only the tail window
+        (301, 120),   # 2 windows and an odd kept tail of 61
+        (120, 120),   # one whole window
         (0, 700),     # a zero-row trace
     ])
     @pytest.mark.parametrize("k", [3, 37])
@@ -432,27 +438,31 @@ class TestDbCorruption:
             db_from_bytes(bytes(buf[:-1]))
 
 
+def multi_set_v1() -> tuple:
+    """A two-entry database with three ancestor sets at k = 5, and its v1
+    file packed field by field from the format table."""
+    # k = 5: 10 bits in 2 bytes, packed MSB-first, 6 zero padding bits
+    seqs = {"1111111111": b"\xff\xc0", "1010101010": b"\xaa\x80",
+            "0000000001": b"\x00\x40", "0000000000": b"\x00\x00",
+            "1000000010": b"\x80\x80", "0100000000": b"\x40\x00"}
+    s = {bits: gs(bits) for bits in seqs}
+    db = fingerprint_db(5, [
+        ("a1", (1.5, -2.0), [(s["1111111111"], s["1010101010"]),
+                             (s["0000000001"], s["0000000000"])]),
+        ("é", (0.0, 3.25), [(s["1000000010"], s["0100000000"])]),
+    ], 50000)
+    return db, (
+        struct.pack("<4sBHII", b"BFPD", 1, 5, 50000, 2)
+        + struct.pack("<H", 2) + b"a1" + struct.pack("<dd", 1.5, -2.0) + struct.pack("<H", 2)
+        + b"\xff\xc0" + b"\xaa\x80" + b"\x00\x40" + b"\x00\x00"
+        + struct.pack("<H", 2) + b"\xc3\xa9" + struct.pack("<dd", 0.0, 3.25)
+        + struct.pack("<H", 1) + b"\x80\x80" + b"\x40\x00"
+    )
+
+
 class TestDbBytes:
     def test_multi_set_db_matches_the_format_table(self):
-        import struct
-
-        # k = 5: 10 bits in 2 bytes, packed MSB-first, 6 zero padding bits
-        seqs = {"1111111111": b"\xff\xc0", "1010101010": b"\xaa\x80",
-                "0000000001": b"\x00\x40", "0000000000": b"\x00\x00",
-                "1000000010": b"\x80\x80", "0100000000": b"\x40\x00"}
-        s = {bits: gs(bits) for bits in seqs}
-        db = fingerprint_db(5, [
-            ("a1", (1.5, -2.0), [(s["1111111111"], s["1010101010"]),
-                                 (s["0000000001"], s["0000000000"])]),
-            ("é", (0.0, 3.25), [(s["1000000010"], s["0100000000"])]),
-        ], 50000)
-        expected = (
-            struct.pack("<4sBHII", b"BFPD", 1, 5, 50000, 2)
-            + struct.pack("<H", 2) + b"a1" + struct.pack("<dd", 1.5, -2.0) + struct.pack("<H", 2)
-            + b"\xff\xc0" + b"\xaa\x80" + b"\x00\x40" + b"\x00\x00"
-            + struct.pack("<H", 2) + b"\xc3\xa9" + struct.pack("<dd", 0.0, 3.25)
-            + struct.pack("<H", 1) + b"\x80\x80" + b"\x40\x00"
-        )
+        db, expected = multi_set_v1()
         assert db_to_bytes(db) == expected
         assert db_from_bytes(expected) == db
 
@@ -510,3 +520,59 @@ class TestFingerprintDbRecord:
                 for anc in reference_ancestors(seqs, threshold_count(200000, 20))]
         assert db.ancestors == GeneMatrix.concat(rows)
         assert db.set_counts == (1, 1, 1) and db.starts.tolist() == [0, 2, 4]
+
+
+def session_join(monkeypatch) -> FingerprintDb:
+    """The database temporal_eval joins from the single-set databases of two
+    sessions: each position's two sets, in session order."""
+    rng = np.random.default_rng(9)
+    dbs = [build_db([(f"p{i}", (float(i), 0.0), random_sequences(rng, 12, 5)) for i in range(3)])
+           for _ in range(2)]
+    joined, evaluate = [], evaluation.evaluate_windows
+
+    def capture(db, *args):
+        joined.append(db)
+        return evaluate(db, *args)
+
+    monkeypatch.setattr(evaluation, "evaluate_windows", capture)
+    test = evaluation.LabeledWindows(dbs[1].ancestors, ("p0", "p0", "p1", "p1", "p2", "p2"),
+                                     ((0, 0),) * 2 + ((1, 0),) * 2 + ((2, 0),) * 2)
+    evaluation.temporal_eval(dbs, [test, test])
+    assert joined[-1].set_counts == (2, 2, 2)
+    return joined[-1]
+
+
+def replaced_ancestors(monkeypatch) -> FingerprintDb:
+    """``dataclasses.replace`` of a built database's ancestors: the new
+    database must count its own rows, not keep the old counts."""
+    rng = np.random.default_rng(10)
+    db = build_db([(f"p{i}", (float(i), 0.0), random_sequences(rng, 12, 5)) for i in range(3)])
+    ancestors = rows_of(1 - unpack_rows(db.ancestors))
+    assert (unpack_rows(ancestors).sum(axis=1) != db.ancestor_ones).any()
+    return replace(db, ancestors=ancestors)
+
+
+DB_MAKERS = {
+    "build_db": lambda mp: build_db([(f"p{i}", (float(i), 0.0),
+                                      random_sequences(np.random.default_rng(i), 7, 9))
+                                     for i in range(4)], 0.2),
+    "db_from_bytes": lambda mp: db_from_bytes(multi_set_v1()[1]),
+    "temporal_eval": session_join,
+    "replace": replaced_ancestors,
+    "fingerprint_db": lambda mp: multi_set_v1()[0],
+}
+
+
+@pytest.mark.parametrize("made_by", sorted(DB_MAKERS))
+def test_ancestor_ones_are_counted_once_per_database(made_by, monkeypatch):
+    db = DB_MAKERS[made_by](monkeypatch)
+    ones = db.ancestor_ones
+    assert ones.dtype == np.int64
+    assert ones.tolist() == unpack_rows(db.ancestors).sum(axis=1).tolist()
+    assert not ones.flags.writeable
+    # derived from the ancestors: the caller never passes it, == and repr skip it
+    assert not {f.name: f for f in fields(FingerprintDb)}["ancestor_ones"].init
+    twin = replace(db)
+    object.__setattr__(twin, "ancestor_ones", ones + 1)
+    assert twin == db and repr(twin) == repr(db)
+    assert "ancestor_ones" not in repr(db)

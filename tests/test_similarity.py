@@ -13,7 +13,7 @@ from hypothesis import given
 
 from bicsi.encoding import GeneMatrix
 from bicsi.errors import ConfigError
-from bicsi.similarity import MetricKind, distances
+from bicsi.similarity import MetricKind, count_distances, distances
 
 from conftest import (
     gene_sequences,
@@ -202,3 +202,8 @@ class TestMetricKind:
     def test_parse_unknown_lists_valid_names(self):
         with pytest.raises(ConfigError, match="hamming.*jaccard"):
             MetricKind.parse("chebyshev")
+
+    def test_counts_of_a_bad_kind_are_refused(self):
+        one = np.ones(1, dtype=np.int64)
+        with pytest.raises(ConfigError, match="^unsupported metric kind: 'jaccard'$"):
+            count_distances("jaccard", one, one, one, 2)
