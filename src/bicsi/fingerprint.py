@@ -137,23 +137,29 @@ class FingerprintDb:
         return self.threshold_micro / MICRO_UNITS
 
 
-def _column_counts(gm: GeneMatrix, size: int) -> np.ndarray:
-    """One-count of every bit column over consecutive groups of ``size`` rows,
-    the last group holding any rows left over: int64 ``(groups, bit_length)``.
+def _run_counts(packed: np.ndarray) -> np.ndarray:
+    """uint8 one-count of every bit column over axis -2 of at most 255 packed
+    ``uint8`` rows; leading axes are groups.
 
     Each unpacked bit is a byte lane of a uint64 word, so one word add counts
-    eight columns; a lane holds at most 255, so groups are summed 255 rows at
-    a time and the lanes widened between runs.
+    eight columns; a lane holds at most 255, hence the run length.
     """
-    lanes = np.unpackbits(gm.packed, axis=1).view(np.uint64)
-    full = len(lanes) // size
-    counts = np.zeros((-(-len(lanes) // size), 8 * lanes.shape[1]), dtype=np.int64)
-    grouped = lanes[: full * size].reshape(full, size, lanes.shape[1])
+    return np.unpackbits(packed, axis=-1).view(np.uint64).sum(axis=-2).view(np.uint8)
+
+
+def _column_counts(gm: GeneMatrix, size: int) -> np.ndarray:
+    """One-count of every bit column over consecutive groups of ``size`` rows,
+    the last group holding any rows left over: int64 ``(groups, bit_length)``,
+    summed one :func:`_run_counts` run of 255 rows at a time."""
+    packed = gm.packed
+    full = len(packed) // size
+    counts = np.zeros((-(-len(packed) // size), 8 * packed.shape[1]), dtype=np.int64)
+    grouped = packed[: full * size].reshape(full, size, packed.shape[1])
     for lo in range(0, size if full else 0, 255):
-        counts[:full] += grouped[:, lo:lo + 255].sum(axis=1).view(np.uint8)
-    tail = lanes[full * size:]
+        counts[:full] += _run_counts(grouped[:, lo:lo + 255])
+    tail = packed[full * size:]
     for lo in range(0, len(tail), 255):
-        counts[full] += tail[lo:lo + 255].sum(axis=0).view(np.uint8)
+        counts[full] += _run_counts(tail[lo:lo + 255])
     return counts[:, : gm.bit_length]
 
 
@@ -221,8 +227,8 @@ def windows(gm: GeneMatrix, size: int = DEFAULT_WINDOW_SIZE) -> GeneMatrix:
     row per window; a trace shorter than half a window gives zero rows.
 
     Each parent is the column majority of its window, exact ties giving 1.
-    A window of at most 255 rows is one lane run of :func:`_column_counts`,
-    so its majority is read from the uint64 lane sums as ones >= ceil(len/2).
+    A window of at most 255 rows is one :func:`_run_counts` run, so its
+    majority is read from the uint8 lane sums as ones >= ceil(len/2).
     """
     check_window_size(size)
     if size > 255:  # only the widened counts are exact past one lane run
@@ -230,12 +236,12 @@ def windows(gm: GeneMatrix, size: int = DEFAULT_WINDOW_SIZE) -> GeneMatrix:
         ones = _column_counts(gm, size)[: len(slices)]  # a short tail group may be dropped
         lengths = np.array([hi - lo for lo, hi in slices], dtype=np.int64)
         return GeneMatrix._pack(2 * ones >= lengths[:, None])
-    lanes = np.unpackbits(gm.packed, axis=1).view(np.uint64)
-    full, rem = divmod(len(lanes), size)
-    bits = (lanes[: full * size].reshape(full, size, lanes.shape[1]).sum(axis=1)
-            .view(np.uint8) >= (size + 1) // 2)
+    packed = gm.packed
+    full, rem = divmod(len(packed), size)
+    grouped = packed[: full * size].reshape(full, size, packed.shape[1])
+    bits = _run_counts(grouped) >= (size + 1) // 2
     if rem and 2 * rem >= size:  # the tail window that window_slices keeps
-        tail = lanes[full * size:].sum(axis=0).view(np.uint8) >= (rem + 1) // 2
+        tail = _run_counts(packed[full * size:]) >= (rem + 1) // 2
         bits = np.concatenate([bits, tail[None]])
     return GeneMatrix._pack(bits[:, : gm.bit_length])
 

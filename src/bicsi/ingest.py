@@ -98,9 +98,6 @@ class AmplitudeMatrix:
 
     data: np.ndarray
     subcarrier_mask: tuple
-    # the last mask tuple accepted, held so its id cannot pass to another
-    # object: that same tuple skips the per-entry type scan, nothing else
-    _accepted_mask = ()
 
     def __post_init__(self):
         data = np.asarray(self.data).view()  # a view: the caller's array stays writable
@@ -112,12 +109,10 @@ class AmplitudeMatrix:
             raise DataDomainError("amplitudes must be non-negative")
         mask = self.subcarrier_mask
         # a tuple of exact ints, what build_matrix makes, passes as it is
-        if mask is not type(self)._accepted_mask and (
-                type(mask) is not tuple or list(map(type, mask)).count(int) != len(mask)):
+        if type(mask) is not tuple or list(map(type, mask)).count(int) != len(mask):
             mask = _mask_tuple(mask)
         if len(mask) != data.shape[1]:
             raise ValueError("subcarrier_mask length must equal the column count")
-        type(self)._accepted_mask = mask
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "subcarrier_mask", mask)

@@ -20,7 +20,7 @@ import numpy as np
 from .encoding import GeneMatrix
 from .errors import EmptyInputError, LengthMismatchError
 from .fingerprint import FingerprintDb
-from .similarity import MetricKind, bit_counts, check_kind, count_distances, popcount
+from .similarity import MetricKind, check_kind, count_distances, popcount
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,12 @@ def match_trace(parents: GeneMatrix, db: FingerprintDb,
     check_kind(kind)
     # the database counted its ancestors' ones; only the window side is counted here
     packed = parents.packed
-    dist = count_distances(kind, popcount(packed)[:, None], db.ancestor_ones,
-                           popcount(packed[:, None] & db.ancestors.packed), parents.bit_length)
+    ones, shared = popcount(packed), popcount(packed[:, None] & db.ancestors.packed)
+    dist = count_distances(kind, ones[:, None], db.ancestor_ones, shared, parents.bit_length)
     entry_best = np.minimum.reduceat(dist, db.starts, axis=1)
     best = entry_best.argmin(axis=1)  # the first index on a tie: the earliest entry wins
     if kind in (MetricKind.COSINE, MetricKind.PEARSON):
-        _break_ties_exactly(best, dist, parents, db, kind)
+        _break_ties_exactly(best, dist, ones, shared, parents.bit_length, db, kind)
     # the runner-up is the second-smallest entry distance (equal to the best on a tie)
     ranked = np.sort(entry_best, axis=1)
     margins = (ranked[:, 1] if len(db.labels) > 1 else np.inf) - ranked[:, 0]
@@ -72,19 +72,21 @@ def match_trace(parents: GeneMatrix, db: FingerprintDb,
     ]
 
 
-def _break_ties_exactly(best, dist, parents: GeneMatrix, db: FingerprintDb,
+def _break_ties_exactly(best, dist, ones, shared, n: int, db: FingerprintDb,
                         kind: MetricKind) -> None:
     """Exactly equal cosines or Pearsons can round a few units of 2**-53
     apart, so the float minimum need not be the earliest tied entry. Where a
     window's rows within 2**-40 of its minimum belong to more than one entry,
-    those rows are ranked again by :func:`_exact_score`, and ``best`` takes
+    those rows are ranked again by :func:`_exact_score` from the counts
+    :func:`match_trace` took (the windows' ``ones``, their ``shared`` ones
+    with each ancestor, the database's ancestor ones), and ``best`` takes
     the earliest entry owning a row of the highest."""
     owner = np.repeat(np.arange(len(db.labels)), 2 * np.asarray(db.set_counts))
     near = dist <= dist.min(axis=1, keepdims=True) + 2.0**-40
     for w in np.flatnonzero(np.logical_or.reduceat(near, db.starts, axis=1).sum(axis=1) > 1):
         rows = np.flatnonzero(near[w])
-        na, nbs, ms = (x.tolist() for x in bit_counts(parents.packed[w], db.ancestors.packed[rows]))
-        scores = [_exact_score(kind, parents.bit_length, na, nb, m) for nb, m in zip(nbs, ms)]
+        na, nbs, ms = int(ones[w]), db.ancestor_ones[rows].tolist(), shared[w, rows].tolist()
+        scores = [_exact_score(kind, n, na, nb, m) for nb, m in zip(nbs, ms)]
         best[w] = owner[rows[scores.index(max(scores))]]
 
 
