@@ -3,7 +3,9 @@ temporal.
 
 Every command is a batch operation, deterministic given its flags, input
 files and seed. Exit codes: 0 success, 1 runtime/data error, 2 usage or
-configuration error.
+configuration error. The study harnesses, ``evaluation`` and ``synth``, are
+imported inside the commands that call them, so ``train`` and ``match`` load
+neither.
 """
 
 import functools
@@ -15,21 +17,6 @@ import click
 
 from .encoding import encode_matrix
 from .errors import BicsiError, ConfigError, EmptyInputError, TraceParseError
-from .evaluation import (
-    LabeledTrace,
-    LabeledWindows,
-    check_session_positions,
-    evaluate_windows,
-    format_comparison_table,
-    format_report_table,
-    metric_comparison,
-    report_to_json,
-    reports_to_json,
-    sweep_to_csv,
-    temporal_eval,
-    temporal_to_csv,
-    threshold_sweep,
-)
 from .fingerprint import (
     DEFAULT_THRESHOLD_FRACTION,
     DEFAULT_WINDOW_SIZE,
@@ -117,6 +104,8 @@ def _load_positions(manifest: Path, fmt: str, flt: SubcarrierFilter):
 
 
 def _load_labeled_traces(manifest: Path, fmt: str, flt: SubcarrierFilter):
+    from .evaluation import LabeledTrace
+
     for label, coord, trace_path in _read_manifest(manifest):
         yield LabeledTrace(matrix=build_matrix(load_trace(trace_path, fmt), flt),
                            true_label=label, true_coord=coord, path=str(trace_path))
@@ -247,6 +236,8 @@ def match(db_path, trace, metric, out_json, window, filter_file, fmt):
 @_friendly
 def eval_cmd(db_path, manifest, metric, out_path, window, filter_file, fmt):
     """Evaluate labeled test traces and write the aggregate report."""
+    from .evaluation import LabeledWindows, evaluate_windows, format_report_table, report_to_json
+
     check_window_size(window)  # a bad window fails before any file is read
     db = load_db(db_path)
     traces = _load_labeled_traces(manifest, fmt, _filter_from(filter_file))
@@ -268,6 +259,8 @@ def eval_cmd(db_path, manifest, metric, out_path, window, filter_file, fmt):
 @_friendly
 def sweep(manifest, fractions, out_csv, filter_file, fmt):
     """Sweep the ancestor threshold and report mean fingerprint distances."""
+    from .evaluation import sweep_to_csv, threshold_sweep
+
     grid = _parse_fraction_range(fractions)
     rows = threshold_sweep(_load_positions(manifest, fmt, _filter_from(filter_file)), grid)
     atomic_write_text(out_csv, sweep_to_csv(rows))
@@ -290,6 +283,9 @@ def sweep(manifest, fractions, out_csv, filter_file, fmt):
 @_friendly
 def compare_metrics(db_path, manifest, metrics, out_json, window, filter_file, fmt):
     """Evaluate the same windows under several metrics side by side."""
+    from .evaluation import (LabeledWindows, format_comparison_table, metric_comparison,
+                             reports_to_json)
+
     kinds = [MetricKind.parse(name) for name in metrics.split(",") if name.strip()]
     if not kinds:
         raise ConfigError(f"--metrics {metrics!r} names no metric; "
@@ -318,6 +314,9 @@ def compare_metrics(db_path, manifest, metrics, out_json, window, filter_file, f
 @_friendly
 def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, filter_file, fmt):
     """Accuracy versus the number of training sessions' ancestor sets."""
+    from .evaluation import (LabeledWindows, check_session_positions, temporal_eval,
+                             temporal_to_csv)
+
     fraction_to_micro(threshold_fraction)  # a bad fraction fails before any trace is read
     check_window_size(window)  # a bad window fails before any file is read
     flt = _filter_from(filter_file)
@@ -372,7 +371,6 @@ def synth(out_dir, positions, subcarriers, train_packets, test_packets, amplitud
           amplitude_hi, profile_separation, noise_sigma, burst_rate, burst_magnitude,
           drift_sigma, sessions, seed, force):
     """Generate a seeded synthetic dataset with train/test manifests."""
-    # imported here, so that no other command loads the generator
     from .synth import SynthConfig, check_split, drift_sessions, generate, write_dataset
 
     if sessions < 1:

@@ -24,6 +24,7 @@ from .fingerprint import (
     DEFAULT_WINDOW_SIZE,
     FingerprintDb,
     _column_counts,
+    _split_windows,
     _too_short,
     ancestor_matrices,
     check_window_size,
@@ -31,12 +32,11 @@ from .fingerprint import (
     fraction_to_micro,
     threshold_count,
     training_counts,
-    window_slices,
     windows,
 )
 from .ingest import _INT64_MAX, AmplitudeMatrix
 from .ioutil import json_text
-from .matcher import match_trace
+from .matcher import _pick, match_trace
 from .similarity import MetricKind
 
 
@@ -218,8 +218,8 @@ def threshold_sweep(positions, fractions) -> list[tuple[float, float]]:
         micro = fraction_to_micro(fraction)
         sides = ancestor_matrices(sizes, ones, [threshold_count(micro, n) for n in sizes])
         # a bit column with c ones among P rows differs in c * (P - c) row pairs
-        twice = 2 * sum(int((c * (len(sizes) - c)).sum())
-                        for gm in sides for c in _column_counts(gm, len(gm)))
+        c = _column_counts(np.stack([side.packed for side in sides]))  # a row per side
+        twice = 2 * int((c * (len(sizes) - c)).sum())
         rows.append((float(fraction), twice / 4 / pairs))
     return rows
 
@@ -268,16 +268,14 @@ def temporal_eval(dbs, tests, kind: MetricKind = MetricKind.HAMMING) -> list[tup
 
 
 def _window_sums(trace: LabeledTrace, size: int) -> np.ndarray:
-    """A trace's int64 amplitude sums, one row per ``size``-packet window and
-    one for the tail :func:`~bicsi.fingerprint.window_slices` keeps."""
-    kept = len(window_slices(trace.matrix.packet_count, size))
-    data, full = trace.matrix.data, trace.matrix.packet_count // size
+    """A trace's int64 amplitude sums, one row per window that
+    :func:`~bicsi.fingerprint.windows` makes of it."""
+    data = trace.matrix.data
     if min(size, len(data)) * int(data.max(initial=0)) > _INT64_MAX:
         raise DataDomainError(f"{trace.name}: amplitude sums could pass the int64 bound")
-    whole = data[:full * size].reshape(full, size, data.shape[1]).sum(axis=1, dtype=np.int64)
-    if kept == full:
-        return whole
-    return np.vstack([whole, data[full * size:].sum(axis=0, dtype=np.int64)])
+    whole, tail = _split_windows(data, size)
+    sums = whole.sum(axis=1, dtype=np.int64)
+    return sums if tail is None else np.vstack([sums, tail.sum(axis=0, dtype=np.int64)])
 
 
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -297,9 +295,9 @@ def _raw_picks(windows: np.ndarray, positions: np.ndarray, kind: MetricKind) -> 
     rows centred as k·x − Σx. Scaling a row by a positive number changes
     neither, so sums rank as means do. A zero row (Pearson: a constant one)
     scores 1 against a zero row and 0 against any other. Float scores from
-    the exact dot products pick, except among positions within rounding of
-    a window's best: those compare dot·|dot| / |p|² as exact fractions."""
-    from fractions import Fraction  # here: every CLI start loads this module
+    the exact dot products pick by the matcher's rule, each position an
+    entry, with dot·|dot| / |p|² as the exact keys."""
+    from fractions import Fraction  # here: only the raw baseline needs it
 
     rows = (windows, positions)
     if kind is MetricKind.PEARSON:
@@ -314,15 +312,12 @@ def _raw_picks(windows: np.ndarray, positions: np.ndarray, kind: MetricKind) -> 
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where replaced
         cosine = dots.astype(float) / (norm_w[:, None] * norm_p)
     scores = np.where(zero_w | zero_p, zero_w & zero_p, cosine)
-    picks = np.argmax(scores, axis=1)
-    # exactly equal cosines round at most a few units of 2**-53 apart
-    near = scores >= scores.max(axis=1, keepdims=True) - 2.0**-40
-    for w in np.flatnonzero(near.sum(axis=1) > 1):
-        tied = np.flatnonzero(near[w])
-        exact = [Fraction(d * abs(d), sq or 1)  # a zero row's dot is 0
-                 for d, sq in zip(dots[w, tied].tolist(), squares[1][tied].tolist())]
-        picks[w] = tied[exact.index(max(exact))]
-    return picks
+
+    def exact(w, tied):  # a zero row's dot is 0
+        return [Fraction(d * abs(d), sq or 1)
+                for d, sq in zip(dots[w, tied].tolist(), squares[1][tied].tolist())]
+
+    return _pick(-scores, np.arange(len(positions)), exact)[0]
 
 
 def raw_baseline(training, tests, kind: MetricKind = MetricKind.COSINE,
@@ -332,7 +327,7 @@ def raw_baseline(training, tests, kind: MetricKind = MetricKind.COSINE,
     ``training`` and ``tests`` are labeled traces. Each training trace is
     one position, summed over all its packets, in entry order; each test
     trace is summed per ``window_size``-packet window with the tail rule of
-    :func:`~bicsi.fingerprint.window_slices`. No binary encoding is made.
+    :func:`~bicsi.fingerprint.windows`. No binary encoding is made.
     Only the correlation metrics make sense on raw vectors. Each window
     predicts the position of highest score, the lowest entry index among
     exactly equal scores (one sum a multiple of another), as the binary

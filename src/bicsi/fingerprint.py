@@ -147,20 +147,14 @@ def _run_counts(packed: np.ndarray) -> np.ndarray:
     return np.unpackbits(packed, axis=-1).view(np.uint64).sum(axis=-2).view(np.uint8)
 
 
-def _column_counts(gm: GeneMatrix, size: int) -> np.ndarray:
-    """One-count of every bit column over consecutive groups of ``size`` rows,
-    the last group holding any rows left over: int64 ``(groups, bit_length)``,
-    summed one :func:`_run_counts` run of 255 rows at a time."""
-    packed = gm.packed
-    full = len(packed) // size
-    counts = np.zeros((-(-len(packed) // size), 8 * packed.shape[1]), dtype=np.int64)
-    grouped = packed[: full * size].reshape(full, size, packed.shape[1])
-    for lo in range(0, size if full else 0, 255):
-        counts[:full] += _run_counts(grouped[:, lo:lo + 255])
-    tail = packed[full * size:]
-    for lo in range(0, len(tail), 255):
-        counts[full] += _run_counts(tail[lo:lo + 255])
-    return counts[:, : gm.bit_length]
+def _column_counts(packed: np.ndarray) -> np.ndarray:
+    """int64 one-count of every bit column over axis -2 of packed ``uint8``
+    rows, leading axes being groups, summed one :func:`_run_counts` run of
+    255 rows at a time."""
+    counts = np.zeros(packed.shape[:-2] + (8 * packed.shape[-1],), dtype=np.int64)
+    for lo in range(0, packed.shape[-2], 255):
+        counts += _run_counts(packed[..., lo:lo + 255, :])
+    return counts
 
 
 def training_counts(positions) -> tuple:
@@ -176,7 +170,7 @@ def training_counts(positions) -> tuple:
             raise LengthMismatchError(
                 f"{name}: {gm.bit_length} bits, expected {sets[0][1].bit_length}")
     return (np.array([len(gm) for _, gm in sets], dtype=np.int64),
-            np.concatenate([_column_counts(gm, len(gm)) for _, gm in sets]))
+            np.stack([_column_counts(gm.packed)[: gm.bit_length] for _, gm in sets]))
 
 
 def ancestor_matrices(sizes, ones, trs) -> tuple:
@@ -201,19 +195,14 @@ def check_window_size(size: int) -> None:
         raise ConfigError("window size must be >= 1")
 
 
-def window_slices(total: int, size: int) -> list[tuple[int, int]]:
-    """Consecutive non-overlapping (start, stop) windows over ``total`` items.
-
-    A trailing remainder at least half a window long is kept; anything
-    shorter is dropped.
-    """
-    check_window_size(size)
-    full = total // size
-    slices = [(i * size, (i + 1) * size) for i in range(full)]
-    rem = total - full * size
-    if rem and 2 * rem >= size:
-        slices.append((full * size, total))
-    return slices
+def _split_windows(rows: np.ndarray, size: int) -> tuple:
+    """The consecutive ``size``-row windows of ``rows`` as one ``(windows,
+    size, ...)`` view, and the rows left over as the tail window when they
+    are at least half a window long, else None: the one tail rule."""
+    full = len(rows) // size
+    tail = rows[full * size:]
+    return (rows[: full * size].reshape(full, size, *rows.shape[1:]),
+            tail if 2 * len(tail) >= size else None)
 
 
 def _too_short(owner: str, packets: int, size: int) -> EmptyInputError:
@@ -226,23 +215,17 @@ def windows(gm: GeneMatrix, size: int = DEFAULT_WINDOW_SIZE) -> GeneMatrix:
     """Parent sequences of consecutive windows of a trace's GeneMatrix, one
     row per window; a trace shorter than half a window gives zero rows.
 
-    Each parent is the column majority of its window, exact ties giving 1.
-    A window of at most 255 rows is one :func:`_run_counts` run, so its
-    majority is read from the uint8 lane sums as ones >= ceil(len/2).
+    Each parent is the column majority of its window, exact ties giving 1:
+    ones >= ceil(len/2). A window of at most 255 rows is one
+    :func:`_run_counts` run, read from the uint8 lane sums; only the widened
+    :func:`_column_counts` are exact past that.
     """
     check_window_size(size)
-    if size > 255:  # only the widened counts are exact past one lane run
-        slices = window_slices(len(gm), size)
-        ones = _column_counts(gm, size)[: len(slices)]  # a short tail group may be dropped
-        lengths = np.array([hi - lo for lo, hi in slices], dtype=np.int64)
-        return GeneMatrix._pack(2 * ones >= lengths[:, None])
-    packed = gm.packed
-    full, rem = divmod(len(packed), size)
-    grouped = packed[: full * size].reshape(full, size, packed.shape[1])
-    bits = _run_counts(grouped) >= (size + 1) // 2
-    if rem and 2 * rem >= size:  # the tail window that window_slices keeps
-        tail = _run_counts(packed[full * size:]) >= (rem + 1) // 2
-        bits = np.concatenate([bits, tail[None]])
+    count = _run_counts if size <= 255 else _column_counts
+    whole, tail = _split_windows(gm.packed, size)
+    bits = count(whole) >= (size + 1) // 2
+    if tail is not None:
+        bits = np.concatenate([bits, (count(tail) >= (len(tail) + 1) // 2)[None]])
     return GeneMatrix._pack(bits[:, : gm.bit_length])
 
 

@@ -17,6 +17,7 @@ hardware-specific.
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +180,7 @@ def _int_tier(raw: bytes) -> np.ndarray | None:
     It accepts only ASCII digits and commas in LF- or CRLF-ended rows of one
     field count with no empty field; blank lines and lines starting with
     '#' (UTF-8 text) are skipped. Anything else (a sign, a point, a space, a
-    lone CR) and a value at the int64 bound give None.
+    lone CR) and a value past the int64 maximum give None.
     """
     text = raw
     if b"\r" in text:
@@ -212,8 +213,11 @@ def _int_tier(raw: bytes) -> np.ndarray | None:
     values = rows[:, :-1]
     # tier-1 text holds no '-', so a -1 among the values is a line end that
     # ragged rows moved off the end of its row
-    if not values.size or values.min() < 0 or values.max() == _INT64_MAX:
+    if not values.size or values.min() < 0:
         return None
+    if values.max() == _INT64_MAX and any(
+            int(token) > _INT64_MAX for token in re.findall(rb"[0-9]{19,}", text)):
+        return None  # a token past the bound, saturated: not the literal maximum
     return values
 
 

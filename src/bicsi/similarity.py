@@ -2,9 +2,8 @@
 
 All six measures are closed forms in (ones in a, ones in b, ones in a & b,
 bit length), and bits are counted in one place: :func:`popcount` over
-packed ``uint8`` rows. :func:`bit_counts` takes all three counts at once and
-broadcasts, so one call compares every window with every ancestor; a
-database counts its ancestors' ones once, when it is built.
+packed ``uint8`` rows; a database counts its ancestors' ones once, when
+it is built, and the matcher counts only the windows' side.
 :func:`count_distances` maps the counts of any kind onto a lower-is-better
 scale, so the matcher never branches on metric semantics; :func:`distances`
 counts the bits of two row sets first.
@@ -42,12 +41,6 @@ def popcount(rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.bitwise_count(rows), axis=-1, dtype=np.int64)
 
 
-def bit_counts(a: np.ndarray, b: np.ndarray) -> tuple:
-    """(ones in a, ones in b, ones in a & b) over the last axis of packed
-    ``uint8`` rows; the leading axes broadcast like ``a & b``."""
-    return popcount(a), popcount(b), popcount(a & b)
-
-
 def check_kind(kind) -> None:
     """Reject anything but a :class:`MetricKind`; callers run this before
     they count a bit."""
@@ -56,10 +49,10 @@ def check_kind(kind) -> None:
 
 
 def distances(kind: MetricKind, a: np.ndarray, b: np.ndarray, bit_length: int) -> np.ndarray:
-    """Lower-is-better float64 distances between packed rows (see
-    :func:`bit_counts` and :func:`count_distances`)."""
+    """Lower-is-better float64 distances between packed rows, whose leading
+    axes broadcast like ``a & b`` (see :func:`count_distances`)."""
     check_kind(kind)
-    return count_distances(kind, *bit_counts(a, b), bit_length)
+    return count_distances(kind, popcount(a), popcount(b), popcount(a & b), bit_length)
 
 
 def count_distances(kind: MetricKind, na, nb, m11, n: int) -> np.ndarray:

@@ -207,6 +207,19 @@ class TestTrain:
         assert str(target) in result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("value, code", [
+        ("9223372036854775807", 0),  # the int64 maximum itself
+        ("9223372036854775808", 1),
+        ("09223372036854775808", 1),
+    ])
+    def test_int64_bound_is_exact(self, runner, tmp_path, value, code):
+        (tmp_path / "a.csv").write_text(f"{value},5\n7,8\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("label,x,y,file\na,0,0,a.csv\n")
+        result = invoke(runner, "train", "--manifest", manifest, "--out-db", tmp_path / "fp.db")
+        assert result.exit_code == code, result.output
+        assert ("below 2**63" in result.output) == bool(code)
+
     def test_unreadable_trace_exits_1(self, runner, tmp_path):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("label,x,y,file\na,0,0,missing.csv\n")

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bicsi import similarity
 from bicsi.encoding import GeneMatrix, encode_matrix
 from bicsi.errors import (
     ConfigError,
@@ -142,7 +141,7 @@ class TestThresholdSweep:
         def no_pairs(*rows):
             raise AssertionError("threshold_sweep compared rows pairwise")
 
-        monkeypatch.setattr(similarity, "bit_counts", no_pairs)
+        monkeypatch.setattr(np, "bitwise_count", no_pairs)
         rng = np.random.default_rng(6)
         sets_ = [biased_matrix(rng, int(rng.integers(1, 40)), 5) for _ in range(6)]
         fractions = [0.0, 0.05, 0.3, 1.2]

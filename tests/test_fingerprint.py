@@ -23,6 +23,7 @@ from bicsi.fingerprint import (
     FingerprintDb,
     ancestor_matrices,
     build_db,
+    check_window_size,
     db_from_bytes,
     db_to_bytes,
     fraction_to_micro,
@@ -30,7 +31,6 @@ from bicsi.fingerprint import (
     save_db,
     threshold_count,
     training_counts,
-    window_slices,
     windows,
 )
 
@@ -166,6 +166,19 @@ class TestDeriveAncestors:
         decided_low = unpack_rows(low[0]) == unpack_rows(low[1])
         decided_high = unpack_rows(high[0]) == unpack_rows(high[1])
         assert np.all(decided_high <= decided_low)
+
+
+def window_slices(total: int, size: int) -> list[tuple[int, int]]:
+    """Reference windowing: consecutive non-overlapping (start, stop) windows
+    over ``total`` items, keeping a trailing remainder at least half a window
+    long and dropping anything shorter."""
+    check_window_size(size)
+    full = total // size
+    slices = [(i * size, (i + 1) * size) for i in range(full)]
+    rem = total - full * size
+    if rem and 2 * rem >= size:
+        slices.append((full * size, total))
+    return slices
 
 
 class TestDeriveParent:

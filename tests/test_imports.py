@@ -7,7 +7,8 @@ product (``@`` only in the exact-integer product), every module-level
 private definition is read by some module of the package, and every entry
 of ``__init__``'s lazy table names a module-level definition of its module.
 Then, by importing: ``import bicsi`` leaves the study harnesses unloaded,
-and each public name is one object however it is reached."""
+so do ``bicsi.cli``'s ``train`` and ``match``, and each public name is one
+object however it is reached."""
 
 import ast
 import os
@@ -217,6 +218,27 @@ def test_import_leaves_the_study_harnesses_unloaded():
             "print(sorted(m for m in ('bicsi.evaluation', 'bicsi.synth', 'csv', 'json') "
             "if m in sys.modules))")
     assert run_python(code) == "[]"
+
+
+def test_cli_loads_evaluation_only_in_its_commands(tmp_path):
+    # train and match run in a fresh process; neither calls evaluation
+    from bicsi.cli import main
+
+    data, db = tmp_path / "data", tmp_path / "fp.db"
+    main(["synth", "--out-dir", str(data), "--positions", "2", "--subcarriers", "4",
+          "--train-packets", "60", "--test-packets", "60"], standalone_mode=False)
+    argvs = [["train", "--manifest", str(data / "train" / "manifest.csv"), "--out-db", str(db)],
+             ["match", "--db", str(db), "--trace", str(data / "test" / "p01.csv"),
+              "--out-json", str(tmp_path / "match.json"), "--window", "30"]]
+    code = "\n".join([
+        "import sys, bicsi.cli",
+        "loaded = ['bicsi.evaluation' in sys.modules]",
+        f"for argv in {argvs!r}:",
+        "    bicsi.cli.main(argv, standalone_mode=False)",
+        "    loaded.append('bicsi.evaluation' in sys.modules)",
+        "print(loaded)",
+    ])
+    assert run_python(code).splitlines()[-1] == "[False, False, False]"
 
 
 def test_public_name_is_one_object():

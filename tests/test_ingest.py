@@ -185,14 +185,14 @@ def trace_texts(draw):
 def integer_text(text: str) -> bool:
     """Whether ``text`` is in the integer tier's grammar: rows of ASCII
     digits and commas, one field count, LF or CRLF line ends, blank and
-    full-line '#' lines aside, and every value below the int64 maximum."""
+    full-line '#' lines aside, and every value at most the int64 maximum."""
     if "\r" in text.replace("\r\n", ""):
         return False
     rows = [line for line in text.replace("\r\n", "\n").split("\n")
             if line and not line.startswith("#")]
     return (bool(rows) and all(re.fullmatch(r"[0-9]+(,[0-9]+)*", row) for row in rows)
             and len({row.count(",") for row in rows}) == 1
-            and all(int(token) < 2**63 - 1 for row in rows for token in row.split(",")))
+            and all(int(token) <= 2**63 - 1 for row in rows for token in row.split(",")))
 
 
 def _outcome(fn):
@@ -405,6 +405,12 @@ class TestBuildMatrix:
     def test_int64_bound_is_checked_over_kept_columns_only(self, dtype):
         matrix = build_matrix(np.array([[3, 2**63]], dtype=dtype), SubcarrierFilter(frozenset({1})))
         assert matrix.data.tolist() == [[3]]
+
+    @pytest.mark.parametrize("token", ["9223372036854775807", "0009223372036854775807"])
+    def test_int64_maximum_loads_as_int64(self, tmp_path, token):
+        trace = load_trace(write_trace(tmp_path, f"{token},5\n7,8\n"))
+        assert trace.dtype == np.int64
+        assert build_matrix(trace).data.tolist() == [[2**63 - 1, 5], [7, 8]]
 
     def test_integer_trace_keeps_its_values(self):
         trace = np.array([[2**53 + 1, 0], [7, 2**63 - 1]], dtype=np.int64)

@@ -115,7 +115,7 @@ class TestMatchOne:
     def test_bad_kind_fails_before_any_bit_is_counted(self, monkeypatch):
         counted = []
         db = db_of(1, entry("a", (0, 0), (gs("00"), gs("00"))))  # counts its ancestors' ones
-        monkeypatch.setattr(similarity, "bit_counts", lambda *rows: counted.append(rows))
+        monkeypatch.setattr(similarity, "popcount", lambda rows: counted.append(rows))
         monkeypatch.setattr(np, "bitwise_count", lambda rows: counted.append(rows))
         with pytest.raises(ConfigError, match="^unsupported metric kind: 'hamming'$"):
             match_trace(gs("01"), db, "hamming")
