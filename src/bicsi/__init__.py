@@ -35,6 +35,7 @@ from .fingerprint import (
 )
 from .ingest import (
     AmplitudeMatrix,
+    LabeledTrace,
     SubcarrierFilter,
     build_matrix,
     load_filter,
@@ -49,7 +50,6 @@ __version__ = "0.1.0"
 _LAZY = {
     "evaluation": "evaluation",
     "EvalReport": "evaluation",
-    "LabeledTrace": "evaluation",
     "LabeledWindows": "evaluation",
     "evaluate_windows": "evaluation",
     "metric_comparison": "evaluation",

@@ -24,7 +24,6 @@ from .fingerprint import (
     _too_short,
     build_db,
     check_window_size,
-    finite_coord,
     fraction_to_micro,
     load_db,
     save_db,
@@ -33,8 +32,10 @@ from .fingerprint import (
 from .ingest import (
     AMPLITUDE_CSV,
     TRACE_FORMATS,
+    LabeledTrace,
     SubcarrierFilter,
     build_matrix,
+    finite_coord,
     load_filter,
     load_trace,
 )
@@ -104,8 +105,6 @@ def _load_positions(manifest: Path, fmt: str, flt: SubcarrierFilter):
 
 
 def _load_labeled_traces(manifest: Path, fmt: str, flt: SubcarrierFilter):
-    from .evaluation import LabeledTrace
-
     for label, coord, trace_path in _read_manifest(manifest):
         yield LabeledTrace(matrix=build_matrix(load_trace(trace_path, fmt), flt),
                            true_label=label, true_coord=coord, path=str(trace_path))

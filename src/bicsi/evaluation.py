@@ -28,37 +28,15 @@ from .fingerprint import (
     _too_short,
     ancestor_matrices,
     check_window_size,
-    finite_coord,
     fraction_to_micro,
     threshold_count,
     training_counts,
     windows,
 )
-from .ingest import _INT64_MAX, AmplitudeMatrix
+from .ingest import _INT64_MAX, LabeledTrace, finite_coord
 from .ioutil import json_text
 from .matcher import _pick, match_trace
 from .similarity import MetricKind
-
-
-@dataclass(frozen=True)
-class LabeledTrace:
-    """An amplitude matrix tagged with its ground-truth position and, when
-    it was read from a file, that file's path."""
-
-    matrix: AmplitudeMatrix
-    true_label: str
-    true_coord: tuple
-    path: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "true_coord",
-                           finite_coord(self.true_coord, f"trace {self.true_label!r}"))
-
-    @property
-    def name(self) -> str:
-        """How errors name the trace: its file, when known, then its label."""
-        label = f"trace {self.true_label!r}"
-        return label if self.path is None else f"{self.path}: {label}"
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .errors import (
     EmptyInputError,
     LengthMismatchError,
 )
+from .ingest import finite_coord
 from .ioutil import atomic_write_bytes
 from .similarity import popcount
 
@@ -56,18 +57,6 @@ def fraction_to_micro(fraction: float) -> int:
     if micro > 0xFFFFFFFF:
         raise ConfigError(f"threshold fraction {fraction} does not fit the format")
     return int(micro)
-
-
-def finite_coord(coord, owner: str) -> tuple:
-    """``coord`` as an (x, y) pair of finite floats; a ValueError names ``owner``."""
-    try:
-        x, y = coord
-    except (TypeError, ValueError):
-        raise ValueError(f"{owner}: coordinates must be an (x, y) pair") from None
-    coord = (float(x), float(y))
-    if not all(map(math.isfinite, coord)):
-        raise ValueError(f"{owner}: coordinates must be finite")
-    return coord
 
 
 def threshold_count(micro: int, training_count: int) -> int:

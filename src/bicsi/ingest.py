@@ -12,7 +12,7 @@ and floored to integers when the matrix is built, float amplitudes are
 floored and integer amplitudes kept as they are.
 Excluded subcarriers (pilots, invariant bins) are dropped by a configurable
 index filter; there is no built-in exclusion list because the indices are
-hardware-specific.
+hardware-specific. A labeled trace tags a matrix with its finite (x, y) truth.
 """
 
 import math
@@ -125,6 +125,39 @@ class AmplitudeMatrix:
     @property
     def subcarrier_count(self) -> int:
         return int(self.data.shape[1])
+
+
+def finite_coord(coord, owner: str) -> tuple:
+    """``coord`` as an (x, y) pair of finite floats; a ValueError names ``owner``."""
+    try:
+        x, y = coord
+    except (TypeError, ValueError):
+        raise ValueError(f"{owner}: coordinates must be an (x, y) pair") from None
+    coord = (float(x), float(y))
+    if not all(map(math.isfinite, coord)):
+        raise ValueError(f"{owner}: coordinates must be finite")
+    return coord
+
+
+@dataclass(frozen=True)
+class LabeledTrace:
+    """An amplitude matrix tagged with its ground-truth position and, when
+    it was read from a file, that file's path."""
+
+    matrix: AmplitudeMatrix
+    true_label: str
+    true_coord: tuple
+    path: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "true_coord",
+                           finite_coord(self.true_coord, f"trace {self.true_label!r}"))
+
+    @property
+    def name(self) -> str:
+        """How errors name the trace: its file, when known, then its label."""
+        label = f"trace {self.true_label!r}"
+        return label if self.path is None else f"{self.path}: {label}"
 
 
 def _validate_lines(path, lines, format: str) -> np.ndarray:

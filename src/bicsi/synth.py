@@ -17,8 +17,7 @@ import numpy as np
 
 from .encoding import ENCODER_OVERFLOW
 from .errors import ConfigError
-from .evaluation import LabeledTrace
-from .ingest import AmplitudeMatrix
+from .ingest import AmplitudeMatrix, LabeledTrace
 from .ioutil import atomic_write_bytes
 
 AMPLITUDE_CEILING = 4095  # clamp admits values past the encoder cutoff

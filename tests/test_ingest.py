@@ -218,6 +218,10 @@ def _outcome(fn):
 @example("# a\r5,6\n1,2\n", AMPLITUDE_CSV)  # a lone CR ends a comment line for the reader
 @example("1,2,3\n4\n5\n", AMPLITUDE_CSV)  # ragged rows whose line ends fill whole rows
 @example("1,2,3,4\n5\n6,7\n", IQ_CSV)
+@example("2.5,1\n3,4\n", AMPLITUDE_CSV)  # float text in the first data line
+@example("+1,2\n3,4\n", AMPLITUDE_CSV)
+@example("\ufeff1,2\n3,4\n", AMPLITUDE_CSV)  # a UTF-8 BOM is no '#'
+@example("# caf\u00e9, 2.5 -x\n1,2\n3,4\n", AMPLITUDE_CSV)  # a comment keeps int64 rows
 def test_fast_parse_matches_per_line_validator(text, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
