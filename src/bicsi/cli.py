@@ -8,7 +8,6 @@ imported inside the commands that call them, so ``train`` and ``match`` load
 neither.
 """
 
-import functools
 import math
 from dataclasses import asdict
 from pathlib import Path
@@ -44,23 +43,6 @@ from .matcher import match_trace
 from .similarity import MetricKind
 
 METRIC_NAMES = [m.value for m in MetricKind]
-
-
-def _friendly(fn):
-    """Map package errors onto the CLI exit-code contract."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConfigError as exc:
-            raise click.UsageError(str(exc)) from exc
-        except BicsiError as exc:
-            raise click.ClickException(str(exc)) from exc
-        except OSError as exc:
-            raise click.ClickException(str(exc)) from exc
-
-    return wrapper
 
 
 def _read_manifest(path: Path, unique_labels: bool = False):
@@ -104,10 +86,14 @@ def _load_positions(manifest: Path, fmt: str, flt: SubcarrierFilter):
         yield label, coord, encode_matrix(build_matrix(load_trace(trace_path, fmt), flt))
 
 
-def _load_labeled_traces(manifest: Path, fmt: str, flt: SubcarrierFilter):
-    for label, coord, trace_path in _read_manifest(manifest):
-        yield LabeledTrace(matrix=build_matrix(load_trace(trace_path, fmt), flt),
-                           true_label=label, true_coord=coord, path=str(trace_path))
+def _test_windows(manifest: Path, fmt: str, flt: SubcarrierFilter, window: int):
+    """The LabeledWindows of a test manifest, read a trace at a time."""
+    from .evaluation import LabeledWindows
+
+    return LabeledWindows.from_traces(
+        (LabeledTrace(matrix=build_matrix(load_trace(trace_path, fmt), flt),
+                      true_label=label, true_coord=coord, path=str(trace_path))
+         for label, coord, trace_path in _read_manifest(manifest)), window)
 
 
 def _parse_fraction_range(text: str):
@@ -137,42 +123,76 @@ def _parse_fraction_range(text: str):
     return [m / MICRO_UNITS for m in grid]
 
 
+def _checked(check):
+    """An option callback that runs ``check`` on the value and keeps the
+    value, so a bad flag fails while the command line is parsed."""
+
+    def callback(ctx, param, value):
+        check(value)
+        return value
+
+    return callback
+
+
+_IN_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
+_OUT_FILE = click.Path(dir_okay=False, path_type=Path)
+
+_db_option = click.option("--db", "db_path", type=_IN_FILE, required=True)
+_metric_option = click.option(
+    "--metric", type=click.Choice(METRIC_NAMES, case_sensitive=False),
+    default=MetricKind.HAMMING.value, show_default=True,
+)
+_train_manifest_option = click.option(
+    "--manifest", type=_IN_FILE, required=True, help="Training manifest: label,x,y,file.")
+_test_manifest_option = click.option(
+    "--manifest", type=_IN_FILE, required=True, help="Test manifest: label,x,y,file.")
+_fraction_option = click.option(
+    "--threshold-fraction", type=float, default=DEFAULT_THRESHOLD_FRACTION, show_default=True,
+    callback=_checked(fraction_to_micro),
+    help="Ancestor threshold as a fraction of training size.",
+)
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(TRACE_FORMATS), default=AMPLITUDE_CSV,
     show_default=True, help="Trace CSV flavor.",
 )
 _filter_option = click.option(
-    "--filter-file", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-    default=None, help="Subcarrier exclusion list (one 0-based index per line).",
+    "--filter-file", "flt", type=_IN_FILE, default=None,
+    callback=lambda ctx, param, path: load_filter(path) if path else SubcarrierFilter(),
+    help="Subcarrier exclusion list (one 0-based index per line).",
 )
 _window_option = click.option(
     "--window", type=int, default=DEFAULT_WINDOW_SIZE, show_default=True,
-    help="Packets per online window.",
+    callback=_checked(check_window_size), help="Packets per online window.",
 )
 
 
-def _filter_from(path: Path | None) -> SubcarrierFilter:
-    return load_filter(path) if path else SubcarrierFilter()
+class _Commands(click.Group):
+    """The exit-code contract, around every subcommand and its option
+    callbacks: a ConfigError is a usage error (exit 2); any other package
+    error, and any OSError, a runtime error (exit 1)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            raise click.UsageError(str(exc)) from exc
+        except (BicsiError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Binary CSI fingerprint encoding and position matching toolkit."""
 
 
 @main.command()
-@click.option("--manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True, help="Training manifest: label,x,y,file.")
-@click.option("--out-db", type=click.Path(dir_okay=False, path_type=Path), required=True)
-@click.option("--threshold-fraction", type=float, default=DEFAULT_THRESHOLD_FRACTION,
-              show_default=True, help="Ancestor threshold as a fraction of training size.")
+@_train_manifest_option
+@click.option("--out-db", type=_OUT_FILE, required=True)
+@_fraction_option
 @_filter_option
 @_format_option
-@_friendly
-def train(manifest, out_db, threshold_fraction, filter_file, fmt):
+def train(manifest, out_db, threshold_fraction, flt, fmt):
     """Derive per-position fingerprints and write the database."""
-    fraction_to_micro(threshold_fraction)  # a bad fraction fails before any trace is read
-    flt = _filter_from(filter_file)
     positions = []
     for label, coord, seqs in _load_positions(manifest, fmt, flt):
         positions.append((label, coord, seqs))
@@ -186,32 +206,21 @@ def train(manifest, out_db, threshold_fraction, filter_file, fmt):
 
 def _result_dict(result) -> dict:
     margin = result.runner_up_margin
-    return {
-        "window_index": result.window_index,
-        "predicted_label": result.predicted_label,
-        "predicted_coord": list(result.predicted_coord),
-        "best_distance": result.best_distance,
-        "runner_up_margin": margin if math.isfinite(margin) else None,
-    }
+    return {**vars(result), "runner_up_margin": margin if math.isfinite(margin) else None}
 
 
 @main.command()
-@click.option("--db", "db_path", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True)
-@click.option("--trace", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True)
-@click.option("--metric", type=click.Choice(METRIC_NAMES, case_sensitive=False),
-              default=MetricKind.HAMMING.value, show_default=True)
-@click.option("--out-json", type=click.Path(dir_okay=False, path_type=Path), required=True)
+@_db_option
+@click.option("--trace", type=_IN_FILE, required=True)
+@_metric_option
+@click.option("--out-json", type=_OUT_FILE, required=True)
 @_window_option
 @_filter_option
 @_format_option
-@_friendly
-def match(db_path, trace, metric, out_json, window, filter_file, fmt):
+def match(db_path, trace, metric, out_json, window, flt, fmt):
     """Match every window of a trace against the fingerprint database."""
-    check_window_size(window)  # a bad window fails before any file is read
     db = load_db(db_path)
-    matrix = build_matrix(load_trace(trace, fmt), _filter_from(filter_file))
+    matrix = build_matrix(load_trace(trace, fmt), flt)
     parents = windows(encode_matrix(matrix), window)
     if not parents:
         raise _too_short(str(trace), matrix.packet_count, window)
@@ -221,47 +230,39 @@ def match(db_path, trace, metric, out_json, window, filter_file, fmt):
 
 
 @main.command("eval")
-@click.option("--db", "db_path", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True)
-@click.option("--manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True, help="Test manifest: label,x,y,file.")
-@click.option("--metric", type=click.Choice(METRIC_NAMES, case_sensitive=False),
-              default=MetricKind.HAMMING.value, show_default=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False, path_type=Path),
-              required=True, help="Report JSON output path.")
+@_db_option
+@_test_manifest_option
+@_metric_option
+@click.option("--out", "out_path", type=_OUT_FILE, required=True,
+              help="Report JSON output path.")
 @_window_option
 @_filter_option
 @_format_option
-@_friendly
-def eval_cmd(db_path, manifest, metric, out_path, window, filter_file, fmt):
+def eval_cmd(db_path, manifest, metric, out_path, window, flt, fmt):
     """Evaluate labeled test traces and write the aggregate report."""
-    from .evaluation import LabeledWindows, evaluate_windows, format_report_table, report_to_json
+    from .evaluation import evaluate_windows, format_report_table
 
-    check_window_size(window)  # a bad window fails before any file is read
     db = load_db(db_path)
-    traces = _load_labeled_traces(manifest, fmt, _filter_from(filter_file))
-    labeled = LabeledWindows.from_traces(traces, window)
-    report = evaluate_windows(db, labeled, MetricKind.parse(metric))
-    atomic_write_text(out_path, report_to_json(report) + "\n")
+    report = evaluate_windows(db, _test_windows(manifest, fmt, flt, window),
+                              MetricKind.parse(metric))
+    atomic_write_text(out_path, json_text(report.to_json_dict()) + "\n")
     click.echo(format_report_table(report))
     click.echo(f"wrote {out_path}")
 
 
 @main.command()
-@click.option("--manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True, help="Training manifest: label,x,y,file.")
+@_train_manifest_option
 @click.option("--fractions", default="0:1:0.05", show_default=True,
               help="Threshold fractions, start:stop:step.")
-@click.option("--out-csv", type=click.Path(dir_okay=False, path_type=Path), required=True)
+@click.option("--out-csv", type=_OUT_FILE, required=True)
 @_filter_option
 @_format_option
-@_friendly
-def sweep(manifest, fractions, out_csv, filter_file, fmt):
+def sweep(manifest, fractions, out_csv, flt, fmt):
     """Sweep the ancestor threshold and report mean fingerprint distances."""
     from .evaluation import sweep_to_csv, threshold_sweep
 
     grid = _parse_fraction_range(fractions)
-    rows = threshold_sweep(_load_positions(manifest, fmt, _filter_from(filter_file)), grid)
+    rows = threshold_sweep(_load_positions(manifest, fmt, flt), grid)
     atomic_write_text(out_csv, sweep_to_csv(rows))
     for fraction, mean in rows:
         click.echo(f"tr_fraction {fraction:g}: mean hamming {mean:g}")
@@ -269,32 +270,25 @@ def sweep(manifest, fractions, out_csv, filter_file, fmt):
 
 
 @main.command("compare-metrics")
-@click.option("--db", "db_path", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True)
-@click.option("--manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True, help="Test manifest: label,x,y,file.")
+@_db_option
+@_test_manifest_option
 @click.option("--metrics", default=",".join(METRIC_NAMES), show_default=True,
               help="Comma-separated metric names.")
-@click.option("--out-json", type=click.Path(dir_okay=False, path_type=Path), required=True)
+@click.option("--out-json", type=_OUT_FILE, required=True)
 @_window_option
 @_filter_option
 @_format_option
-@_friendly
-def compare_metrics(db_path, manifest, metrics, out_json, window, filter_file, fmt):
+def compare_metrics(db_path, manifest, metrics, out_json, window, flt, fmt):
     """Evaluate the same windows under several metrics side by side."""
-    from .evaluation import (LabeledWindows, format_comparison_table, metric_comparison,
-                             reports_to_json)
+    from .evaluation import format_comparison_table, metric_comparison
 
     kinds = [MetricKind.parse(name) for name in metrics.split(",") if name.strip()]
     if not kinds:
         raise ConfigError(f"--metrics {metrics!r} names no metric; "
                           f"valid metrics: {', '.join(METRIC_NAMES)}")
-    check_window_size(window)  # a bad window fails before any file is read
     db = load_db(db_path)
-    traces = _load_labeled_traces(manifest, fmt, _filter_from(filter_file))
-    labeled = LabeledWindows.from_traces(traces, window)
-    reports = metric_comparison(db, labeled, kinds)
-    atomic_write_text(out_json, reports_to_json(reports) + "\n")
+    reports = metric_comparison(db, _test_windows(manifest, fmt, flt, window), kinds)
+    atomic_write_text(out_json, json_text([r.to_json_dict() for r in reports]) + "\n")
     click.echo(format_comparison_table(reports))
     click.echo(f"wrote {out_json}")
 
@@ -302,23 +296,16 @@ def compare_metrics(db_path, manifest, metrics, out_json, window, filter_file, f
 @main.command()
 @click.option("--sessions-dir", type=click.Path(exists=True, file_okay=False, path_type=Path),
               required=True, help="Directory of session_*/ dirs with train/ and test/.")
-@click.option("--threshold-fraction", type=float, default=DEFAULT_THRESHOLD_FRACTION,
-              show_default=True)
-@click.option("--metric", type=click.Choice(METRIC_NAMES, case_sensitive=False),
-              default=MetricKind.HAMMING.value, show_default=True)
-@click.option("--out-csv", type=click.Path(dir_okay=False, path_type=Path), required=True)
+@_fraction_option
+@_metric_option
+@click.option("--out-csv", type=_OUT_FILE, required=True)
 @_window_option
 @_filter_option
 @_format_option
-@_friendly
-def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, filter_file, fmt):
+def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, flt, fmt):
     """Accuracy versus the number of training sessions' ancestor sets."""
-    from .evaluation import (LabeledWindows, check_session_positions, temporal_eval,
-                             temporal_to_csv)
+    from .evaluation import check_session_positions, temporal_eval, temporal_to_csv
 
-    fraction_to_micro(threshold_fraction)  # a bad fraction fails before any trace is read
-    check_window_size(window)  # a bad window fails before any file is read
-    flt = _filter_from(filter_file)
     session_dirs = sorted(d for d in Path(sessions_dir).glob("session_*") if d.is_dir())
     if len(session_dirs) < 2:
         raise EmptyInputError("temporal evaluation needs at least two sessions")
@@ -338,8 +325,7 @@ def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, filter_f
         if s == 1:
             _read_manifest(test_manifest)
         else:
-            tests.append(LabeledWindows.from_traces(
-                _load_labeled_traces(test_manifest, fmt, flt), window))
+            tests.append(_test_windows(test_manifest, fmt, flt, window))
     curve = temporal_eval(dbs, tests, MetricKind.parse(metric))
     atomic_write_text(out_csv, temporal_to_csv(curve))
     for m, acc in curve:
@@ -365,7 +351,6 @@ def temporal(sessions_dir, threshold_fraction, metric, out_csv, window, filter_f
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Generator seed.")
 @click.option("--force", is_flag=True, help="Write into a non-empty directory.")
-@_friendly
 def synth(out_dir, positions, subcarriers, train_packets, test_packets, amplitude_lo,
           amplitude_hi, profile_separation, noise_sigma, burst_rate, burst_magnitude,
           drift_sigma, sessions, seed, force):

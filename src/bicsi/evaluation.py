@@ -34,7 +34,6 @@ from .fingerprint import (
     windows,
 )
 from .ingest import _INT64_MAX, LabeledTrace, finite_coord
-from .ioutil import json_text
 from .matcher import _pick, match_trace
 from .similarity import MetricKind
 
@@ -110,17 +109,8 @@ class EvalReport:
     confusion: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "metric": self.metric.value,
-            "n": self.n,
-            "mae_m": self.mae_m,
-            "accuracy": self.accuracy,
-            "per_position": [
-                {"label": p.label, "n": p.n, "correct": p.correct, "mae_m": p.mae_m}
-                for p in self.per_position
-            ],
-            "confusion": [list(row) for row in self.confusion],
-        }
+        return {**vars(self), "metric": self.metric.value,
+                "per_position": [dict(vars(p)) for p in self.per_position]}
 
 
 def _assemble_report(metric: MetricKind, labels, coords, predicted,
@@ -343,14 +333,6 @@ def raw_baseline(training, tests, kind: MetricKind = MetricKind.COSINE,
     predicted = _raw_picks(np.vstack(sums), positions, kind)
     return _assemble_report(kind, list(entries), [t.true_coord for t in training],
                             predicted, labels, coords)
-
-
-def report_to_json(report: EvalReport) -> str:
-    return json_text(report.to_json_dict())
-
-
-def reports_to_json(reports) -> str:
-    return json_text([r.to_json_dict() for r in reports])
 
 
 def sweep_to_csv(rows) -> str:

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from bicsi import cli
 from bicsi.cli import main
+from bicsi.errors import ConfigError, DataDomainError
 
 
 @pytest.fixture()
@@ -616,6 +618,52 @@ def test_bad_window_fails_before_any_trace_is_read(runner, tmp_path, monkeypatch
     assert result.exit_code == 2
     assert "window size must be >= 1" in result.output
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "eval", "compare-metrics", "match",
+                                     "temporal"])
+def test_bad_filter_fails_before_any_file_is_read(runner, tmp_path, monkeypatch, command):
+    out = tmp_path / "sessions"
+    assert invoke(runner, *SYNTH_ARGS, "--sessions", 2, "--out-dir", out).exit_code == 0
+    session, db = out / "session_01", tmp_path / "fp.db"
+    db.touch()  # exists for --db's check; never read
+    flt = tmp_path / "filter.txt"
+    flt.write_text("0\nx\n")
+    calls = []
+    monkeypatch.setattr(cli, "load_trace", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "load_db", lambda *args: calls.append(args))
+    train, test = (session / part / "manifest.csv" for part in ("train", "test"))
+    args = {
+        "train": ("train", "--manifest", train, "--out-db", db),
+        "sweep": ("sweep", "--manifest", train, "--out-csv", tmp_path / "s.csv"),
+        "eval": ("eval", "--db", db, "--manifest", test, "--out", tmp_path / "r.json"),
+        "compare-metrics": ("compare-metrics", "--db", db, "--manifest", test,
+                            "--out-json", tmp_path / "c.json"),
+        "match": ("match", "--db", db, "--trace", session / "test" / "p01.csv",
+                  "--out-json", tmp_path / "m.json"),
+        "temporal": ("temporal", "--sessions-dir", out, "--out-csv", tmp_path / "t.csv"),
+    }[command]
+    result = invoke(runner, *args, "--filter-file", flt)
+    assert result.exit_code == 2
+    assert "not an integer index" in result.output
+    assert calls == []
+
+
+@pytest.mark.parametrize("error, code", [(ConfigError("bad flag"), 2),
+                                         (DataDomainError("bad data"), 1),
+                                         (FileNotFoundError("no file"), 1)])
+def test_every_command_maps_errors_to_the_exit_code_contract(runner, error, code):
+    @click.command("raise-it")
+    def raise_it():
+        raise error
+
+    main.add_command(raise_it)
+    try:
+        result = invoke(runner, "raise-it")
+    finally:
+        del main.commands["raise-it"]
+    assert result.exit_code == code
+    assert result.output == f"Error: {error}\n"
 
 
 class TestManifestRows:

@@ -26,7 +26,6 @@ from bicsi.evaluation import (
     format_report_table,
     metric_comparison,
     raw_baseline,
-    report_to_json,
     sweep_to_csv,
     temporal_eval,
     temporal_to_csv,
@@ -39,6 +38,7 @@ from bicsi.fingerprint import (
     windows,
 )
 from bicsi.ingest import AmplitudeMatrix
+from bicsi.ioutil import json_text
 from bicsi.matcher import match_trace
 from bicsi.similarity import MetricKind
 
@@ -229,7 +229,7 @@ class TestEvaluateWindows:
         db = build_db([(t.true_label, t.true_coord, encode_matrix(t.matrix))
                        for t in traces])
         report = evaluate_windows(db, LabeledWindows.from_traces(traces, 120))
-        payload = json.loads(report_to_json(report))
+        payload = json.loads(json_text(report.to_json_dict()))
         assert set(payload) == {"metric", "n", "mae_m", "accuracy",
                                 "per_position", "confusion"}
         assert set(payload["per_position"][0]) == {"label", "n", "correct", "mae_m"}

@@ -17,9 +17,10 @@ Each relation holds exactly by construction, so it needs no oracle:
 * Training row order: reordering the training manifest reorders the
   database entries, so a window whose best entry is unique matches as
   before, and when every window's is, the report's positions and the
-  confusion matrix's rows and columns are permuted the same way. A tie
-  goes to the earliest entry, so a window with a zero runner-up margin may
-  change its pick.
+  confusion matrix's rows and columns are permuted the same way. The
+  matcher decides entries within 2**-40 of a window's best by exact keys
+  and gives an exact tie to the earliest entry, so a window whose runner-up
+  margin is at most 2**-40 may change its pick.
 
 Runs go through click's ``CliRunner`` in process, on small ``synth`` sets.
 """
@@ -192,12 +193,15 @@ def reordered_report(report: dict, order) -> dict:
             "confusion": [[report["confusion"][i][j] for j in order] for i in order]}
 
 
-@given(synth_sets(), st.sampled_from(METRICS), st.data())
-@settings(max_examples=20, deadline=None)
-def test_training_row_order_permutes_the_confusion_matrix(case, metric, data):
-    args, _, window = case
-    count = args[args.index("--positions") + 1]
-    order = data.draw(st.permutations(range(count)))
+# the matcher's exact band: entries this close to a window's best loss are
+# ranked by exact keys, and an exact tie goes to the earliest entry
+TIE_BAND = 2.0**-40
+
+
+def check_training_row_order(args, window: int, metric: str, order) -> tuple:
+    """Check the training-row-order relation on the data set ``synth``
+    makes of ``args``, training order ``order``; return the ``match`` rows
+    before and after the reordering."""
     with tempfile.TemporaryDirectory() as tmp:
         original = synth_into(Path(tmp), args)
         reordered = shutil.copytree(original, Path(tmp) / "reordered")
@@ -213,7 +217,28 @@ def test_training_row_order_permutes_the_confusion_matrix(case, metric, data):
             reports.append(json.loads((root / "eval.json").read_text()))
         before = matches(original, original / "train.db", window, metric)
         after = matches(reordered, reordered / "train.db", window, metric)
-        unique = [b["runner_up_margin"] > 0 for b in before]
+        unique = [b["runner_up_margin"] > TIE_BAND for b in before]
         assert [a for a, u in zip(after, unique) if u] == [b for b, u in zip(before, unique) if u]
         if all(unique):
             assert reports[1] == reordered_report(reports[0], order)
+    return before, after
+
+
+@given(synth_sets(), st.sampled_from(METRICS), st.data())
+@settings(max_examples=20, deadline=None)
+def test_training_row_order_permutes_the_confusion_matrix(case, metric, data):
+    args, _, window = case
+    count = args[args.index("--positions") + 1]
+    check_training_row_order(args, window, metric, data.draw(st.permutations(range(count))))
+
+
+def test_training_row_order_moves_an_exact_tie_inside_the_band():
+    # in window 9 of p02's test trace the best rows of p02 and p03 have the
+    # same exact Pearson key, 1/6, but float distances 5.55e-17 apart
+    args = ["--positions", 3, "--subcarriers", 5, "--train-packets", 138,
+            "--test-packets", 20, "--profile-separation", 0.0, "--noise-sigma", 60.0,
+            "--burst-rate", 0.0, "--burst-magnitude", 64.0, "--seed", 124]
+    before, after = check_training_row_order(args, 1, "pearson", [0, 2, 1])
+    tie = before[20 + 9]  # p01's 20 windows come first
+    assert 0 < tie["runner_up_margin"] <= TIE_BAND
+    assert (tie["predicted_label"], after[20 + 9]["predicted_label"]) == ("p02", "p03")
