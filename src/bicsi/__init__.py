@@ -53,7 +53,6 @@ _LAZY = {
     "LabeledWindows": "evaluation",
     "evaluate_windows": "evaluation",
     "metric_comparison": "evaluation",
-    "raw_baseline": "evaluation",
     "temporal_eval": "evaluation",
     "threshold_sweep": "evaluation",
     "synth": "synth",

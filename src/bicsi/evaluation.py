@@ -2,8 +2,7 @@
 
 Covers the two headline indicators (mean absolute coordinate error and
 label accuracy), threshold sweeps over the ancestor-derivation cutoff,
-side-by-side metric comparisons, multi-session temporal evaluation, and the
-raw-amplitude cosine/Pearson baselines that bypass binary encoding.
+side-by-side metric comparisons and multi-session temporal evaluation.
 """
 
 from dataclasses import dataclass, replace
@@ -13,8 +12,6 @@ import numpy as np
 
 from .encoding import GeneMatrix, encode_matrix
 from .errors import (
-    ConfigError,
-    DataDomainError,
     EmptyInputError,
     LengthMismatchError,
     SessionMismatchError,
@@ -24,17 +21,15 @@ from .fingerprint import (
     DEFAULT_WINDOW_SIZE,
     FingerprintDb,
     _column_counts,
-    _split_windows,
     _too_short,
     ancestor_matrices,
-    check_window_size,
     fraction_to_micro,
     threshold_count,
     training_counts,
     windows,
 )
-from .ingest import _INT64_MAX, LabeledTrace, finite_coord
-from .matcher import _pick, match_trace
+from .ingest import finite_coord
+from .matcher import match_trace
 from .similarity import MetricKind
 
 
@@ -233,106 +228,6 @@ def temporal_eval(dbs, tests, kind: MetricKind = MetricKind.HAMMING) -> list[tup
         db = replace(first, set_counts=(m,) * positions, ancestors=ancestors)
         curve.append((m, evaluate_windows(db, LabeledWindows.concat(tests[m - 1:]), kind).accuracy))
     return curve
-
-
-def _window_sums(trace: LabeledTrace, size: int) -> np.ndarray:
-    """A trace's int64 amplitude sums, one row per window that
-    :func:`~bicsi.fingerprint.windows` makes of it."""
-    data = trace.matrix.data
-    if min(size, len(data)) * int(data.max(initial=0)) > _INT64_MAX:
-        raise DataDomainError(f"{trace.name}: amplitude sums could pass the int64 bound")
-    whole, tail = _split_windows(data, size)
-    sums = whole.sum(axis=1, dtype=np.int64)
-    return sums if tail is None else np.vstack([sums, tail.sum(axis=0, dtype=np.int64)])
-
-
-def _exact_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b.mT`` of integer arrays, exactly: in int64 when k * max|a| *
-    max|b| bounds every partial sum, else in Python ints. An integer sum is
-    the same in any order, so it is the same on every platform, which a
-    float (BLAS) product does not promise."""
-    peak_a, peak_b = (int(np.abs(x).max(initial=0)) for x in (a, b))
-    if a.shape[-1] * peak_a * peak_b > _INT64_MAX:
-        a, b = a.astype(object), b.astype(object)
-    return a @ b.mT
-
-
-def _raw_picks(windows: np.ndarray, positions: np.ndarray, kind: MetricKind) -> np.ndarray:
-    """Per window, the position of highest cosine between non-negative
-    integer rows, the lowest among exact ties; Pearson is the cosine of the
-    rows centred as k·x − Σx. Scaling a row by a positive number changes
-    neither, so sums rank as means do. A zero row (Pearson: a constant one)
-    scores 1 against a zero row and 0 against any other. Float scores from
-    the exact dot products pick by the matcher's rule, each position an
-    entry, with dot·|dot| / |p|² as the exact keys."""
-    from fractions import Fraction  # here: only the raw baseline needs it
-
-    rows = (windows, positions)
-    if kind is MetricKind.PEARSON:
-        k = windows.shape[1]
-        if k * max(int(r.max(initial=0)) for r in rows) > _INT64_MAX:  # bounds k·x and Σx
-            rows = tuple(r.astype(object) for r in rows)
-        rows = tuple(k * r - r.sum(axis=1, keepdims=True) for r in rows)
-    dots = _exact_dot(*rows)
-    squares = [_exact_dot(r[:, None], r[:, None])[:, 0, 0] for r in rows]
-    norm_w, norm_p = (np.sqrt(sq.astype(float)) for sq in squares)
-    zero_w, zero_p = norm_w[:, None] == 0, norm_p == 0
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where replaced
-        cosine = dots.astype(float) / (norm_w[:, None] * norm_p)
-    scores = np.where(zero_w | zero_p, zero_w & zero_p, cosine)
-
-    def exact(w, tied):  # a zero row's dot is 0
-        return [Fraction(d * abs(d), sq or 1)
-                for d, sq in zip(dots[w, tied].tolist(), squares[1][tied].tolist())]
-
-    return _pick(-scores, np.arange(len(positions)), exact)[0]
-
-
-def raw_baseline(training, tests, kind: MetricKind = MetricKind.COSINE,
-                 window_size: int = DEFAULT_WINDOW_SIZE) -> EvalReport:
-    """Match raw amplitude sums of test windows against per-position sums.
-
-    ``training`` and ``tests`` are labeled traces. Each training trace is
-    one position, summed over all its packets, in entry order; each test
-    trace is summed per ``window_size``-packet window with the tail rule of
-    :func:`~bicsi.fingerprint.windows`. No binary encoding is made.
-    Only the correlation metrics make sense on raw vectors. Each window
-    predicts the position of highest score, the lowest entry index among
-    exactly equal scores (one sum a multiple of another), as the binary
-    matcher does.
-    """
-    if kind not in (MetricKind.COSINE, MetricKind.PEARSON):
-        raise ConfigError("raw baseline supports only cosine and pearson")
-    check_window_size(window_size)
-    training, tests = list(training), list(tests)
-    if not training:
-        raise EmptyInputError("no training traces")
-    if not tests:
-        raise EmptyInputError("no test windows")
-    first, entries = training[0], {}
-    for trace in chain(training, tests):
-        if trace.matrix.subcarrier_count != first.matrix.subcarrier_count:
-            raise LengthMismatchError(f"{trace.name}: {trace.matrix.subcarrier_count} subcarriers, "
-                                      f"{first.name}: {first.matrix.subcarrier_count}")
-    for trace in training:
-        if not trace.matrix.packet_count:
-            raise EmptyInputError(f"{trace.name}: no training packets")
-        earlier = entries.setdefault(trace.true_label, trace)
-        if earlier is not trace:
-            raise ValueError(f"{trace.name}: repeats the label of {earlier.name}")
-    sums, labels, coords = [], [], []
-    for trace in tests:
-        if trace.true_label not in entries:
-            raise UnknownLabelError(f"{trace.name}: no training trace has its label")
-        sums.append(_window_sums(trace, window_size))
-        if not len(sums[-1]):
-            raise _too_short(trace.name, trace.matrix.packet_count, window_size)
-        labels += [trace.true_label] * len(sums[-1])
-        coords += [trace.true_coord] * len(sums[-1])
-    positions = np.vstack([_window_sums(t, t.matrix.packet_count) for t in training])
-    predicted = _raw_picks(np.vstack(sums), positions, kind)
-    return _assemble_report(kind, list(entries), [t.true_coord for t in training],
-                            predicted, labels, coords)
 
 
 def sweep_to_csv(rows) -> str:

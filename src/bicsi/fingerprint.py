@@ -184,16 +184,6 @@ def check_window_size(size: int) -> None:
         raise ConfigError("window size must be >= 1")
 
 
-def _split_windows(rows: np.ndarray, size: int) -> tuple:
-    """The consecutive ``size``-row windows of ``rows`` as one ``(windows,
-    size, ...)`` view, and the rows left over as the tail window when they
-    are at least half a window long, else None: the one tail rule."""
-    full = len(rows) // size
-    tail = rows[full * size:]
-    return (rows[: full * size].reshape(full, size, *rows.shape[1:]),
-            tail if 2 * len(tail) >= size else None)
-
-
 def _too_short(owner: str, packets: int, size: int) -> EmptyInputError:
     """The error for a trace of ``packets`` that gives no ``size``-packet window."""
     return EmptyInputError(f"{owner}: {packets} packets, too few for one {size}-packet window "
@@ -201,8 +191,11 @@ def _too_short(owner: str, packets: int, size: int) -> EmptyInputError:
 
 
 def windows(gm: GeneMatrix, size: int = DEFAULT_WINDOW_SIZE) -> GeneMatrix:
-    """Parent sequences of consecutive windows of a trace's GeneMatrix, one
-    row per window; a trace shorter than half a window gives zero rows.
+    """Parent sequences of consecutive ``size``-row windows of a trace's
+    GeneMatrix, one row per window. The rows left over are a last, shorter
+    window when they are at least half a window long, else they are dropped:
+    the one place the tail rule is written. A trace shorter than half a
+    window gives zero rows.
 
     Each parent is the column majority of its window, exact ties giving 1:
     ones >= ceil(len/2). A window of at most 255 rows is one
@@ -211,9 +204,10 @@ def windows(gm: GeneMatrix, size: int = DEFAULT_WINDOW_SIZE) -> GeneMatrix:
     """
     check_window_size(size)
     count = _run_counts if size <= 255 else _column_counts
-    whole, tail = _split_windows(gm.packed, size)
-    bits = count(whole) >= (size + 1) // 2
-    if tail is not None:
+    packed, full = gm.packed, len(gm.packed) // size
+    bits = count(packed[: full * size].reshape(full, size, packed.shape[1])) >= (size + 1) // 2
+    tail = packed[full * size:]
+    if 2 * len(tail) >= size:
         bits = np.concatenate([bits, (count(tail) >= (len(tail) + 1) // 2)[None]])
     return GeneMatrix._pack(bits[:, : gm.bit_length])
 

@@ -10,8 +10,7 @@ position's minimum over its contiguous rows. Row order within a
 position cannot change its minimum, and a tie between positions keeps the
 earliest, so results are reproducible across platforms. Cosine and Pearson
 ties are compared exactly, from integer counts, since equal scores can
-round apart. The raw-amplitude baseline picks by the same rule,
-:func:`_pick`.
+round apart.
 """
 
 from dataclasses import dataclass
@@ -60,12 +59,23 @@ def match_trace(parents: GeneMatrix, db: FingerprintDb,
     ones, shared = popcount(packed), popcount(packed[:, None] & db.ancestors.packed)
     dist = count_distances(kind, ones[:, None], db.ancestor_ones, shared, parents.bit_length)
 
-    def exact(w, rows):  # from the counts the distances came from
-        return [_exact_score(kind, parents.bit_length, int(ones[w]), nb, m) for nb, m in
-                zip(db.ancestor_ones[rows].tolist(), shared[w, rows].tolist())]
-
-    correlation = kind in (MetricKind.COSINE, MetricKind.PEARSON)
-    best, entry_best = _pick(dist, db.starts, exact if correlation else None)
+    # each position's least distance over its contiguous rows; a float tie
+    # keeps the first index, so the earliest position wins
+    entry_best = np.minimum.reduceat(dist, db.starts, axis=1)
+    best = entry_best.argmin(axis=1)
+    if kind in (MetricKind.COSINE, MetricKind.PEARSON):
+        # Exactly equal cosines or Pearsons can round a few units of 2**-53
+        # apart, so the float minimum need not be the earliest tied position.
+        # Where a window's rows within 2**-40 of its least distance belong to
+        # more than one position, those rows are keyed exactly, highest best,
+        # from the counts the distances came from, and the window takes the
+        # earliest position owning a row of the highest key.
+        near = dist <= dist.min(axis=1, keepdims=True) + 2.0**-40
+        for w in np.flatnonzero(np.logical_or.reduceat(near, db.starts, axis=1).sum(axis=1) > 1):
+            rows = np.flatnonzero(near[w])
+            keys = [_exact_score(kind, parents.bit_length, int(ones[w]), nb, m) for nb, m in
+                    zip(db.ancestor_ones[rows].tolist(), shared[w, rows].tolist())]
+            best[w] = np.searchsorted(db.starts, rows[keys.index(max(keys))], side="right") - 1
     # the runner-up is the second-smallest entry distance (equal to the best on a tie)
     ranked = np.sort(entry_best, axis=1)
     margins = (ranked[:, 1] if len(db.labels) > 1 else np.inf) - ranked[:, 0]
@@ -74,29 +84,6 @@ def match_trace(parents: GeneMatrix, db: FingerprintDb,
         for row, (i, d, m) in enumerate(zip(best.tolist(), ranked[:, 0].tolist(),
                                             margins.tolist()))
     ]
-
-
-def _pick(loss: np.ndarray, starts: np.ndarray, exact=None) -> tuple:
-    """Per row of ``loss`` (windows x candidate rows), the entry of least
-    loss, and every entry's least loss: an entry is the run of columns from
-    one of ``starts`` to the next, and a float tie keeps the earliest entry.
-
-    Exactly equal cosines or Pearsons can round a few units of 2**-53 apart,
-    so the float minimum need not be the earliest tied entry. Where a
-    window's rows within 2**-40 of its least loss belong to more than one
-    entry and ``exact`` is given, ``exact(w, rows)`` keys those rows exactly,
-    highest best, and the window takes the earliest entry owning a row of
-    the highest key.
-    """
-    entry_best = np.minimum.reduceat(loss, starts, axis=1)
-    best = entry_best.argmin(axis=1)  # the first index on a tie: the earliest entry wins
-    if exact is not None:
-        near = loss <= loss.min(axis=1, keepdims=True) + 2.0**-40
-        for w in np.flatnonzero(np.logical_or.reduceat(near, starts, axis=1).sum(axis=1) > 1):
-            rows = np.flatnonzero(near[w])
-            keys = exact(w, rows)
-            best[w] = np.searchsorted(starts, rows[keys.index(max(keys))], side="right") - 1
-    return best, entry_best
 
 
 def _exact_score(kind: MetricKind, n: int, na: int, nb: int, m: int):

@@ -1,7 +1,8 @@
 """Shared test helpers: bit-literal rows, databases built from ancestor
 pairs, hypothesis strategies, the per-amplitude encoder reference, per-pair
 reference measures computed without the library's count kernel and their
-exact ranking keys, the raw-baseline picks in exact arithmetic, a
+exact ranking keys, the raw-amplitude cosine/Pearson baseline (window sums
+and picks in exact arithmetic, the repo's only raw baseline), a
 per-column ancestor reference, a per-window reference report fold and
 reports of windows that replay chosen database entries."""
 
@@ -168,6 +169,15 @@ def reference_key(kind: MetricKind, a, b) -> Fraction:
         return -Fraction(c * abs(c), var)
     union = sum(p | q for p, q in zip(x, y))
     return -Fraction(both, union) if union else Fraction(-1)
+
+
+def python_window_sums(rows, size) -> list:
+    """Column sums in Python ints of each ``size``-row chunk, a last chunk
+    kept when it holds at least half a window."""
+    rows = [[int(v) for v in row] for row in rows]
+    chunks = [rows[lo:lo + size] for lo in range(0, len(rows), size)]
+    return [[sum(column) for column in zip(*chunk)] for chunk in chunks
+            if 2 * len(chunk) >= size]
 
 
 def reference_raw_key(kind: MetricKind, x, y) -> Fraction:

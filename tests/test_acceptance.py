@@ -21,7 +21,6 @@ from bicsi.errors import (
     DbVersionError,
 )
 from bicsi.evaluation import (
-    LabeledTrace,
     LabeledWindows,
     evaluate_windows,
     temporal_eval,
@@ -33,7 +32,7 @@ from bicsi.fingerprint import (
     db_to_bytes,
     save_db,
 )
-from bicsi.ingest import AmplitudeMatrix
+from bicsi.ingest import AmplitudeMatrix, LabeledTrace
 from bicsi.matcher import match_trace
 from bicsi.similarity import MetricKind, distances
 from bicsi.synth import SynthConfig, drift_sessions, generate

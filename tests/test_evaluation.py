@@ -1,4 +1,5 @@
-"""Evaluation tests: indicators, sweeps, temporal study, raw baselines."""
+"""Evaluation tests: indicators, sweeps, temporal study, and the raw-amplitude
+baseline, which is conftest's exact reference."""
 
 import json
 from dataclasses import replace
@@ -6,26 +7,22 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicsi.encoding import GeneMatrix, encode_matrix
 from bicsi.errors import (
-    ConfigError,
-    DataDomainError,
     EmptyInputError,
     LengthMismatchError,
     SessionMismatchError,
     UnknownLabelError,
 )
 from bicsi.evaluation import (
-    LabeledTrace,
     LabeledWindows,
     evaluate_windows,
     format_comparison_table,
     format_report_table,
     metric_comparison,
-    raw_baseline,
     sweep_to_csv,
     temporal_eval,
     temporal_to_csv,
@@ -37,14 +34,16 @@ from bicsi.fingerprint import (
     threshold_count,
     windows,
 )
-from bicsi.ingest import AmplitudeMatrix
+from bicsi.ingest import AmplitudeMatrix, LabeledTrace
 from bicsi.ioutil import json_text
 from bicsi.matcher import match_trace
 from bicsi.similarity import MetricKind
+from bicsi.synth import SynthConfig, generate
 
 from conftest import (
     fingerprint_db,
     gs,
+    python_window_sums,
     random_sequences,
     reference_ancestors,
     reference_hamming,
@@ -253,41 +252,6 @@ def random_coords(rng, count) -> list:
     return [tuple(row) for row in (rng.normal(size=(count, 2)) * scale).tolist()]
 
 
-def raw_sums(rng, rows, k) -> np.ndarray:
-    """Integer sums of few distinct values, so that ties, zero rows and
-    constant rows occur, each row scaled by 0, a small factor or one large
-    enough that the exact kernel takes its Python-int path."""
-    values = rng.integers(0, 3, size=(rows, k))
-    constant = rng.random(rows) < 0.25
-    values[constant] = values[constant, :1]
-    return values * rng.choice([0, 1, 2, 3, 2**20, 2**61], size=(rows, 1))
-
-
-def raw_trace(label, coord, rows, path=None) -> LabeledTrace:
-    data = np.asarray(rows, dtype=np.int64)
-    return LabeledTrace(AmplitudeMatrix(data, tuple(range(data.shape[1]))), label, coord, path)
-
-
-def trace_rows(rng, packets, k) -> np.ndarray:
-    """(packets, k) amplitudes of a random, a constant-row or a zero trace,
-    of few values, scaled so that the exact kernel's Python-int path and
-    window sums near the int64 bound occur."""
-    style = rng.integers(0, 3)
-    values = rng.integers(0, 3, size=(packets, k)) * (style > 0)
-    if style == 1:
-        values[:] = values[:, :1]
-    return values * int(rng.choice([1, 3, 2**20, 2**56]))
-
-
-def python_window_sums(rows, size) -> list:
-    """Column sums in Python ints of each ``size``-row chunk, a last chunk
-    kept when it holds at least half a window."""
-    rows = [[int(v) for v in row] for row in rows]
-    chunks = [rows[lo:lo + size] for lo in range(0, len(rows), size)]
-    return [[sum(column) for column in zip(*chunk)] for chunk in chunks
-            if 2 * len(chunk) >= size]
-
-
 class TestReportFold:
     """Every report equals the per-window reference fold, field by field."""
 
@@ -307,59 +271,6 @@ class TestReportFold:
         assert report == reference_report(
             kind, labels, [r.predicted_label for r in results],
             [r.predicted_coord for r in results], test.labels, test.coords)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
-           st.integers(1, 40), st.sampled_from([MetricKind.COSINE, MetricKind.PEARSON]))
-    @settings(max_examples=100, deadline=None)
-    def test_raw_baseline_equals_reference(self, seed, positions, k, count, kind):
-        # one packet per position and per window, so the sums are the rows
-        rng = np.random.default_rng(seed)
-        labels = [f"p{i}" for i in range(positions)]
-        coords = random_coords(rng, positions)
-        position_sums, window_sums = raw_sums(rng, positions, k), raw_sums(rng, count, k)
-        truth = rng.integers(0, positions, size=count)
-        test_coords = random_coords(rng, count)
-        training = [raw_trace(label, coord, [row])
-                    for label, coord, row in zip(labels, coords, position_sums)]
-        tests = [raw_trace(labels[i], coord, [row])
-                 for i, coord, row in zip(truth, test_coords, window_sums)]
-        best = reference_raw_picks(kind, position_sums, window_sums)
-        assert raw_baseline(training, tests, kind, window_size=1) == reference_report(
-            kind, labels, [labels[i] for i in best], [coords[i] for i in best],
-            [labels[i] for i in truth], test_coords)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6), st.integers(1, 9),
-           st.lists(st.tuples(st.integers(0, 3), st.floats(0, 1, exclude_max=True)),
-                    min_size=1, max_size=5),
-           st.sampled_from([MetricKind.COSINE, MetricKind.PEARSON]))
-    @settings(max_examples=100, deadline=None)
-    # tails at, below and above half a window, then whole windows only
-    @example(7, 2, 3, 4, [(0, 0.5), (1, 0.25), (1, 0.75), (2, 0.0)], MetricKind.COSINE)
-    @example(7, 2, 3, 4, [(0, 0.5), (1, 0.25), (1, 0.75), (2, 0.0)], MetricKind.PEARSON)
-    def test_window_sums_equal_python_sums(self, seed, positions, k, size, shapes, kind):
-        """Per test trace: ``full`` whole windows and a tail of ``share`` of a
-        window, so tails below, at and above half a window occur, and traces
-        of whole windows exactly; each trace is random, constant or zero."""
-        rng = np.random.default_rng(seed)
-        labels = [f"p{i}" for i in range(positions)]
-        coords = random_coords(rng, positions)
-        training = [raw_trace(label, coord, trace_rows(rng, int(rng.integers(1, 20)), k))
-                    for label, coord in zip(labels, coords)]
-        tests, window_sums, truth = [], [], []
-        for full, share in shapes:
-            tail = int(share * size)
-            full = max(full, int(2 * tail < size))  # at least one window
-            i = int(rng.integers(0, positions))
-            rows = trace_rows(rng, full * size + tail, k)
-            tests.append(raw_trace(labels[i], coords[i], rows))
-            window_sums += python_window_sums(rows, size)
-            truth += [i] * (len(window_sums) - len(truth))
-        position_sums = [python_window_sums(t.matrix.data, len(t.matrix.data))[0]
-                         for t in training]
-        best = reference_raw_picks(kind, position_sums, window_sums)
-        assert raw_baseline(training, tests, kind, window_size=size) == reference_report(
-            kind, labels, [labels[i] for i in best], [coords[i] for i in best],
-            [labels[i] for i in truth], [coords[i] for i in truth])
 
     def test_mae_sums_in_window_order(self):
         # 1.0 + 2**-53 rounds back to 1.0 at every step; a pairwise or
@@ -441,8 +352,6 @@ class TestLabeledWindows:
                    "\\(a window needs at least half its size\\)$")
         with pytest.raises(EmptyInputError, match=message):
             LabeledWindows.from_traces(traces, 120)
-        with pytest.raises(EmptyInputError, match=message):
-            raw_baseline(make_fixture(positions=3, packets=120), traces, window_size=120)
 
     def test_too_short_trace_with_a_path_is_named_by_it(self):
         # a test manifest may list several traces of one position
@@ -452,8 +361,6 @@ class TestLabeledWindows:
         message = "^test/p1-b.csv: trace 'p1': 44 packets, too few for one 120-packet window"
         with pytest.raises(EmptyInputError, match=message):
             LabeledWindows.from_traces(traces, 120)
-        with pytest.raises(EmptyInputError, match=message):
-            raw_baseline(traces[:2], traces, window_size=120)
 
     def test_traces_of_two_widths_rejected(self):
         traces = [make_fixture(seed=1, positions=1, k=12)[0],
@@ -621,171 +528,62 @@ class TestTemporalEval:
 
 
 class TestRawBaseline:
-    """Traces of one packet per window unless a test says otherwise."""
+    """The raw-amplitude cosine/Pearson baseline is the tests' exact
+    reference: conftest's python_window_sums and reference_raw_picks. These
+    pin it to hand-worked picks, then measure it against the binary matcher."""
 
     def test_hand_fixture_cosine(self):
-        training = [raw_trace("p1", (0, 0), [[10, 0]]), raw_trace("p2", (1, 0), [[0, 10]])]
-        tests = [raw_trace("p1", (0.0, 0.0), [[9, 1]])]
-        report = raw_baseline(training, tests, MetricKind.COSINE, window_size=1)
-        assert report.accuracy == 1.0
+        assert reference_raw_picks(MetricKind.COSINE, [[10, 0], [0, 10]], [[9, 1]]) == [0]
 
     def test_identical_means_tie_break(self):
-        training = [raw_trace("first", (0, 0), [[1, 2]]), raw_trace("second", (1, 0), [[1, 2]])]
-        tests = [raw_trace("first", (0.0, 0.0), [[1, 2]])]
-        report = raw_baseline(training, tests, MetricKind.PEARSON, window_size=1)
-        assert report.accuracy == 1.0  # equal float scores: the lowest index wins
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 4), st.integers(1, 20),
-           st.sampled_from([MetricKind.COSINE, MetricKind.PEARSON]))
-    @settings(max_examples=150, deadline=None)
-    @example(0, 3, 3, 4, MetricKind.COSINE)  # positions 6, 5 and 7 times (2, 1, 1)
-    @example(0, 2, 3, 1, MetricKind.PEARSON)
-    def test_exact_ties_pick_the_lowest_entry(self, seed, positions, k, count, kind):
-        """Positions are multiples of two few-value rows, so exactly equal
-        scores that round to different floats are common. Each window is
-        labeled with its pick in exact arithmetic, so every pick must hit."""
-        rng = np.random.default_rng(seed)
-        base = rng.integers(0, 3, size=(2, k))
-        position_sums = (base[rng.integers(0, 2, size=positions)]
-                         * rng.integers(1, 8, size=(positions, 1)))
-        window_sums = rng.integers(0, 3, size=(count, k))
-        best = reference_raw_picks(kind, position_sums, window_sums)
-        labels = [f"p{i}" for i in range(positions)]
-        training = [raw_trace(label, (float(i), 0.0), [row])
-                    for i, (label, row) in enumerate(zip(labels, position_sums))]
-        tests = [raw_trace(labels[i], (float(i), 0.0), [row]) for i, row in zip(best, window_sums)]
-        report = raw_baseline(training, tests, kind, window_size=1)
-        assert report.accuracy == 1.0, report.confusion
+        # exactly equal scores: the lowest index wins
+        assert reference_raw_picks(MetricKind.PEARSON, [[1, 2], [1, 2]], [[1, 2]]) == [0]
 
     def test_exact_window_match(self):
-        training = [raw_trace("p1", (0, 0), [[5, 1, 0]]), raw_trace("p2", (3, 0), [[0, 1, 5]])]
-        tests = [raw_trace("p2", (3.0, 0.0), [[0, 1, 5]])]
         for kind in (MetricKind.COSINE, MetricKind.PEARSON):
-            assert raw_baseline(training, tests, kind, window_size=1).accuracy == 1.0
-
-    def test_rejects_distance_metrics(self):
-        traces = [raw_trace("p1", (0, 0), [[1, 0]])]
-        with pytest.raises(ConfigError, match="^raw baseline supports only cosine and pearson$"):
-            raw_baseline(traces, traces, MetricKind.HAMMING, window_size=1)
-
-    def test_bad_window_size_fails_before_any_trace_is_read(self):
-        unknown = [raw_trace("p9", (0, 0), [[1, 1]])]
-        with pytest.raises(ConfigError, match="^window size must be >= 1$"):
-            raw_baseline([], unknown, window_size=0)
-
-    def test_vector_length_mismatch(self):
-        # training and test traces are held to one width, the first training trace's
-        training = [raw_trace("p1", (0, 0), [[1, 0]])]
-        tests = [raw_trace("p1", (0.0, 0.0), [[1, 0, 3]], path="test/p1.csv")]
-        message = "^test/p1.csv: trace 'p1': 3 subcarriers, trace 'p1': 2$"
-        with pytest.raises(LengthMismatchError, match=message):
-            raw_baseline(training, tests, MetricKind.COSINE, window_size=1)
+            assert reference_raw_picks(kind, [[5, 1, 0], [0, 1, 5]], [[0, 1, 5]]) == [1]
 
     def test_from_traces_window_means(self):
         # 250 packets: two whole windows and a tail of 10, which is dropped;
         # 190 packets: a whole window and a tail of 70, which is kept. Each
         # window's sum is a multiple of one position's, which it picks.
         def trace(*runs):
-            return raw_trace("p0", (0.0, 0.0), np.vstack([np.full((n, 2), value)
-                                                           for n, value in runs]))
+            return np.vstack([np.full((n, 2), value) for n, value in runs])
 
-        training = [raw_trace(f"p{i}", (float(i), 0.0), [row])
-                    for i, row in enumerate([[1, 0], [0, 1], [1, 1], [1, 2], [1, 4]])]
-        tests = [trace((120, (3, 0)), (120, (0, 2)), (10, (1, 2))),
-                 trace((120, (1, 1)), (70, (2, 8)))]
-        report = raw_baseline(training, tests, window_size=120)
-        assert report.n == 4
-        assert report.confusion[0] == (1, 1, 1, 0, 1)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.uint64, object])
-    def test_sums_must_be_int64_integers(self, dtype):
-        # the kernel sums integer amplitudes in int64: a trace holds no other
-        # dtype, and a uint64 amplitude past the int64 bound is named
-        def trace(value):
-            data = np.full((2, 2), value, dtype=dtype)
-            return LabeledTrace(AmplitudeMatrix(data, (0, 1)), "p1", (0.0, 0.0))
-
-        if dtype is not np.uint64:
-            with pytest.raises(ValueError, match="^amplitude data must have an integer dtype$"):
-                trace(1)
-            return
-        assert raw_baseline([trace(1)], [trace(3)], window_size=2).accuracy == 1.0
-        with pytest.raises(DataDomainError, match="amplitude sums could pass the int64 bound$"):
-            raw_baseline([trace(1)], [trace(2**63)], window_size=1)
-
-    def test_negative_sums_rejected(self):
-        # the kernel's rows are non-negative: a trace holds no negative amplitude
-        with pytest.raises(DataDomainError, match="^amplitudes must be non-negative$"):
-            raw_trace("p1", (0, 0), [[3, -1]])
-
-    @pytest.mark.parametrize("coord", [(float("nan"), 0.0), (0.0, float("inf"))])
-    def test_non_finite_coordinate_rejected(self, coord):
-        with pytest.raises(ValueError, match=r"^trace 'p1': coordinates must be finite$"):
-            raw_trace("p1", coord, [[1, 1]])
-
-    @pytest.mark.parametrize("coord", [(0, 0, 9), (1,), 5])
-    def test_coordinate_not_a_pair_rejected(self, coord):
-        with pytest.raises(ValueError, match=r"^trace 'p1': coordinates must be an"):
-            raw_trace("p1", coord, [[1, 1]])
-
-    def test_repeated_position_label_rejected(self):
-        training = [raw_trace("p1", (0, 0), [[1, 1]]), raw_trace("p2", (1, 0), [[1, 0]]),
-                    raw_trace("p1", (2, 0), [[0, 1]], path="train/p1-b.csv")]
-        message = "^train/p1-b.csv: trace 'p1': repeats the label of trace 'p1'$"
-        with pytest.raises(ValueError, match=message):
-            raw_baseline(training, training, window_size=1)
-
-    def test_no_windows_is_empty_input(self):
-        training = [raw_trace("p1", (0, 0), [[1, 1]])]
-        for kind in (MetricKind.COSINE, MetricKind.PEARSON):
-            with pytest.raises(EmptyInputError, match="^no test windows$"):
-                raw_baseline(training, [], kind)
-
-    def test_no_positions_is_empty_input(self):
-        tests = [raw_trace("p1", (0, 0), [[1, 1]])]
-        with pytest.raises(EmptyInputError, match="^no training traces$"):
-            raw_baseline([], tests, window_size=1)
-
-    def test_unknown_test_label_is_named(self):
-        training = [raw_trace("p1", (0, 0), [[1, 1]])]
-        tests = [raw_trace("p1", (0, 0), [[1, 1]]),
-                 raw_trace("p9", (9, 0), [[1, 1]], path="test/p9.csv")]
-        with pytest.raises(UnknownLabelError,
-                           match="^test/p9.csv: trace 'p9': no training trace has its label$"):
-            raw_baseline(training, tests, window_size=1)
+        sums = (python_window_sums(trace((120, (3, 0)), (120, (0, 2)), (10, (1, 2))), 120)
+                + python_window_sums(trace((120, (1, 1)), (70, (2, 8))), 120))
+        assert sums == [[360, 0], [0, 240], [120, 120], [140, 560]]
+        positions = [[1, 0], [0, 1], [1, 1], [1, 2], [1, 4]]
+        assert reference_raw_picks(MetricKind.COSINE, positions, sums) == [0, 1, 2, 4]
 
     def test_baseline_db_from_traces(self):
         # each training trace is one position, summed over all its packets:
-        # p0's sum (1, 1) picks it, though no single packet of p0 would
-        training = [raw_trace("p0", (0, 0), [[2, 0], [0, 2]]),
-                    raw_trace("p1", (1, 0), [[3, 1]]), raw_trace("p2", (2, 0), [[1, 3]])]
-        tests = [raw_trace("p0", (0, 0), [[5, 5]])]
-        assert raw_baseline(training, tests, window_size=1).accuracy == 1.0
+        # p0's sum (2, 2) picks it, though no single packet of p0 would
+        training = [[[2, 0], [0, 2]], [[3, 1]], [[1, 3]]]
+        positions = [python_window_sums(rows, len(rows))[0] for rows in training]
+        assert positions == [[2, 2], [3, 1], [1, 3]]
+        assert reference_raw_picks(MetricKind.COSINE, positions, [[5, 5]]) == [0]
 
-    def test_training_trace_without_packets_is_named(self):
-        traces = make_fixture(seed=20, positions=2, packets=60, k=4)
-        empty = noiseless_trace(np.random.default_rng(1), "p1", (1.0, 0.0), 0, 4)
-        training = [traces[0], replace(empty, path="train/p1.csv")]
-        with pytest.raises(EmptyInputError,
-                           match="^train/p1.csv: trace 'p1': no training packets$"):
-            raw_baseline(training, traces, window_size=60)
-
-    def test_traces_of_two_widths_are_named(self):
-        traces = [make_fixture(seed=1, positions=1, k=12)[0],
-                  replace(make_fixture(seed=2, positions=2, k=8)[1], path="b.csv")]
-        message = "^b.csv: trace 'p1': 8 subcarriers, trace 'p0': 12$"
-        with pytest.raises(LengthMismatchError, match=message):
-            raw_baseline(traces, traces[:1], window_size=120)
-        with pytest.raises(LengthMismatchError, match=message):
-            raw_baseline(traces[:1], traces, window_size=120)
-
-    def test_sums_that_could_pass_the_int64_bound_are_named(self):
-        trace = raw_trace("p1", (0.0, 0.0), np.full((2, 3), 2**62))
-        small = raw_trace("p1", (0.0, 0.0), np.ones((2, 3)))
-        message = "^trace 'p1': amplitude sums could pass the int64 bound$"
-        with pytest.raises(DataDomainError, match=message):
-            raw_baseline([trace], [small], window_size=2)
-        with pytest.raises(DataDomainError, match=message):
-            raw_baseline([small], [trace], window_size=2)
-        # one packet per window sums nothing
-        assert raw_baseline([small], [trace], window_size=1).accuracy == 1.0
+    def test_golden_noisy_regime_raw_reads_1_where_hamming_does_not(self):
+        """The golden noisy regime, trained on packets 0-199 of each
+        position and tested on packets 200-599. Raw cosine and raw Pearson read accuracy
+        1.0 at windows of 1, 10 and 120; the binary matcher's Hamming reads
+        less at each, on the same windows."""
+        dataset = generate(SynthConfig(positions=6, subcarriers=16, packets_per_position=600,
+                                       noise_sigma=60, profile_separation=4, burst_rate=0.3,
+                                       seed=3))
+        data = [t.matrix.data for t in dataset.traces]
+        positions = [python_window_sums(rows[:200], 200)[0] for rows in data]
+        db = build_db([(t.true_label, t.true_coord, encode_matrix(t.matrix)[:200])
+                       for t in dataset.traces])
+        tests = [replace(t, matrix=AmplitudeMatrix(t.matrix.data[200:], t.matrix.subcarrier_mask))
+                 for t in dataset.traces]
+        for size in (1, 10, 120):
+            truth, sums = [], []
+            for i, rows in enumerate(data):
+                sums += python_window_sums(rows[200:], size)
+                truth += [i] * (len(sums) - len(truth))
+            for kind in (MetricKind.COSINE, MetricKind.PEARSON):
+                assert reference_raw_picks(kind, positions, sums) == truth, (size, kind)
+            binary = evaluate_windows(db, LabeledWindows.from_traces(tests, size))
+            assert binary.n == len(truth) and binary.accuracy < 1.0, size

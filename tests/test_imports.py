@@ -3,7 +3,7 @@
 Static checks, with the standard library's ``ast``: every module of the
 package (``__init__.py`` aside, which imports the online path's names to
 re-export them) uses each name it imports, no module computes a float dot
-product (``@`` only in the exact-integer product), every module-level
+product or uses ``@``, every module-level
 private definition is read by some module of the package, and every entry
 of ``__init__``'s lazy table names a module-level definition of its module.
 Then, by importing: ``import bicsi`` leaves the study harnesses unloaded,
@@ -53,16 +53,12 @@ def test_every_import_is_used(module):
 # numpy's float dot products: their sum order, and so their last bit, depends
 # on the BLAS build; a pick must not rest on one
 FLOAT_PRODUCTS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot", "linalg"}
-EXACT_PRODUCT = "_exact_dot"  # the exact-integer product, the one place ``@`` may appear
 
 
 def float_products(source: str) -> list:
     """'line N: name' for each numpy float dot product (``np.linalg``
-    included) that a module reads or imports, and each ``@`` outside the
-    function named EXACT_PRODUCT."""
+    included) that a module reads or imports, and each ``@``."""
     tree = ast.parse(source)
-    exact = {id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-             and f.name == EXACT_PRODUCT for node in ast.walk(f)}
     found = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -73,19 +69,18 @@ def float_products(source: str) -> list:
             names = [f"{module}.{alias.name}".lstrip(".") for alias in node.names]
             found += [(node.lineno, name) for name in names if name.split(".")[0] == "numpy"
                       and FLOAT_PRODUCTS & set(name.split(".")[1:2])]
-        elif (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
-              and id(node) not in exact):
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append((node.lineno, "@"))
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
 def test_finds_a_float_product():
     source = ("import numpy as np\nimport numpy.linalg\nfrom numpy import dot, sum\n"
-              "def _exact_dot(a, b):\n    return a @ b\n"
+              "def product(a, b):\n    return a @ b\n"
               "x = np.einsum('i,i', a, b) + np.linalg.norm(a)\ny = a @ b\nx @= b\n"
               "z = np.add(a, b) + a.dot(b) + np.sum(a * b)\n")
     assert float_products(source) == ["line 2: numpy.linalg", "line 3: numpy.dot",
-                                      "line 6: np.einsum", "line 6: np.linalg",
+                                      "line 5: @", "line 6: np.einsum", "line 6: np.linalg",
                                       "line 7: @", "line 8: @"]
 
 
@@ -194,7 +189,7 @@ PUBLIC = {
                "EmptyTraceError", "LengthMismatchError", "SessionMismatchError",
                "TraceParseError", "UnknownLabelError"],
     "evaluation": ["EvalReport", "LabeledWindows", "evaluate_windows", "metric_comparison",
-                   "raw_baseline", "temporal_eval", "threshold_sweep"],
+                   "temporal_eval", "threshold_sweep"],
     "fingerprint": ["FingerprintDb", "build_db", "fraction_to_micro", "load_db", "save_db",
                     "threshold_count", "windows"],
     "ingest": ["AmplitudeMatrix", "LabeledTrace", "SubcarrierFilter", "build_matrix",

@@ -23,6 +23,7 @@ from bicsi.ingest import (
     AMPLITUDE_CSV,
     IQ_CSV,
     AmplitudeMatrix,
+    LabeledTrace,
     SubcarrierFilter,
     _validate_lines,
     build_matrix,
@@ -443,12 +444,14 @@ class TestBuildMatrix:
 
 class TestAmplitudeMatrix:
     def test_rejects_negative(self):
-        with pytest.raises(DataDomainError):
-            AmplitudeMatrix(data=np.array([[-1]], dtype=np.int64), subcarrier_mask=(0,))
+        with pytest.raises(DataDomainError, match="^amplitudes must be non-negative$"):
+            AmplitudeMatrix(data=np.array([[3, -1]], dtype=np.int64), subcarrier_mask=(0, 1))
 
     def test_rejects_float_dtype(self):
-        with pytest.raises(ValueError):
-            AmplitudeMatrix(data=np.ones((1, 1)), subcarrier_mask=(0,))
+        # object arrays too: amplitudes are integers of a numpy integer dtype
+        for dtype in (np.float64, object):
+            with pytest.raises(ValueError, match="^amplitude data must have an integer dtype$"):
+                AmplitudeMatrix(data=np.ones((1, 1), dtype=dtype), subcarrier_mask=(0,))
 
     @pytest.mark.parametrize("entry", [0.7, "3"])
     def test_mask_entry_not_an_integer_is_named(self, entry):
@@ -476,6 +479,23 @@ class TestAmplitudeMatrix:
         matrix = build_matrix(amp_rows([[1, 2]]))
         with pytest.raises(ValueError):
             matrix.data[0, 0] = 5
+
+
+class TestLabeledTrace:
+    @staticmethod
+    def trace(coord) -> LabeledTrace:
+        return LabeledTrace(AmplitudeMatrix(np.ones((1, 2), dtype=np.int64), (0, 1)), "p1", coord)
+
+    @pytest.mark.parametrize("coord", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_non_finite_coordinate_rejected(self, coord):
+        with pytest.raises(ValueError, match=r"^trace 'p1': coordinates must be finite$"):
+            self.trace(coord)
+
+    @pytest.mark.parametrize("coord", [(0, 0, 9), (1,), 5])
+    def test_coordinate_not_a_pair_rejected(self, coord):
+        message = r"^trace 'p1': coordinates must be an \(x, y\) pair$"
+        with pytest.raises(ValueError, match=message):
+            self.trace(coord)
 
 
 FROZEN_ARRAY_OWNERS = {
