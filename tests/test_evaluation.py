@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bicsi.encoding import GeneMatrix, encode_matrix
 from bicsi.errors import (
+    DataDomainError,
     EmptyInputError,
     LengthMismatchError,
     SessionMismatchError,
@@ -563,6 +564,18 @@ class TestRawBaseline:
         positions = [python_window_sums(rows, len(rows))[0] for rows in training]
         assert positions == [[2, 2], [3, 1], [1, 3]]
         assert reference_raw_picks(MetricKind.COSINE, positions, [[5, 5]]) == [0]
+
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    def test_sums_must_be_int64_integers(self, dtype):
+        # the reference sums integer amplitudes exactly: a trace holds no
+        # amplitude of another dtype
+        with pytest.raises(ValueError, match="^amplitude data must have an integer dtype$"):
+            LabeledTrace(AmplitudeMatrix(np.ones((2, 2), dtype=dtype), (0, 1)), "p1", (0.0, 0.0))
+
+    def test_negative_sums_rejected(self):
+        # the reference's rows are non-negative: a trace holds no negative amplitude
+        with pytest.raises(DataDomainError, match="^amplitudes must be non-negative$"):
+            LabeledTrace(AmplitudeMatrix(np.array([[3, -1]]), (0, 1)), "p1", (0.0, 0.0))
 
     def test_golden_noisy_regime_raw_reads_1_where_hamming_does_not(self):
         """The golden noisy regime, trained on packets 0-199 of each
