@@ -108,49 +108,40 @@ class EvalReport:
                 "per_position": [dict(vars(p)) for p in self.per_position]}
 
 
-def _assemble_report(metric: MetricKind, labels, coords, predicted,
-                     true_labels, true_coords) -> EvalReport:
-    """Fold predicted entry indices into a report. ``labels`` and ``coords``
-    are the database's, in entry order; ``true_labels`` and ``true_coords``
-    hold a label and a coordinate per prediction. The confusion matrix is
-    the only count, and this fold the only place MAE, per-position MAE and
-    accuracy are defined."""
-    index = {label: i for i, label in enumerate(labels)}
-    unknown = sorted(set(true_labels) - index.keys())
+def evaluate_windows(db: FingerprintDb, labeled: LabeledWindows,
+                     kind: MetricKind = MetricKind.HAMMING) -> EvalReport:
+    """Match every labeled window and fold the outcomes into a report. The
+    confusion matrix is the only count, and this fold the only place MAE,
+    per-position MAE and accuracy are defined."""
+    index = {label: i for i, label in enumerate(db.labels)}
+    predicted = np.array([index[r.predicted_label]
+                          for r in match_trace(labeled.parents, db, kind)], dtype=np.intp)
+    unknown = sorted(set(labeled.labels) - index.keys())
     if unknown:
         raise UnknownLabelError(f"test labels not present in the database: {unknown}")
-    true_idx = np.array([index[label] for label in true_labels], dtype=np.intp)
-    predicted = np.asarray(predicted, dtype=np.intp)
+    true_idx = np.array([index[label] for label in labeled.labels], dtype=np.intp)
     # per-window |dx| + |dy| in meters; the MAE is their sum in window order
     # over 2n, covering the horizontal and vertical components. np.cumsum adds
     # strictly left to right; np.sum (pairwise) or a compensated sum would
     # change the last bit.
-    gap = np.abs(np.asarray(coords, dtype=float)[predicted] - np.asarray(true_coords, float))
+    gap = np.abs(np.asarray(db.coords, dtype=float)[predicted]
+                 - np.asarray(labeled.coords, float))
     err = gap[:, 0] + gap[:, 1]
-    p = len(labels)
+    p = len(db.labels)
     confusion = np.bincount(true_idx * p + predicted, minlength=p * p).reshape(p, p)
     pos_n, correct = confusion.sum(axis=1).tolist(), confusion.diagonal().tolist()
     # bincount adds each position's errors in window order, like the total
     pos_err = np.bincount(true_idx, weights=err, minlength=p).tolist()
     return EvalReport(
-        metric=metric,
+        metric=kind,
         n=len(true_idx),
         mae_m=float(np.cumsum(err)[-1]) / (2 * len(err)),
         accuracy=sum(correct) / len(true_idx),
         per_position=tuple(
             PositionBreakdown(label, n, c, e / (2 * n) if n else 0.0)
-            for label, n, c, e in zip(labels, pos_n, correct, pos_err)),
+            for label, n, c, e in zip(db.labels, pos_n, correct, pos_err)),
         confusion=tuple(map(tuple, confusion.tolist())),
     )
-
-
-def evaluate_windows(db: FingerprintDb, labeled: LabeledWindows,
-                     kind: MetricKind = MetricKind.HAMMING) -> EvalReport:
-    """Match every labeled window and fold the outcomes into a report."""
-    index = {label: i for i, label in enumerate(db.labels)}
-    predicted = [index[r.predicted_label] for r in match_trace(labeled.parents, db, kind)]
-    return _assemble_report(kind, db.labels, db.coords, predicted, labeled.labels,
-                            labeled.coords)
 
 
 def metric_comparison(db: FingerprintDb, labeled: LabeledWindows, kinds) -> list[EvalReport]:

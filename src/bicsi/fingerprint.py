@@ -100,6 +100,8 @@ class FingerprintDb:
             raise LengthMismatchError("labels, coords and set counts must align")
         coords, seen = [], set()
         for label, coord, count in zip(labels, self.coords, counts):
+            if not isinstance(label, str):  # save_db writes each label as UTF-8
+                raise ValueError(f"position label {label!r} is not a str")
             if label in seen:
                 raise ValueError(f"duplicate position label {label!r}")
             seen.add(label)

@@ -1,12 +1,9 @@
 """Loading CSI traces from CSV files and assembling integer amplitude matrices.
 
-A trace file is read once, as bytes, and parsed by the first of three tiers
-that takes it: integer text parses to int64 with one ``np.fromstring``
-call; other text goes to the float ``loadtxt``; the per-line validator runs
-only when both miss, a domain check fails or the text holds an ASCII
-separator 0x1c-0x1f (``loadtxt`` strips it, ``float()`` rejects it), so
-parse errors keep their line numbers without the common path paying for
-per-packet Python objects.
+A trace file is read once, as bytes. Integer text parses to int64 with one
+``np.fromstring`` call, so the common path pays for no per-packet Python
+objects; all other text goes to the per-line validator, which keeps parse
+errors' line numbers.
 Phase information is never used: I/Q inputs are reduced to their magnitude
 and floored to integers when the matrix is built, float amplitudes are
 floored and integer amplitudes kept as they are.
@@ -165,8 +162,8 @@ def _validate_lines(path, lines, format: str) -> np.ndarray:
 
     The reference grammar: each data line is checked in file order and the
     first violation raises with its line number. :func:`load_trace` calls it
-    only when its vectorized parse fails a check, so every error message
-    comes from here.
+    for all text that its integer parse does not take, so every error
+    message comes from here.
     """
     rows = []
     width = None
@@ -199,16 +196,16 @@ def _validate_lines(path, lines, format: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-# Tier 1 text: one integer row per line, nothing but ASCII digits and commas
+# Integer text: one row per line, nothing but ASCII digits and commas
 _INT_GRAMMAR = b"0123456789,\n"
-# Each line end becomes a -1 field, which tier-1 text cannot hold, so one
+# Each line end becomes a -1 field, which integer text cannot hold, so one
 # parse gives every row's field count: the rows check by their shape.
 _ROW_END = b",-1,"
 _INT64_MAX = int(np.iinfo(np.int64).max)  # np.fromstring saturates an overflowing token here
 
 
 def _int_tier(raw: bytes) -> np.ndarray | None:
-    """Tier 1 of :func:`load_trace`: the trace's integers as int64, or None.
+    """The fast path of :func:`load_trace`: the trace's integers as int64, or None.
 
     It accepts only ASCII digits and commas in LF- or CRLF-ended rows of one
     field count with no empty field; blank lines and lines starting with
@@ -244,7 +241,7 @@ def _int_tier(raw: bytes) -> np.ndarray | None:
     if (rows[:, -1] != -1).any():
         return None
     values = rows[:, :-1]
-    # tier-1 text holds no '-', so a -1 among the values is a line end that
+    # integer text holds no '-', so a -1 among the values is a line end that
     # ragged rows moved off the end of its row
     if not values.size or values.min() < 0:
         return None
@@ -263,13 +260,11 @@ def load_trace(path, format: str = AMPLITUDE_CSV) -> np.ndarray:
     non-negative values. In ``iq-csv`` each row holds 2r fields read as
     (I1, Q1, ..., Ir, Qr), returned as float64 of shape (packets, r, 2).
 
-    The file is read once, as bytes, and parsed by the first of three tiers
-    that takes it. Tier 1 takes integer text (ASCII digits, commas, LF or
-    CRLF, '#' comments and blank lines) and returns int64. Tier 2 is the float
-    ``loadtxt`` parse and returns float64. Tier 3, the per-line validator,
-    runs when both miss or a domain check fails, and raises the first
-    line-numbered error or parses what ``float()`` reads and ``loadtxt``
-    does not.
+    The file is read once, as bytes. Integer text (ASCII digits, commas, LF
+    or CRLF, '#' comments and blank lines) parses to int64 in one
+    ``np.fromstring`` call. All other text, and an I/Q trace of odd width,
+    goes to the per-line validator, which returns float64 or raises the
+    first line-numbered error.
     """
     if format not in TRACE_FORMATS:
         raise ConfigError(f"unknown trace format {format!r}; expected one of {TRACE_FORMATS}")
@@ -277,24 +272,7 @@ def load_trace(path, format: str = AMPLITUDE_CSV) -> np.ndarray:
         raw = fh.read()
     arr = _int_tier(raw)
     if arr is None or (format == IQ_CSV and arr.shape[1] % 2):
-        lines = decode_lines(path, raw, TraceParseError)
-        data = [text for text in map(str.strip, lines) if text and not text.startswith("#")]
-        if not data:
-            raise EmptyTraceError(f"{path}: no data rows")
-        arr = None
-        # loadtxt strips the separators \x1c-\x1f that float() rejects: validator only
-        if not any(sep in text for text in data for sep in "\x1c\x1d\x1e\x1f"):
-            try:
-                # comments=None: a trailing "# note" must fail the row, as it does per line
-                arr = np.loadtxt(data, delimiter=",", ndmin=2, comments=None)
-            except ValueError:
-                pass
-        valid = (arr is not None and bool(np.isfinite(arr).all())
-                 and (arr.shape[1] % 2 == 0 if format == IQ_CSV else not (arr < 0).any()))
-        if not valid:
-            # raises the line-numbered error, or returns the rows loadtxt cannot
-            # read but float() can (digit separators, non-ASCII digits)
-            arr = _validate_lines(path, lines, format)
+        arr = _validate_lines(path, decode_lines(path, raw, TraceParseError), format)
     if format == IQ_CSV:
         return arr.astype(np.float64, copy=False).reshape(len(arr), -1, 2)
     return arr

@@ -516,6 +516,7 @@ class TestFingerprintDbRecord:
         (["a"], [(0.0, 0.0)], [0], "^position 'a': needs at least one ancestor set$"),
         (["a"], [(float("nan"), 0.0)], [1], "^position 'a': coordinates must be finite$"),
         (["a", "a"], [(0.0, 0.0), (1.0, 0.0)], [1, 1], "^duplicate position label 'a'$"),
+        ([1], [(0.0, 0.0)], [1], "^position label 1 is not a str$"),
     ])
     def test_bad_positions_are_named(self, labels, coords, counts, message):
         with pytest.raises(ValueError, match=message):

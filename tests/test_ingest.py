@@ -214,7 +214,7 @@ def _outcome(fn):
 @example("99999999999999999999,1\n", AMPLITUDE_CSV)  # beyond int64
 @example("1,2\n3,4\n5,6\n7,2.5\n", AMPLITUDE_CSV)
 @example("-3,-4\n0,-12\n", IQ_CSV)
-@example("5\x1c,1\n", AMPLITUDE_CSV)  # loadtxt strips the ASCII separators, float() does not
+@example("5\x1c,1\n", AMPLITUDE_CSV)  # the integer parse must hand 0x1c to the validator
 @example("1,2\n3\x1f,4\n", IQ_CSV)
 @example("# a\r5,6\n1,2\n", AMPLITUDE_CSV)  # a lone CR ends a comment line for the reader
 @example("1,2,3\n4\n5\n", AMPLITUDE_CSV)  # ragged rows whose line ends fill whole rows
